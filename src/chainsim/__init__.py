@@ -11,7 +11,6 @@ from .chain import (
     apply_received_block,
     fill_empty_blocks,
     finalize_state,
-    longest_chain_stats,
     reconstruct_chain,
     select_consensus_winner,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "fill_empty_blocks",
     "finalize_state",
     "load_spec",
-    "longest_chain_stats",
     "make_placeholder",
     "reconstruct_chain",
     "run_experiment",

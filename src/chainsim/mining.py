@@ -1,15 +1,18 @@
 """Pure mining-step logic shared by the live miner and the logical engine.
 
-The step order is fixed: drain every due received block first, then
-release at most one due own block, then make sure exactly one own block
-is pending on the current tip. Draining receives first means a deeper
-block that just arrived beats an own block that came due at the same
-instant; the own block is then consumed as a stale drop.
+`step` is the one place the event order lives: apply every received
+block first, then release the own pending block if it is due, then make
+sure exactly one own block is pending on the current tip. Applying
+receives first means a deeper block that just arrived beats an own block
+that came due at the same instant; the own block is then consumed as a
+stale drop. A received block that extends the tip discards the own
+block pending at that depth outright.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .blocks import Block, derive_block_id
@@ -20,7 +23,7 @@ from .chain import (
     apply_created_block,
     apply_received_block,
 )
-from .timing import HashpowerProfile, compute_block_time, pop_due_created
+from .timing import HashpowerProfile, compute_block_time
 
 TXS_PER_BLOCK = 10  # pool transactions claimed by each mined block
 
@@ -71,6 +74,7 @@ class MiningContext:
     tx_pool_ids: tuple[str, ...] = ()
     counter: int = 0
     tally: MinerTally = field(default_factory=MinerTally)
+    pending: Block | None = None  # own block drawn on the tip, not yet due
 
 
 def next_tx_ids(pool_ids: tuple[str, ...], depth: int) -> tuple[str, ...]:
@@ -101,35 +105,37 @@ def ensure_pending(ctx: MiningContext, state: LocalChainState, now: float) -> Bl
     replaced (the tip moved before it came due). Returns the new pending
     block if one was drawn.
     """
-    if state.create_queue and state.create_queue[0].parent_id == state.tip.id:
+    if ctx.pending is not None and ctx.pending.parent_id == state.tip.id:
         return None
-    state.create_queue.clear()
-    block = draw_own_block(ctx, state.tip, now)
-    state.schedule_own(block)
-    return block
+    ctx.pending = draw_own_block(ctx, state.tip, now)
+    return ctx.pending
 
 
 def step(
     ctx: MiningContext,
     state: LocalChainState,
+    received: Iterable[Block],
     now: float,
     duration: float,
 ) -> tuple[list[UpdateAction], Block | None]:
     """One mining step; returns the actions taken and a block to broadcast.
 
-    Receives are drained in arrival order, then at most one due own block
-    is released. Own blocks are only due while the simulation clock is
-    inside the run (blocktime past the duration never fires).
+    Received blocks are applied in the order given, then the pending own
+    block is released if its blocktime has been reached. Own blocks are
+    only due while the simulation clock is inside the run (blocktime past
+    the duration never fires), and no new one is drawn once it is over.
     """
     actions: list[UpdateAction] = []
-    while state.receive_queue and state.receive_queue[0].arrival <= now:
-        item = state.receive_queue.popleft()
-        action = apply_received_block(state, item.block, item.sender_id)
+    for block in received:
+        action = apply_received_block(state, block)
+        if action.kind is ActionKind.APPENDED_RECEIVED:
+            ctx.pending = None  # a peer block took the depth ours was mining
         ctx.tally.record(action)
         actions.append(action)
     broadcast: Block | None = None
-    due = pop_due_created(state.create_queue, min(now, duration))
-    if due is not None:
+    due = ctx.pending
+    if due is not None and due.blocktime <= min(now, duration):
+        ctx.pending = None
         ctx.tally.created += 1
         action = apply_created_block(state, due)
         ctx.tally.record(action)

@@ -1,58 +1,22 @@
 """Socket helpers shared by the admin server and miner nodes.
 
-All connections speak the length-prefixed frame protocol; these helpers
-wrap blocking sockets with frame reassembly and a background reader
-thread that pushes decoded messages into a callback.
+All connections speak the length-prefixed frame protocol. BufferedConn
+wraps one socket with frame reassembly and a message inbox; callers
+either wait on it for the next message (request/response phases) or
+pump it once a selector reports the socket readable (the miner loop).
 """
 
 from __future__ import annotations
 
-import logging
 import socket
-import threading
 import time
 from collections import deque
-from collections.abc import Callable
 
-from .protocol import FrameReader, ProtocolError, WireMessage, encode
-
-log = logging.getLogger(__name__)
+from .protocol import FrameReader, WireMessage, encode
 
 
 class ConnectionClosed(ConnectionError):
     """Peer closed the connection before a full message arrived."""
-
-
-def send_message(sock: socket.socket, msg: WireMessage) -> None:
-    sock.sendall(encode(msg))
-
-
-def read_one_message(
-    sock: socket.socket, reader: FrameReader, timeout: float | None = None
-) -> WireMessage:
-    """Block until one whole message is available on the socket.
-
-    Messages already sitting in the reader's pending list are not
-    handled here; call this only in strictly request/response phases
-    where at most one message is in flight.
-    """
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("timed out waiting for a message")
-            sock.settimeout(remaining)
-        else:
-            sock.settimeout(None)
-        chunk = sock.recv(65536)
-        if not chunk:
-            raise ConnectionClosed("connection closed mid-read")
-        msgs = reader.feed(chunk)
-        if msgs:
-            if len(msgs) > 1:
-                raise ProtocolError("multiple messages where one was expected")
-            return msgs[0]
 
 
 def connect_with_retry(host: str, port: int, deadline: float) -> socket.socket:
@@ -68,11 +32,10 @@ def connect_with_retry(host: str, port: int, deadline: float) -> socket.socket:
 
 
 class BufferedConn:
-    """Blocking socket with frame reassembly and a message inbox.
+    """Socket with frame reassembly and a message inbox.
 
-    Unlike read_one_message this tolerates coalesced frames: whatever a
-    recv brings in is buffered, and next_message hands frames out one at
-    a time.
+    Coalesced frames are fine: whatever a recv brings in is buffered,
+    and next_message hands frames out one at a time.
     """
 
     def __init__(self, sock: socket.socket):
@@ -104,59 +67,11 @@ class BufferedConn:
             self.pump(min(remaining, 0.2))
         return self.inbox.popleft()
 
-    def try_next(self) -> WireMessage | None:
-        """Non-blocking: one recv attempt, then pop if anything is ready."""
-        if not self.inbox:
-            self.pump(0.0)
-        return self.inbox.popleft() if self.inbox else None
-
     def send(self, msg: WireMessage) -> None:
-        send_message(self.sock, msg)
+        self.sock.sendall(encode(msg))
 
     def close(self) -> None:
         try:
             self.sock.close()
         except OSError:
             pass
-
-
-class MessagePump(threading.Thread):
-    """Reads frames off a socket and hands each message to a sink.
-
-    Stops quietly on EOF or socket errors; protocol errors are logged
-    and also end the pump (spec: a corrupt peer stream only costs that
-    one connection).
-    """
-
-    def __init__(
-        self,
-        sock: socket.socket,
-        sink: Callable[[WireMessage], None],
-        name: str = "pump",
-        on_close: Callable[[], None] | None = None,
-    ):
-        super().__init__(name=name, daemon=True)
-        self._sock = sock
-        self._sink = sink
-        self._on_close = on_close
-
-    def run(self) -> None:
-        reader = FrameReader()
-        try:
-            while True:
-                chunk = self._sock.recv(65536)
-                if not chunk:
-                    break
-                for msg in reader.feed(chunk):
-                    self._sink(msg)
-        except ProtocolError as exc:
-            log.warning("%s: protocol violation, dropping connection: %s", self.name, exc)
-        except OSError:
-            pass
-        finally:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            if self._on_close is not None:
-                self._on_close()

@@ -1,4 +1,4 @@
-"""Simulation clocks, hashpower sampling, and blocktime arithmetic.
+"""The scaled simulation clock, hashpower sampling, and blocktime arithmetic.
 
 A miner's expected time to its next block scales inversely with its share
 of the network hashpower: the delay is exponential with mean
@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-
-from .blocks import Block
 
 HASHPOWER_MAX = 30.0  # upper edge of the uniform hashpower draw
 
@@ -48,21 +46,6 @@ class SimulationClock:
         return (time.monotonic() - self.start_instant) * self.time_scale
 
 
-class LogicalClock:
-    """Clock that only moves when told to; for deterministic runs."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = start
-
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, instant: float) -> None:
-        if instant < self._now:
-            raise ValueError(f"clock cannot go back ({instant} < {self._now})")
-        self._now = instant
-
-
 def sample_hashpower(rng: random.Random) -> float:
     """Uniform hashpower in (0, 30]; zero excluded so every miner mines."""
     return HASHPOWER_MAX * (1.0 - rng.random())
@@ -85,16 +68,3 @@ def compute_block_time(
     while delta <= 0.0:
         delta = rng.expovariate(1.0 / mean)
     return now + delta
-
-
-def pop_due_created(queue: list[Block], now: float) -> Block | None:
-    """Remove and return the head of the create queue if its time has come."""
-    if queue and queue[0].blocktime <= now:
-        return queue.pop(0)
-    return None
-
-
-def simulation_expired(clock: SimulationClock | LogicalClock, duration: float) -> bool:
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return clock.now() >= duration

@@ -11,19 +11,19 @@ from chainsim.chain import (
     ActionKind,
     ConsensusEntry,
     DuplicateIdConflict,
-    InvalidForStats,
     LocalChainState,
     NoParticipants,
     apply_created_block,
     apply_received_block,
     fill_empty_blocks,
     finalize_state,
-    longest_chain_stats,
     reconstruct_chain,
     select_consensus_winner,
     validate_chain,
     verify_state_invariants,
 )
+from chainsim.mining import MiningContext, step
+from chainsim.timing import HashpowerProfile
 
 GENESIS = Block(id="g", parent_id=None, depth=0, miner_id=0, blocktime=0.0)
 
@@ -93,7 +93,7 @@ def test_created_block_on_fresh_genesis():
 def test_received_same_depth_becomes_uncle():
     state = fresh_state(build_line(7))
     rival = mk("r7", state.main_chain[6], miner=2)
-    action = apply_received_block(state, rival, sender_id=2)
+    action = apply_received_block(state, rival)
     assert action.kind is ActionKind.UNCLED
     assert state.tip.id == "b7"
     assert state.uncles == {"r7": rival}
@@ -102,13 +102,20 @@ def test_received_same_depth_becomes_uncle():
 
 def test_received_child_of_tip_appends_and_discards_own():
     state = fresh_state(build_line(7))
-    own = mk("own8", state.tip, miner=1, t=99.0)
-    state.schedule_own(own)
+    ctx = MiningContext(
+        miner_id=1,
+        profile=HashpowerProfile(own=1.0, total=2.0),
+        interval=5.0,
+        rng=random.Random(1),
+    )
+    ctx.pending = mk("own8", state.tip, miner=1, t=7.5)  # due right now
     peer = mk("p8", state.tip, miner=2, t=7.5)
-    action = apply_received_block(state, peer, sender_id=2)
-    assert action.kind is ActionKind.APPENDED_RECEIVED
+    actions, broadcast = step(ctx, state, [peer], now=7.5, duration=7.5)
+    assert [a.kind for a in actions] == [ActionKind.APPENDED_RECEIVED]
+    assert broadcast is None
     assert state.tip.id == "p8"
-    assert state.create_queue == []  # in-progress own block discarded
+    assert ctx.pending is None  # in-progress own block discarded, not released
+    assert ctx.tally.created == 0
     verify_state_invariants(state)
 
 
@@ -118,13 +125,13 @@ def test_received_deeper_branch_switches_chain():
     theirs = build_line(9, prefix="t", miner=2)
     state = fresh_state(ours)
     for blk in theirs[1:8]:  # t1..t7 arrive while our tip is still deeper or equal
-        action = apply_received_block(state, blk, sender_id=2)
+        action = apply_received_block(state, blk)
         assert action.kind is ActionKind.UNCLED
-    action = apply_received_block(state, theirs[9], sender_id=2)
+    action = apply_received_block(state, theirs[9])
     assert action.kind is ActionKind.SWITCHED_CHAIN
     assert len(state.main_chain) == 10
     assert state.main_chain[8].is_empty and state.main_chain[8].id == "t8"
-    apply_received_block(state, theirs[8], sender_id=2)  # late ancestor fills in
+    apply_received_block(state, theirs[8])  # late ancestor fills in
     assert [b.id for b in state.main_chain] == [b.id for b in theirs]
     # displaced blocks are uncles now, adopted ones are not
     assert set(state.uncles) == {f"a{i}" for i in range(1, 8)}
@@ -135,9 +142,9 @@ def test_received_deeper_branch_switches_chain():
 def test_duplicate_delivery_is_noop():
     state = fresh_state(build_line(3))
     rival = mk("r3", state.main_chain[2], miner=2)
-    apply_received_block(state, rival, sender_id=2)
+    apply_received_block(state, rival)
     before = (list(state.main_chain), dict(state.uncles), dict(state.block_store))
-    action = apply_received_block(state, rival, sender_id=2)
+    action = apply_received_block(state, rival)
     assert action.kind is ActionKind.UNCLED
     assert (list(state.main_chain), dict(state.uncles), dict(state.block_store)) == before
 
@@ -145,20 +152,20 @@ def test_duplicate_delivery_is_noop():
 def test_conflicting_block_id_rejected():
     state = fresh_state(build_line(3))
     rival = mk("r3", state.main_chain[2], miner=2, t=3.0)
-    apply_received_block(state, rival, sender_id=2)
+    apply_received_block(state, rival)
     forged = mk("r3", state.main_chain[2], miner=4, t=3.0)
     with pytest.raises(DuplicateIdConflict):
-        apply_received_block(state, forged, sender_id=4)
+        apply_received_block(state, forged)
 
 
 def test_received_block_fills_main_chain_placeholder():
     # deliver a deep tip first so its missing parent becomes a placeholder
     line = build_line(3, prefix="x", miner=2)
     state = LocalChainState(GENESIS)
-    apply_received_block(state, line[1], sender_id=2)
-    apply_received_block(state, line[3], sender_id=2)  # x2 missing -> switch
+    apply_received_block(state, line[1])
+    apply_received_block(state, line[3])  # x2 missing -> switch
     assert state.main_chain[2].is_empty and state.main_chain[2].id == "x2"
-    action = apply_received_block(state, line[2], sender_id=2)
+    action = apply_received_block(state, line[2])
     assert action.kind is ActionKind.UNCLED  # depth 2 <= tip depth 3
     assert state.main_chain[2] == line[2]  # slotted in, not an uncle
     assert "x2" not in state.uncles
@@ -237,8 +244,8 @@ def test_fill_resolves_unknown_ids_top_down():
 def test_finalize_prunes_uncles_absorbed_into_main_chain():
     line = build_line(3, prefix="x", miner=2)
     state = LocalChainState(GENESIS)
-    apply_received_block(state, line[1], sender_id=2)
-    apply_received_block(state, line[3], sender_id=2)  # placeholder for x2
+    apply_received_block(state, line[1])
+    apply_received_block(state, line[3])  # placeholder for x2
     state.uncles["x2"] = line[2]  # simulate stale bookkeeping
     state.block_store["x2"] = line[2]
     remaining = finalize_state(state)
@@ -284,28 +291,6 @@ def test_winner_matches_sort_oracle_and_permutation_invariant():
         assert select_consensus_winner(shuffled) == want.miner_id
 
 
-def test_stats_single_miner():
-    chain = build_line(10, miner=3)
-    assert longest_chain_stats(chain, {3: 30.0}) == {3: 1.0}
-
-
-def test_stats_split():
-    chain = [GENESIS]
-    for i, miner in enumerate((1, 1, 1, 2), start=1):
-        chain.append(mk(f"c{i}", chain[-1], miner=miner))
-    assert longest_chain_stats(chain, {1: 10.0, 2: 5.0}) == {1: 0.75, 2: 0.25}
-
-
-def test_stats_rejects_placeholders():
-    chain = [GENESIS, make_placeholder("a", 1)]
-    with pytest.raises(InvalidForStats):
-        longest_chain_stats(chain, {1: 1.0})
-
-
-def test_stats_genesis_only_chain_is_all_zero():
-    assert longest_chain_stats([GENESIS], {1: 1.0, 2: 2.0}) == {1: 0.0, 2: 0.0}
-
-
 # randomized equivalence against a brute-force deepest-chain oracle
 
 def random_dag(rng: random.Random, n: int, miners: int, unique_deepest: bool) -> list[Block]:
@@ -338,7 +323,7 @@ def deliver_and_check(blocks: list[Block], order: list[Block]) -> None:
     state = LocalChainState(GENESIS)
     last_depth = 0
     for blk in order:
-        apply_received_block(state, blk, sender_id=blk.miner_id)
+        apply_received_block(state, blk)
         assert state.tip.depth >= last_depth  # monotone tip
         last_depth = state.tip.depth
         verify_state_invariants(state)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,50 @@ from chainsim.chain import verify_state_invariants
 from chainsim.engine import DEFAULT_DELAY_RANGE, resolve_hashpowers, run_logical, slot_seed
 
 TABLE_POWERS = [17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4]
+
+# sha256 of json.dumps(report, sort_keys=True), recorded before run_logical
+# was rebuilt on mining.step; a refactor that changes a byte fails here.
+# (miners, duration, seed, hashpowers, delay_range, digest)
+GOLDEN_REPORTS = {
+    "table-default": (
+        7, 1500.0, 1, TABLE_POWERS, (0.05, 0.3),
+        "848957323cd58d475418785b3b48df8668bede27897b6a827fb53d4b398bfbb6",
+    ),
+    "table-zero-delay": (
+        7, 1500.0, 2, TABLE_POWERS, (0.0, 0.0),
+        "4fd96ce1456583bbc56fba24f6a5f80a1b1d378874c0d14df8887f7093aa3383",
+    ),
+    "table-heavy-delay": (
+        7, 1500.0, 3, TABLE_POWERS, (1.0, 20.0),
+        "923ef671cabfd7031fd341e086362f9e4b957f2b3d97f19e27895944084f6b94",
+    ),
+    "fifty-seeded": (
+        50, 1500.0, 4, None, (0.05, 0.3),
+        "b114375b8e5e294a82feb2fc156921894bfa044249e6406f89c90de97017c564",
+    ),
+    "fifty-heavy": (
+        50, 600.0, 9, None, (1.0, 20.0),
+        "ecf22f4ba9c8248cded4117bb6914a5758366e0f0fd1daca658ce3c568ddc1b6",
+    ),
+    "single-miner": (
+        1, 1500.0, 5, [30.0], (0.05, 0.3),
+        "85ce049297ef1389c3e3c837489f1fb7217124ff2bcd78c2302b3c8338a1d355",
+    ),
+    "five-heavy": (
+        5, 3000.0, 6, None, (1.0, 20.0),
+        "770fe22d0936b6584de74efe132a88913a53e65268ad30979302bfce3df1e19a",
+    ),
+    # placeholders remain at the winner: a discarded run
+    "five-heavy-discarded": (
+        5, 300.0, 0, None, (1.0, 20.0),
+        "4487cb16740fbf82ad750dba0bd9f89ac26a01cd9c8c22cec591528632aa4876",
+    ),
+    # placeholders remain at losing miners only
+    "five-heavy-placeholders": (
+        5, 300.0, 12, None, (1.0, 20.0),
+        "1eb9eece899b50ff04f11433921aea4f29cb932df435d432164cb1f5428b6441",
+    ),
+}
 
 
 def config(seed: int, duration: float = 500.0, n: int = 7, **kw) -> SimulationConfig:
@@ -25,6 +70,14 @@ def test_same_seed_replays_bit_identically():
     assert a.report == b.report
     assert json.dumps(a.report, sort_keys=True) == json.dumps(b.report, sort_keys=True)
     assert a.report["final_chain_ids"] == b.report["final_chain_ids"]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_report_bytes_match_golden_digest(case):
+    n, duration, seed, powers, delay_range, digest = GOLDEN_REPORTS[case]
+    result = run_logical(config(seed, duration=duration, n=n), powers, delay_range=delay_range)
+    report = json.dumps(result.report, sort_keys=True).encode()
+    assert hashlib.sha256(report).hexdigest() == digest
 
 
 def test_different_seeds_diverge():

@@ -65,9 +65,9 @@ def test_ensure_pending_keeps_fresh_block():
     state = LocalChainState(GENESIS)
     drawn = ensure_pending(ctx, state, now=0.0)
     assert drawn is not None
-    assert state.create_queue == [drawn]
+    assert ctx.pending is drawn
     assert ensure_pending(ctx, state, now=1.0) is None  # still on the tip
-    assert state.create_queue == [drawn]
+    assert ctx.pending is drawn
 
 
 def test_ensure_pending_replaces_stale_block():
@@ -77,7 +77,7 @@ def test_ensure_pending_replaces_stale_block():
     apply_created_block(state, mk("own1", GENESIS, miner=1, t=1.0))
     fresh = ensure_pending(ctx, state, now=1.0)
     assert fresh is not None and fresh is not stale
-    assert state.create_queue == [fresh]
+    assert ctx.pending is fresh
     assert fresh.parent_id == "own1"
 
 
@@ -85,11 +85,11 @@ def test_step_releases_due_block_and_broadcasts():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
     pending = ensure_pending(ctx, state, now=0.0)
-    actions, broadcast = step(ctx, state, now=pending.blocktime, duration=1000.0)
+    actions, broadcast = step(ctx, state, [], now=pending.blocktime, duration=1000.0)
     assert [a.kind for a in actions] == [ActionKind.APPENDED_OWN]
     assert broadcast is pending
     assert state.tip is pending
-    assert state.create_queue[0].parent_id == pending.id  # fresh draw followed
+    assert ctx.pending.parent_id == pending.id  # fresh draw followed
     assert ctx.tally.created == 1 and ctx.tally.appended_own == 1
 
 
@@ -97,14 +97,14 @@ def test_step_without_due_events_is_identity():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
     ensure_pending(ctx, state, now=0.0)
-    before = (list(state.main_chain), list(state.create_queue))
-    actions, broadcast = step(ctx, state, now=0.0, duration=1000.0)
+    before = (list(state.main_chain), ctx.pending)
+    actions, broadcast = step(ctx, state, [], now=0.0, duration=1000.0)
     assert actions == [] and broadcast is None
-    assert (list(state.main_chain), list(state.create_queue)) == before
+    assert (list(state.main_chain), ctx.pending) == before
 
 
 def test_step_switches_then_drops_stale_own_block():
-    # a deeper foreign-branch block arrives just before our own block is due
+    # a deeper foreign-branch block arrives just as our own block comes due
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
     for bid, t in (("a1", 3.0), ("a2", 6.0)):
@@ -114,8 +114,7 @@ def test_step_switches_then_drops_stale_own_block():
     foreign = [GENESIS]
     for i in range(1, 5):
         foreign.append(mk(f"t{i}", foreign[-1], miner=2, t=1.5 * i))
-    state.enqueue_received(foreign[4], arrival=due_at, sender_id=2)
-    actions, broadcast = step(ctx, state, now=due_at, duration=1000.0)
+    actions, broadcast = step(ctx, state, [foreign[4]], now=due_at, duration=1000.0)
     assert [a.kind for a in actions] == [
         ActionKind.SWITCHED_CHAIN,
         ActionKind.DROPPED_STALE,
@@ -123,7 +122,7 @@ def test_step_switches_then_drops_stale_own_block():
     assert broadcast is None
     assert state.tip.id == "t4"
     assert ctx.tally.switches == 1 and ctx.tally.dropped_stale == 1
-    assert state.create_queue[0].parent_id == "t4"  # rescheduled on the new tip
+    assert ctx.pending.parent_id == "t4"  # rescheduled on the new tip
 
 
 def test_step_honors_duration_gate():
@@ -131,34 +130,16 @@ def test_step_honors_duration_gate():
     state = LocalChainState(GENESIS)
     pending = ensure_pending(ctx, state, now=0.0)
     # clock has run past the end; the block is not released even if due
-    actions, broadcast = step(ctx, state, now=pending.blocktime + 100.0, duration=pending.blocktime - 0.1)
+    actions, broadcast = step(
+        ctx, state, [], now=pending.blocktime + 100.0, duration=pending.blocktime - 0.1
+    )
     assert actions == [] and broadcast is None
-    assert state.create_queue == [pending]  # still parked, never released
+    assert ctx.pending is pending  # still parked, never released
 
 
 def test_step_does_not_redraw_after_expiry():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    actions, broadcast = step(ctx, state, now=50.0, duration=10.0)
+    actions, broadcast = step(ctx, state, [], now=50.0, duration=10.0)
     assert actions == [] and broadcast is None
-    assert state.create_queue == []  # nothing drawn past the end
-
-
-def test_receive_queue_respects_arrival_order():
-    ctx = ctx_for()
-    state = LocalChainState(GENESIS)
-    b1 = mk("r1", GENESIS, miner=2, t=1.0)
-    b2 = mk("r2", b1, miner=2, t=2.0)
-    state.enqueue_received(b1, arrival=1.1, sender_id=2)
-    state.enqueue_received(b2, arrival=2.1, sender_id=2)
-    actions, _ = step(ctx, state, now=5.0, duration=100.0)
-    assert [a.kind for a in actions] == [
-        ActionKind.APPENDED_RECEIVED,
-        ActionKind.APPENDED_RECEIVED,
-    ]
-    assert state.tip.id == "r2"
-    # arrivals later than the clock stay queued
-    state.enqueue_received(mk("r3", b2, miner=2, t=3.0), arrival=99.0, sender_id=2)
-    actions, _ = step(ctx, state, now=6.0, duration=100.0)
-    assert actions == []
-    assert len(state.receive_queue) == 1
+    assert ctx.pending is None  # nothing drawn past the end

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import time
@@ -19,7 +20,16 @@ from chainsim.admin import (
 from chainsim.blocks import Block, make_placeholder
 from chainsim.miner import MinerNode
 from chainsim.netio import BufferedConn
-from chainsim.protocol import msg_block, msg_chain, msg_last_block, msg_register
+from chainsim.protocol import (
+    WireMessage,
+    block_to_payload,
+    encode,
+    msg_block,
+    msg_chain,
+    msg_last_block,
+    msg_register,
+    msg_sim_end,
+)
 
 GENESIS = create_genesis()
 
@@ -65,6 +75,8 @@ class ScriptedMiner(threading.Thread):
         chain: list[Block] | None = None,
         blocks_during_mining: tuple[Block, ...] = (),
         answer_chain_request: bool = True,
+        last_block_payload: dict | None = None,
+        peer_frames: tuple[bytes, ...] = (),
     ):
         super().__init__(daemon=True)
         self.admin_port = admin_port
@@ -74,6 +86,8 @@ class ScriptedMiner(threading.Thread):
         self.chain = chain
         self.blocks_during_mining = blocks_during_mining
         self.answer_chain_request = answer_chain_request
+        self.last_block_payload = last_block_payload  # sent verbatim if given
+        self.peer_frames = peer_frames  # raw frames, one connection each, to every peer
         self.miner_id: int | None = None
         self.outcome: str | None = None
         self.got_chain_request = False
@@ -91,14 +105,24 @@ class ScriptedMiner(threading.Thread):
         conn.send(msg_register(self.listen_port, self.hashpower))
         ack = conn.next_message(10.0)
         self.miner_id = ack.payload["miner_id"]
-        for want in ("MINER_INFO", "SIM_START", "GENESIS", "TX_POOL"):
+        roster = conn.next_message(10.0).payload["miners"]
+        for want in ("SIM_START", "GENESIS", "TX_POOL"):
             msg = conn.next_message(10.0)
             assert msg.type == want, f"expected {want}, got {msg.type}"
+        for peer in roster:
+            if peer["miner_id"] == self.miner_id:
+                continue
+            for frame in self.peer_frames:
+                with socket.create_connection((peer["ip"], peer["port"]), timeout=5) as out:
+                    out.sendall(frame)
         for blk in self.blocks_during_mining:
             conn.send(msg_block(blk))
         msg = conn.next_message(30.0)
         assert msg.type == "SIM_END", f"expected SIM_END, got {msg.type}"
-        conn.send(msg_last_block(self.miner_id, self.last_block or GENESIS))
+        if self.last_block_payload is not None:
+            conn.send(WireMessage("LAST_BLOCK", self.last_block_payload))
+        else:
+            conn.send(msg_last_block(self.miner_id, self.last_block or GENESIS))
         while True:
             msg = conn.next_message(10.0)
             if msg.type == "CHAIN_REQUEST":
@@ -274,3 +298,96 @@ def test_tie_broken_by_earliest_blocktime():
     assert fast.got_chain_request and not slow.got_chain_request
     assert report["winner_id"] == fast.miner_id == 2
     assert report["final_chain_ids"] == [GENESIS.id, "e1"]
+
+
+def test_last_block_is_keyed_by_connection_not_payload_id():
+    tip = Block(id="t1", parent_id=GENESIS.id, depth=1, miner_id=1, blocktime=0.5)
+    server = AdminServer(quick_config(2), port=0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fut = pool.submit(server.run)
+        liar = ScriptedMiner(
+            server.port,
+            listen_port=7600,
+            chain=[GENESIS, tip],
+            last_block_payload={"miner_id": 99, "block": block_to_payload(tip)},
+        )
+        honest = ScriptedMiner(server.port, listen_port=7601)
+        liar.start()
+        honest.start()
+        report = fut.result(timeout=30)
+        liar.join(timeout=5)
+        honest.join(timeout=5)
+    assert liar.got_chain_request  # its real id won, not the claimed 99
+    assert report["winner_id"] == liar.miner_id
+    assert not report["discarded"]
+    assert liar.outcome == honest.outcome == "CONSENSUS_RESULT"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"miner_id": 1, "block": block_to_payload(make_placeholder("hole", 1))},
+        {"miner_id": 1},
+    ],
+    ids=["placeholder-block", "no-block"],
+)
+def test_invalid_last_block_discards_run(payload):
+    server = AdminServer(quick_config(2), port=0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fut = pool.submit(server.run)
+        bad = ScriptedMiner(server.port, listen_port=7700, last_block_payload=payload)
+        honest = ScriptedMiner(server.port, listen_port=7701)
+        bad.start()
+        honest.start()
+        report = fut.result(timeout=30)
+        bad.join(timeout=5)
+        honest.join(timeout=5)
+    assert report["discarded"] is True
+    assert "invalid LAST_BLOCK" in report["reason"]
+    assert bad.outcome == honest.outcome == "DISCARD"
+
+
+def test_junk_on_peer_ports_costs_only_that_connection(caplog):
+    caplog.set_level(logging.WARNING, logger="chainsim.miner")
+    malformed = b"\x00\x00\x00\x05hello"  # framed, but the body is not JSON
+    config = SimulationConfig(
+        num_miners=3, duration=60.0, interval=2.0, seed=3, time_scale=200.0
+    )
+    server = AdminServer(config, port=0)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        admin_fut = pool.submit(server.run)
+        junk = ScriptedMiner(
+            server.port, listen_port=7800, peer_frames=(encode(msg_sim_end()), malformed)
+        )
+        junk.start()
+        miner_futs = [
+            pool.submit(
+                MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=hp, seed=i).run
+            )
+            for i, hp in enumerate((10.0, 20.0))
+        ]
+        report = admin_fut.result(timeout=60)
+        stats = [f.result(timeout=60) for f in miner_futs]
+        junk.join(timeout=5)
+    assert junk.error is None
+    assert not report["discarded"]
+    assert report["total_blocks"] > 0
+    for s in stats:
+        assert s["final_chain_ids"] == report["final_chain_ids"]
+    warnings = [r.getMessage() for r in caplog.records]
+    assert any("SIM_END frame on a peer connection" in w for w in warnings)
+    assert any("dropping peer connection" in w for w in warnings)
+
+
+def test_extra_delay_run_completes_and_agrees():
+    config = SimulationConfig(
+        num_miners=3, duration=60.0, interval=2.0, seed=5, time_scale=200.0
+    )
+    report, stats = run_network(config, [10.0, 20.0, 30.0], extra_delay_ms=5)
+    assert not report["discarded"]
+    assert report["total_blocks"] > 0
+    assert len({tuple(s["final_chain_ids"]) for s in stats}) == 1
+    acct = report["frame_accounting"]
+    assert acct["last_block_frames"] == 3
+    assert acct["chain_frames"] == 1
+    assert acct["block_frames_during_mining"] == 0

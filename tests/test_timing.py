@@ -7,21 +7,13 @@ import random
 
 import pytest
 
-from chainsim.blocks import Block
 from chainsim.timing import (
     HashpowerProfile,
     InvalidHashpower,
-    LogicalClock,
     SimulationClock,
     compute_block_time,
-    pop_due_created,
     sample_hashpower,
-    simulation_expired,
 )
-
-
-def blk(bid: str, t: float) -> Block:
-    return Block(id=bid, parent_id="g", depth=1, miner_id=1, blocktime=t)
 
 
 def test_hashpower_profile_bounds():
@@ -93,33 +85,6 @@ def test_block_time_rejects_bad_inputs():
     prof = HashpowerProfile(own=1.0, total=1.0)
     with pytest.raises(ValueError):
         compute_block_time(prof, 0.0, 0.0, rng)
-
-
-def test_pop_due_boundary():
-    queue = [blk("a", 10.0)]
-    assert pop_due_created(queue, 9.9) is None
-    assert queue  # untouched
-    got = pop_due_created(queue, 10.0)  # reached counts as due
-    assert got is not None and got.id == "a"
-    assert queue == []
-    assert pop_due_created([], 100.0) is None
-
-
-def test_simulation_expired_boundary():
-    clock = LogicalClock()
-    clock.advance_to(999.9)
-    assert not simulation_expired(clock, 1000.0)
-    clock.advance_to(1000.0)
-    assert simulation_expired(clock, 1000.0)
-    clock.advance_to(1500.0)
-    assert simulation_expired(clock, 1000.0)
-
-
-def test_logical_clock_never_goes_back():
-    clock = LogicalClock(start=5.0)
-    assert clock.now() == 5.0
-    with pytest.raises(ValueError):
-        clock.advance_to(4.0)
 
 
 def test_wall_clock_scaling():
