@@ -38,7 +38,7 @@ class Transaction:
             raise ValueError("transaction fee must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One chain element.
 

@@ -8,6 +8,7 @@ tell about them.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 
@@ -58,10 +59,13 @@ class ConsensusEntry:
 class LocalChainState:
     """A miner's view of the world.
 
-    main_chain goes genesis to tip with depth equal to list index.
-    uncles holds valid blocks that lost out on the main chain.
-    block_store remembers every real block ever created or received, so a
-    chain switch can be rebuilt locally instead of shipped over the wire.
+    main_chain goes genesis to tip with depth equal to list index; any
+    placeholders sit at depths 1..h, below every real block but genesis.
+    A switch assigns a new list, spliced at the fork point, and never
+    mutates the old one. uncles holds valid blocks that lost out on the
+    main chain. block_store remembers every real block ever created or
+    received, so a chain switch can be rebuilt locally instead of shipped
+    over the wire.
     """
 
     def __init__(self, genesis: Block):
@@ -80,15 +84,12 @@ class LocalChainState:
         return self.main_chain[0]
 
 
-def _store(state: LocalChainState, block: Block) -> bool:
-    """Insert a block into the store; False if it was already known."""
+def _known(state: LocalChainState, block: Block) -> bool:
+    """Whether the store holds the block; raises if it holds another under its id."""
     existing = state.block_store.get(block.id)
-    if existing is not None:
-        if existing != block:
-            raise DuplicateIdConflict(f"conflicting blocks for id {block.id}")
-        return False
-    state.block_store[block.id] = block
-    return True
+    if existing is not None and existing != block:
+        raise DuplicateIdConflict(f"conflicting blocks for id {block.id}")
+    return existing is not None
 
 
 def apply_created_block(state: LocalChainState, block: Block) -> UpdateAction:
@@ -102,7 +103,8 @@ def apply_created_block(state: LocalChainState, block: Block) -> UpdateAction:
         raise StructuralError("created blocks are never placeholders")
     if block.depth <= 0:
         raise StructuralError("created block must sit above genesis")
-    _store(state, block)
+    if not _known(state, block):
+        state.block_store[block.id] = block
     tip = state.tip
     if tip.depth < block.depth:
         if block.parent_id != tip.id or block.depth != tip.depth + 1:
@@ -116,42 +118,90 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
     """Handle one peer block, in arrival order.
 
     Not deeper than the tip: uncle. Built on the tip: append. Deeper on
-    another branch: switch, rebuilding the chain from the local store
-    with placeholders for whatever has not arrived yet.
+    another branch: switch, splicing the branch onto the main chain at
+    the fork point, with placeholders for whatever has not arrived yet.
+    A block that breaks the chain rules raises before anything changes.
     """
     if block.is_empty:
         raise StructuralError("received placeholders are not valid blocks")
+    if block.depth <= 0:
+        raise StructuralError("received block must sit above genesis")
     tip = state.tip
-    if not _store(state, block):
+    if _known(state, block):
         # retransmission of a known block: harmless no-op
         return UpdateAction(ActionKind.UNCLED, broadcast=False, new_tip_id=tip.id)
     if block.depth <= tip.depth:
-        # A block whose main-chain slot is still a placeholder belongs on
-        # the chain, not in the uncle set; slot it in right away.
-        if _fills_placeholder(state, block):
-            _absorb_fill(state)
+        slot = state.main_chain[block.depth]
+        if slot.is_empty and slot.id == block.id:
+            # The block fills the topmost placeholder: slot it in and let
+            # its parent links resolve the run of placeholders below.
+            _absorb_fill(state, state.main_chain[: block.depth] + [block])
         else:
             state.uncles[block.id] = block
+        state.block_store[block.id] = block
         return UpdateAction(ActionKind.UNCLED, broadcast=False, new_tip_id=tip.id)
     if block.parent_id == tip.id:
         if block.depth != tip.depth + 1:
             raise StructuralError("child of tip must sit exactly one deeper")
+        state.block_store[block.id] = block
         state.main_chain.append(block)
         return UpdateAction(ActionKind.APPENDED_RECEIVED, broadcast=False, new_tip_id=block.id)
-    new_chain = reconstruct_chain(state.block_store, block)
-    new_ids = {b.id for b in new_chain if not b.is_empty}
-    for old in state.main_chain:
-        if old.depth > 0 and not old.is_empty and old.id not in new_ids:
-            state.uncles[old.id] = old
-    for nid in new_ids:
-        state.uncles.pop(nid, None)
-    state.main_chain = new_chain
+    _switch(state, block)
     return UpdateAction(ActionKind.SWITCHED_CHAIN, broadcast=False, new_tip_id=block.id)
 
 
-def _fills_placeholder(state: LocalChainState, block: Block) -> bool:
-    slot = state.main_chain[block.depth] if block.depth < len(state.main_chain) else None
-    return slot is not None and slot.is_empty and slot.id == block.id
+# _UNKNOWN_RUN[d - 1] is the unknown-id placeholder at depth d, made once
+# per process up to the deepest gap seen. Placeholders are frozen and equal
+# by value, so sharing them between chains and runs changes no result; it
+# saves building one Block per depth on every switch across a gap.
+_UNKNOWN_RUN: list[Block] = []
+
+
+def _switch(state: LocalChainState, block: Block) -> None:
+    """Make block the tip, splicing its branch on at the fork point.
+
+    Walks parent links back through the store only until a parent is the
+    main-chain block at its depth (the fork point), then keeps the chain
+    up to there and puts the branch on top: the Python work grows with
+    the fork, not the chain. If an ancestor is missing first, the chain
+    below the gap is padded with placeholders exactly as reconstruct_chain
+    pads it, and every old block becomes an uncle. Old blocks above the
+    fork become uncles; the branch's blocks stop being uncles. Raises
+    before anything changes if the branch breaks the chain rules.
+    """
+    chain = state.main_chain
+    branch = [block]
+    cur = block
+    while True:
+        depth = cur.depth - 1
+        parent = state.block_store.get(cur.parent_id)
+        if parent is None:
+            if depth <= 0:
+                raise StructuralError("ancestry does not reach the stored genesis")
+            while len(_UNKNOWN_RUN) < depth - 1:
+                _UNKNOWN_RUN.append(make_placeholder(UNKNOWN_ID, len(_UNKNOWN_RUN) + 1))
+            kept = 1
+            gap = make_placeholder(cur.parent_id, depth)
+            head = [state.genesis, *_UNKNOWN_RUN[: depth - 1], gap]
+            break
+        if parent.depth != depth:
+            raise StructuralError(
+                f"parent {parent.id} at depth {parent.depth}, expected {depth}"
+            )
+        if depth < len(chain) and chain[depth].id == parent.id:
+            kept = depth + 1
+            head = chain[:kept]
+            break
+        branch.append(parent)
+        cur = parent
+    branch.reverse()
+    state.block_store[block.id] = block
+    for old in chain[kept:]:
+        if not old.is_empty:
+            state.uncles[old.id] = old
+    for new in branch:
+        state.uncles.pop(new.id, None)
+    state.main_chain = head + branch
 
 
 def reconstruct_chain(store: dict[str, Block], tip: Block) -> list[Block]:
@@ -176,7 +226,10 @@ def reconstruct_chain(store: dict[str, Block], tip: Block) -> list[Block]:
             chain[gap_top] = make_placeholder(pid or UNKNOWN_ID, gap_top)
             for d in range(gap_top - 1, 0, -1):
                 chain[d] = make_placeholder(UNKNOWN_ID, d)
-            chain[0] = _find_genesis(store)
+            roots = [b for b in store.values() if b.depth == 0 and not b.is_empty]
+            if len(roots) != 1:
+                raise StructuralError(f"store holds {len(roots)} genesis blocks, expected 1")
+            chain[0] = roots[0]
             return chain
         if parent.depth != cur.depth - 1:
             raise StructuralError(
@@ -188,13 +241,6 @@ def reconstruct_chain(store: dict[str, Block], tip: Block) -> list[Block]:
         chain[parent.depth] = parent
         cur = parent
     return chain
-
-
-def _find_genesis(store: dict[str, Block]) -> Block:
-    roots = [b for b in store.values() if b.depth == 0 and not b.is_empty]
-    if len(roots) != 1:
-        raise StructuralError(f"store holds {len(roots)} genesis blocks, expected 1")
-    return roots[0]
 
 
 def fill_empty_blocks(chain: list[Block], store: dict[str, Block]) -> tuple[list[Block], int]:
@@ -236,10 +282,14 @@ def fill_empty_blocks(chain: list[Block], store: dict[str, Block]) -> tuple[list
     return out, remaining
 
 
-def _absorb_fill(state: LocalChainState) -> int:
-    """Run fill over the main chain; blocks it recovers stop being uncles."""
-    filled, remaining = fill_empty_blocks(state.main_chain, state.block_store)
-    state.main_chain = filled
+def _absorb_fill(state: LocalChainState, span: list[Block]) -> int:
+    """Fill span, the bottom of the main chain, and put it in place.
+
+    Blocks the fill recovers stop being uncles. Nothing changes if the
+    fill raises.
+    """
+    filled, remaining = fill_empty_blocks(span, state.block_store)
+    state.main_chain = filled + state.main_chain[len(filled) :]
     for b in filled:
         if not b.is_empty:
             state.uncles.pop(b.id, None)
@@ -247,8 +297,14 @@ def _absorb_fill(state: LocalChainState) -> int:
 
 
 def finalize_state(state: LocalChainState) -> int:
-    """End-of-run repair: fill placeholders and prune uncles now on-chain."""
-    return _absorb_fill(state)
+    """End-of-run repair: fill placeholders and prune uncles now on-chain.
+
+    Placeholders only ever sit at depths 1..h, so the fill needs just
+    the span up to one slot above the topmost, found by bisection.
+    """
+    chain = state.main_chain
+    above = bisect.bisect_left(chain, True, 1, key=lambda b: not b.is_empty)
+    return _absorb_fill(state, chain[: above + 1])
 
 
 def select_consensus_winner(entries: list[ConsensusEntry]) -> int:
@@ -286,6 +342,12 @@ def validate_chain(chain: list[Block], allow_empty: bool = True) -> None:
 def verify_state_invariants(state: LocalChainState) -> None:
     """Assert LocalChainState invariants; used by tests and debug runs."""
     validate_chain(state.main_chain, allow_empty=True)
+    holes = [b.depth for b in state.main_chain if b.is_empty]
+    if holes != list(range(1, len(holes) + 1)):
+        raise StructuralError(f"placeholders sit at depths other than 1..{len(holes)}")
+    roots = sum(1 for b in state.block_store.values() if b.depth == 0)
+    if roots != 1:
+        raise StructuralError(f"store holds {roots} depth-0 blocks, expected 1")
     for blk in state.main_chain:
         if not blk.is_empty and state.block_store.get(blk.id) != blk:
             raise StructuralError(f"main-chain block {blk.id} missing from store")

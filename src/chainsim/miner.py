@@ -5,7 +5,9 @@ sleeps until the next own blocktime, the next delayed outbound frame or
 a readable socket. It accepts peer connections, reads BLOCK frames off
 them into mining.step, and writes its own blocks to every peer without
 blocking: a peer that cannot take a whole frame loses that frame and
-its connection, never the miner's time.
+its connection, never the miner's time. A peer whose frame is corrupt,
+or whose block breaks the chain rules, loses its connection; the miner
+mines on.
 """
 
 from __future__ import annotations
@@ -227,10 +229,20 @@ class MinerNode:
         sel = selectors.DefaultSelector()
         sel.register(listen_sock, selectors.EVENT_READ)
         sel.register(admin.sock, selectors.EVENT_READ, admin)
+        received: list[tuple[BufferedConn, Block]] = []
+
+        def reject(block: Block, exc: ValueError) -> None:
+            conn = next(c for c, b in received if b is block)
+            if conn.sock.fileno() >= 0:  # not dropped already
+                log.warning(
+                    "dropping peer connection: block %s breaks the chain rules: %s", block.id, exc
+                )
+                _drop_peer(sel, conn)
+
         timeout: float | None = 0.0
         try:
             while True:
-                received: list[Block] = []
+                received.clear()
                 for key, _ in sel.select(timeout):
                     if key.fileobj is listen_sock:
                         sock, _addr = listen_sock.accept()
@@ -244,7 +256,8 @@ class MinerNode:
                             log.warning("unexpected %s from admin during mining", msg.type)
                     else:
                         _read_peer(sel, key.data, received)
-                _, broadcast = step(ctx, state, received, clock.now(), duration)
+                blocks = [b for _, b in received]
+                _, broadcast = step(ctx, state, blocks, clock.now(), duration, reject)
                 wall = time.monotonic()
                 if broadcast is not None:
                     frame = encode(msg_block(broadcast))
@@ -305,21 +318,29 @@ class MinerNode:
         }
 
 
-def _read_peer(sel: selectors.BaseSelector, conn: BufferedConn, received: list[Block]) -> None:
+def _read_peer(
+    sel: selectors.BaseSelector,
+    conn: BufferedConn,
+    received: list[tuple[BufferedConn, Block]],
+) -> None:
     """Collect one peer's BLOCK frames; a closed or corrupt stream costs only that peer."""
     try:
         conn.pump(0.0)
         while conn.inbox:
             msg = conn.inbox.popleft()
             if msg.type == "BLOCK":
-                received.append(block_from_payload(msg.payload["block"]))
+                received.append((conn, block_from_payload(msg.payload["block"])))
             else:
                 log.warning("protocol violation: %s frame on a peer connection", msg.type)
     except (OSError, ProtocolError, KeyError) as exc:
         if not isinstance(exc, ConnectionClosed):
             log.warning("dropping peer connection: %s", exc)
-        sel.unregister(conn.sock)
-        conn.close()
+        _drop_peer(sel, conn)
+
+
+def _drop_peer(sel: selectors.BaseSelector, conn: BufferedConn) -> None:
+    sel.unregister(conn.sock)
+    conn.close()
 
 
 def write_stats(stats: dict, path: str) -> None:

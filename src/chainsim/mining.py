@@ -12,12 +12,13 @@ block pending at that depth outright.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .blocks import Block, derive_block_id
+from .blocks import Block, StructuralError, derive_block_id
 from .chain import (
     ActionKind,
+    DuplicateIdConflict,
     LocalChainState,
     UpdateAction,
     apply_created_block,
@@ -117,6 +118,7 @@ def step(
     received: Iterable[Block],
     now: float,
     duration: float,
+    reject: Callable[[Block, ValueError], None] | None = None,
 ) -> tuple[list[UpdateAction], Block | None]:
     """One mining step; returns the actions taken and a block to broadcast.
 
@@ -124,10 +126,19 @@ def step(
     block is released if its blocktime has been reached. Own blocks are
     only due while the simulation clock is inside the run (blocktime past
     the duration never fires), and no new one is drawn once it is over.
+    A received block that breaks the chain rules raises, unless reject
+    is given: then reject(block, error) is told and the step goes on,
+    with the state as if the block had never arrived.
     """
     actions: list[UpdateAction] = []
     for block in received:
-        action = apply_received_block(state, block)
+        try:
+            action = apply_received_block(state, block)
+        except (StructuralError, DuplicateIdConflict) as exc:
+            if reject is None:
+                raise
+            reject(block, exc)
+            continue
         if action.kind is ActionKind.APPENDED_RECEIVED:
             ctx.pending = None  # a peer block took the depth ours was mining
         ctx.tally.record(action)

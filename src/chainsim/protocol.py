@@ -9,6 +9,7 @@ same message sequence. The full byte-level contract lives in protocol.md.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -156,7 +157,30 @@ def block_to_payload(block: Block) -> dict:
     }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON type each block payload field must decode to; bool is not a number here
+_BLOCK_FIELD_TYPES = {
+    "id": lambda v: isinstance(v, str),
+    "parent_id": lambda v: v is None or isinstance(v, str),
+    "depth": _is_int,
+    "miner_id": _is_int,
+    "blocktime": lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+    "tx_ids": lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+    "is_empty": lambda v: isinstance(v, bool),
+}
+
+
 def block_from_payload(obj: dict) -> Block:
+    if not isinstance(obj, dict):
+        raise ParseError("bad block payload: not an object")
+    for name, valid in _BLOCK_FIELD_TYPES.items():
+        if name not in obj:
+            raise ParseError(f"bad block payload: missing {name!r}")
+        if not valid(obj[name]):
+            raise ParseError(f"bad block payload: {name} is {type(obj[name]).__name__}")
     try:
         return Block(
             id=obj["id"],
@@ -167,7 +191,7 @@ def block_from_payload(obj: dict) -> Block:
             tx_ids=tuple(obj["tx_ids"]),
             is_empty=obj["is_empty"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad block payload: {exc}") from exc
 
 

@@ -44,6 +44,8 @@ from chainsim.harness import ExperimentSpec, run_experiment
 from chainsim.protocol import FrameReader, MESSAGE_TYPES, decode, encode
 from chainsim.timing import HashpowerProfile, compute_block_time
 
+pytestmark = pytest.mark.acceptance
+
 TABLE2_POWERS = (17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4)
 INTERVAL = 12.42
 NETWORK_RUNS = 20

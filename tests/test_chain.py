@@ -158,6 +158,77 @@ def test_conflicting_block_id_rejected():
         apply_received_block(state, forged)
 
 
+def test_received_genesis_level_block_rejected():
+    state = fresh_state(build_line(3))
+    root = Block(id="g2", parent_id=None, depth=0, miner_id=0, blocktime=0.0)
+    for blk in (root, GENESIS):
+        with pytest.raises(StructuralError):
+            apply_received_block(state, blk)
+    assert "g2" not in state.block_store
+    verify_state_invariants(state)
+
+
+def test_invariants_demand_exactly_one_genesis_in_store():
+    state = fresh_state(build_line(2))
+    state.block_store["g2"] = Block(id="g2", parent_id=None, depth=0, miner_id=0, blocktime=0.0)
+    with pytest.raises(StructuralError):
+        verify_state_invariants(state)
+
+
+def test_invariants_demand_placeholders_at_the_bottom():
+    chain = build_line(3)
+    state = fresh_state(chain)
+    state.main_chain = [chain[0], chain[1], make_placeholder("b2", 2), chain[3]]
+    with pytest.raises(StructuralError):
+        verify_state_invariants(state)
+
+
+def snapshot(state: LocalChainState) -> tuple:
+    return list(state.main_chain), dict(state.uncles), dict(state.block_store)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        make_placeholder("b4", 4),
+        mk("b2", GENESIS, miner=9),  # id of a main-chain block, other content
+        Block(id="deep", parent_id="x5", depth=7, miner_id=2, blocktime=7.0),  # child of tip
+        Block(id="sw", parent_id="b1", depth=6, miner_id=2, blocktime=6.0),  # b1 is depth 1
+        Block(id="fill", parent_id="b1", depth=4, miner_id=2, blocktime=4.0),  # fills x4
+    ],
+    ids=["placeholder", "conflicting-id", "tip-child-depth", "branch-depth", "fill-depth"],
+)
+def test_rejected_block_leaves_state_unchanged(bad):
+    chain = build_line(3)
+    state = fresh_state(chain)
+    x5 = Block(id="x5", parent_id="fill", depth=5, miner_id=3, blocktime=5.0)
+    apply_received_block(state, x5)  # switch across a gap: placeholder "fill" at depth 4
+    assert state.main_chain[4] == make_placeholder("fill", 4)
+    before = snapshot(state)
+    with pytest.raises((StructuralError, DuplicateIdConflict)):
+        apply_received_block(state, bad)
+    assert snapshot(state) == before
+    verify_state_invariants(state)
+
+
+def test_switch_assigns_a_new_list_and_keeps_the_shared_prefix():
+    ours = build_line(6, prefix="a", miner=1)
+    state = fresh_state(ours)
+    fork = [ours[3]]
+    for i in range(4, 8):
+        fork.append(mk(f"f{i}", fork[-1], miner=2))
+    for blk in fork[1:-1]:
+        apply_received_block(state, blk)
+    old = state.main_chain
+    action = apply_received_block(state, fork[-1])
+    assert action.kind is ActionKind.SWITCHED_CHAIN
+    assert state.main_chain is not old
+    assert old == ours  # the old list is left as it was
+    assert state.main_chain == ours[:4] + fork[1:]
+    assert set(state.uncles) == {"a4", "a5", "a6"}
+    verify_state_invariants(state)
+
+
 def test_received_block_fills_main_chain_placeholder():
     # deliver a deep tip first so its missing parent becomes a placeholder
     line = build_line(3, prefix="x", miner=2)
@@ -293,12 +364,18 @@ def test_winner_matches_sort_oracle_and_permutation_invariant():
 
 # randomized equivalence against a brute-force deepest-chain oracle
 
-def random_dag(rng: random.Random, n: int, miners: int, unique_deepest: bool) -> list[Block]:
-    """Random block tree rooted at genesis, blocktimes increasing with index."""
+def random_dag(
+    rng: random.Random, n: int, miners: int, unique_deepest: bool, recent: int = 0
+) -> list[Block]:
+    """Random block tree rooted at genesis, blocktimes increasing with index.
+
+    recent > 0 draws each parent from the last `recent` blocks only, which
+    grows deep chains with short forks instead of a bushy tree.
+    """
     blocks = [GENESIS]
     t = 0.0
     for i in range(1, n + 1):
-        parent = rng.choice(blocks)
+        parent = rng.choice(blocks[-recent:] if recent else blocks)
         t += rng.uniform(0.1, 2.0)
         blocks.append(mk(f"n{i}", parent, miner=rng.randrange(1, miners + 1), t=t))
     if unique_deepest:
@@ -363,3 +440,88 @@ def test_reconstruct_then_fill_round_trip_identity():
         filled, remaining = fill_empty_blocks(rebuilt, store)
         assert filled == chain
         assert remaining == 0
+
+
+# differential test against the switch and fill path the chain core had
+# before switches spliced at the fork point: rebuild the whole chain with
+# reconstruct_chain, refill the whole chain with fill_empty_blocks
+
+
+def oracle_fill(state: LocalChainState) -> int:
+    state.main_chain, remaining = fill_empty_blocks(state.main_chain, state.block_store)
+    for b in state.main_chain:
+        if not b.is_empty:
+            state.uncles.pop(b.id, None)
+    return remaining
+
+
+def oracle_receive(state: LocalChainState, block: Block) -> ActionKind:
+    tip = state.tip
+    if block.id in state.block_store:
+        return ActionKind.UNCLED
+    state.block_store[block.id] = block
+    if block.depth <= tip.depth:
+        slot = state.main_chain[block.depth]
+        if slot.is_empty and slot.id == block.id:
+            oracle_fill(state)
+        else:
+            state.uncles[block.id] = block
+        return ActionKind.UNCLED
+    if block.parent_id == tip.id:
+        state.main_chain.append(block)
+        return ActionKind.APPENDED_RECEIVED
+    new_chain = reconstruct_chain(state.block_store, block)
+    new_ids = {b.id for b in new_chain if not b.is_empty}
+    for old in state.main_chain[1:]:
+        if not old.is_empty and old.id not in new_ids:
+            state.uncles[old.id] = old
+    for nid in new_ids:
+        state.uncles.pop(nid, None)
+    state.main_chain = new_chain
+    return ActionKind.SWITCHED_CHAIN
+
+
+def differential_run(rng: random.Random, blocks: list[Block]) -> tuple[int, int]:
+    """Deliver blocks out of order, some withheld until after a finalize.
+
+    Half the time the order is a full shuffle, otherwise blocktime order
+    under a random delivery delay. Returns how many switches there were
+    and how many of them met a missing ancestor.
+    """
+    order = blocks[1:]
+    if rng.random() < 0.5:
+        rng.shuffle(order)
+    else:
+        order.sort(key=lambda b: b.blocktime + rng.uniform(0.0, 1.5))
+    withheld = [b for b in order if rng.random() < 0.2]
+    first = [b for b in order if b not in withheld]
+    state, oracle = LocalChainState(GENESIS), LocalChainState(GENESIS)
+    switches = gaps = 0
+    for batch in (first, withheld):
+        for blk in batch:
+            old = state.main_chain
+            action = apply_received_block(state, blk)
+            assert action.kind is oracle_receive(oracle, blk)
+            assert snapshot(state) == snapshot(oracle)
+            verify_state_invariants(state)
+            if action.kind is ActionKind.SWITCHED_CHAIN:
+                # the branch sits right on a placeholder: its walk hit a gap
+                h = sum(b.is_empty for b in state.main_chain)
+                switches += 1
+                gaps += h > 0 and (h + 1 >= len(old) or old[h + 1] is not state.main_chain[h + 1])
+        assert finalize_state(state) == oracle_fill(oracle)
+        assert snapshot(state) == snapshot(oracle)
+    assert state.main_chain == brute_force_deepest(state.block_store)
+    return switches, gaps
+
+
+def test_fork_point_splice_matches_full_rebuild_oracle():
+    rng = random.Random(20261018)
+    switches = gaps = 0
+    for trial in range(300):
+        recent = (0, 2, 3, 6)[trial % 4]
+        blocks = random_dag(rng, rng.randint(1, 80), miners=4, unique_deepest=True, recent=recent)
+        s, g = differential_run(rng, blocks)
+        switches += s
+        gaps += g
+    assert gaps > 500 and switches - gaps > 200  # both the gap and the splice path

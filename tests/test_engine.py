@@ -14,7 +14,8 @@ from chainsim.engine import DEFAULT_DELAY_RANGE, resolve_hashpowers, run_logical
 TABLE_POWERS = [17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4]
 
 # sha256 of json.dumps(report, sort_keys=True), recorded before run_logical
-# was rebuilt on mining.step; a refactor that changes a byte fails here.
+# was rebuilt on mining.step (the two "deep" cases: before chain switches
+# spliced at the fork point); a refactor that changes a byte fails here.
 # (miners, duration, seed, hashpowers, delay_range, digest)
 GOLDEN_REPORTS = {
     "table-default": (
@@ -54,6 +55,16 @@ GOLDEN_REPORTS = {
     "five-heavy-placeholders": (
         5, 300.0, 12, None, (1.0, 20.0),
         "1eb9eece899b50ff04f11433921aea4f29cb932df435d432164cb1f5428b6441",
+    ),
+    # a chain some 1600 blocks deep, switching at depth
+    "table-deep": (
+        7, 20000.0, 21, TABLE_POWERS, (0.05, 0.3),
+        "dc45028452bda0e5517156733ae6765e48f62466156b6c60c761435e1faa9c4c",
+    ),
+    # hundreds of switches, many of them across a gap of missing ancestors
+    "table-deep-heavy": (
+        7, 5000.0, 22, TABLE_POWERS, (1.0, 20.0),
+        "0a74185fa2410aeceb74acc22936783a63fbf54c38ccfac907da5e66fe4d4cf0",
     ),
 }
 

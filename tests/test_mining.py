@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from chainsim.blocks import Block
+import pytest
+
+from chainsim.blocks import Block, StructuralError, make_placeholder
 from chainsim.chain import ActionKind, LocalChainState, apply_created_block
 from chainsim.mining import (
     MiningContext,
@@ -143,3 +145,28 @@ def test_step_does_not_redraw_after_expiry():
     actions, broadcast = step(ctx, state, [], now=50.0, duration=10.0)
     assert actions == [] and broadcast is None
     assert ctx.pending is None  # nothing drawn past the end
+
+
+def test_step_rejects_rule_breaking_blocks_and_goes_on():
+    ctx = ctx_for()
+    state = LocalChainState(GENESIS)
+    pending = ensure_pending(ctx, state, now=0.0)
+    good = mk("p1", GENESIS, t=pending.blocktime / 2)
+    skewed = Block(id="x", parent_id="g", depth=3, miner_id=2, blocktime=0.1)
+    bad = [make_placeholder("hole", 1), skewed]
+    with pytest.raises(StructuralError):
+        step(ctx_for(), LocalChainState(GENESIS), bad, now=0.0, duration=1000.0)
+    rejected = []
+    actions, _ = step(
+        ctx,
+        state,
+        [bad[0], good, bad[1]],
+        now=pending.blocktime / 2,
+        duration=1000.0,
+        reject=lambda block, exc: rejected.append(block),
+    )
+    assert rejected == bad
+    assert [a.kind for a in actions] == [ActionKind.APPENDED_RECEIVED]
+    assert state.main_chain == [GENESIS, good]
+    assert set(state.block_store) == {"g", "p1"}
+    assert ctx.pending.parent_id == "p1"  # redrawn on the new tip as usual

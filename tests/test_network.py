@@ -379,6 +379,45 @@ def test_junk_on_peer_ports_costs_only_that_connection(caplog):
     assert any("dropping peer connection" in w for w in warnings)
 
 
+def test_rule_breaking_blocks_cost_only_their_connection(caplog):
+    caplog.set_level(logging.WARNING, logger="chainsim.miner")
+    hole = make_placeholder("hole", 1)
+    # depth 5 on genesis: a child of the tip at the wrong depth, or a branch
+    # whose parent sits at the wrong depth once the tip has moved
+    skewed = Block(id="skew", parent_id=GENESIS.id, depth=5, miner_id=1, blocktime=0.5)
+    config = SimulationConfig(
+        num_miners=3, duration=60.0, interval=2.0, seed=4, time_scale=200.0
+    )
+    server = AdminServer(config, port=0)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        admin_fut = pool.submit(server.run)
+        forger = ScriptedMiner(
+            server.port,
+            listen_port=7900,
+            peer_frames=(encode(msg_block(hole)), encode(msg_block(skewed))),
+        )
+        forger.start()
+        miner_futs = [
+            pool.submit(
+                MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=hp, seed=i).run
+            )
+            for i, hp in enumerate((10.0, 20.0))
+        ]
+        report = admin_fut.result(timeout=60)
+        stats = [f.result(timeout=60) for f in miner_futs]
+        forger.join(timeout=5)
+    assert forger.error is None
+    assert not report["discarded"]
+    assert report["total_blocks"] > 0
+    for s in stats:
+        assert s["final_chain_ids"] == report["final_chain_ids"]
+        assert "skew" not in s["final_chain_ids"]
+    warnings = [r.getMessage() for r in caplog.records]
+    rejected = [w for w in warnings if "breaks the chain rules" in w]
+    assert sum("block hole " in w for w in rejected) == 2  # one per honest miner
+    assert sum("block skew " in w for w in rejected) == 2
+
+
 def test_extra_delay_run_completes_and_agrees():
     config = SimulationConfig(
         num_miners=3, duration=60.0, interval=2.0, seed=5, time_scale=200.0

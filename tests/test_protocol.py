@@ -160,6 +160,47 @@ def test_block_payload_rejects_garbage():
         block_from_payload({**block_to_payload(make_placeholder("bb", 4)), "depth": 0})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tx_ids", "abc"),
+        ("tx_ids", ["a", 1]),
+        ("tx_ids", None),
+        ("is_empty", 0),
+        ("is_empty", "false"),
+        ("depth", True),
+        ("depth", 4.0),
+        ("depth", "4"),
+        ("miner_id", False),
+        ("miner_id", 2.5),
+        ("blocktime", "1.5"),
+        ("blocktime", True),
+        ("blocktime", None),
+        ("blocktime", float("nan")),
+        ("id", 7),
+        ("parent_id", 7),
+    ],
+)
+def test_block_payload_rejects_wrong_types(field, value):
+    good = block_to_payload(
+        Block(id="aa", parent_id="bb", depth=4, miner_id=2, blocktime=1.5, tx_ids=("t",))
+    )
+    assert block_from_payload(good).depth == 4
+    with pytest.raises(ParseError):
+        block_from_payload({**good, field: value})
+
+
+def test_block_payload_rejects_non_objects():
+    for bad in (None, [], "block", 3):
+        with pytest.raises(ParseError):
+            block_from_payload(bad)
+
+
+def test_block_payload_takes_an_integral_blocktime():
+    payload = {**block_to_payload(make_placeholder("bb", 4)), "blocktime": 0}
+    assert block_from_payload(payload) == make_placeholder("bb", 4)
+
+
 def test_tx_payload_round_trip():
     rng = random.Random(6)
     for _ in range(100):
