@@ -153,7 +153,8 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
 # _UNKNOWN_RUN[d - 1] is the unknown-id placeholder at depth d, made once
 # per process up to the deepest gap seen. Placeholders are frozen and equal
 # by value, so sharing them between chains and runs changes no result; it
-# saves building one Block per depth on every switch across a gap.
+# saves building one Block per depth on every switch across a gap. Its
+# length stays within mining.depth_limit, as step rejects deeper blocks.
 _UNKNOWN_RUN: list[Block] = []
 
 

@@ -11,6 +11,7 @@ block pending at that depth outright.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -112,6 +113,19 @@ def ensure_pending(ctx: MiningContext, state: LocalChainState, now: float) -> Bl
     return ctx.pending
 
 
+def depth_limit(duration: float, interval: float) -> int:
+    """Deepest block a run of this length can plausibly reach.
+
+    Every real block has its blocktime inside the run and the network
+    makes one block per interval on average, so the number of blocks a
+    run ever makes is Poisson with mean duration / interval. Whatever the
+    mean, a run makes more than twice it plus 64 with probability below
+    1e-35, so a deeper block is forged; rejecting it bounds the
+    placeholders a switch across a gap pads the chain with.
+    """
+    return 2 * math.ceil(duration / interval) + 64
+
+
 def step(
     ctx: MiningContext,
     state: LocalChainState,
@@ -126,13 +140,19 @@ def step(
     block is released if its blocktime has been reached. Own blocks are
     only due while the simulation clock is inside the run (blocktime past
     the duration never fires), and no new one is drawn once it is over.
-    A received block that breaks the chain rules raises, unless reject
-    is given: then reject(block, error) is told and the step goes on,
-    with the state as if the block had never arrived.
+    A received block that breaks the chain rules, or sits deeper than
+    depth_limit, raises, unless reject is given: then reject(block, error)
+    is told and the step goes on, with the state as if the block had
+    never arrived.
     """
     actions: list[UpdateAction] = []
     for block in received:
         try:
+            limit = depth_limit(duration, ctx.interval)
+            if block.depth > limit:
+                raise StructuralError(
+                    f"depth {block.depth} is beyond {limit}, the deepest this run can reach"
+                )
             action = apply_received_block(state, block)
         except (StructuralError, DuplicateIdConflict) as exc:
             if reject is None:

@@ -108,7 +108,9 @@ def decode(data: bytes) -> tuple[WireMessage, int]:
         raise IncompleteFrame(f"frame wants {length} bytes, have {len(data) - 4}")
     try:
         obj = json.loads(data[LENGTH_PREFIX.size:end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer literal too
+        # long to convert; RecursionError, arrays nested too deep to parse
         raise ParseError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
         raise ParseError("frame body must be an object with a string 'type'")
@@ -167,7 +169,8 @@ _BLOCK_FIELD_TYPES = {
     "parent_id": lambda v: v is None or isinstance(v, str),
     "depth": _is_int,
     "miner_id": _is_int,
-    "blocktime": lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+    # ints are always finite; math.isfinite would overflow on a huge one
+    "blocktime": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
     "tx_ids": lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
     "is_empty": lambda v: isinstance(v, bool),
 }

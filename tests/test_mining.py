@@ -6,12 +6,15 @@ import random
 
 import pytest
 
+import chainsim.chain as chain
+
 from chainsim.blocks import Block, StructuralError, make_placeholder
 from chainsim.chain import ActionKind, LocalChainState, apply_created_block
 from chainsim.mining import (
     MiningContext,
     TXS_PER_BLOCK,
     draw_own_block,
+    depth_limit,
     ensure_pending,
     next_tx_ids,
     step,
@@ -170,3 +173,34 @@ def test_step_rejects_rule_breaking_blocks_and_goes_on():
     assert state.main_chain == [GENESIS, good]
     assert set(state.block_store) == {"g", "p1"}
     assert ctx.pending.parent_id == "p1"  # redrawn on the new tip as usual
+
+
+def test_depth_limit_is_far_above_the_expected_depth():
+    assert depth_limit(1000.0, 5.0) == 2 * 200 + 64
+    assert depth_limit(0.5, 5.0) == 66
+
+
+def test_step_rejects_implausibly_deep_blocks_before_padding():
+    ctx = ctx_for()
+    state = LocalChainState(GENESIS)
+    limit = depth_limit(1000.0, ctx.interval)
+    forged = [
+        Block(id=f"deep{d}", parent_id="nowhere", depth=d, miner_id=2, blocktime=1.0)
+        for d in (limit + 1, 10**12)
+    ]
+    padded = len(chain._UNKNOWN_RUN)
+    with pytest.raises(StructuralError, match="beyond"):
+        step(ctx_for(), LocalChainState(GENESIS), forged[-1:], now=0.0, duration=1000.0)
+    rejected = []
+    actions, _ = step(
+        ctx, state, forged, now=0.0, duration=1000.0,
+        reject=lambda block, exc: rejected.append(block),
+    )
+    assert rejected == forged and actions == []
+    assert state.main_chain == [GENESIS] and set(state.block_store) == {"g"}
+    assert len(chain._UNKNOWN_RUN) == padded
+    # the deepest plausible block still switches across its gap
+    at_limit = Block(id="edge", parent_id="nowhere", depth=limit, miner_id=2, blocktime=1.0)
+    actions, _ = step(ctx, state, [at_limit], now=0.0, duration=1000.0)
+    assert [a.kind for a in actions] == [ActionKind.SWITCHED_CHAIN]
+    assert state.tip.id == "edge" and len(state.main_chain) == limit + 1

@@ -328,8 +328,12 @@ def test_last_block_is_keyed_by_connection_not_payload_id():
     [
         {"miner_id": 1, "block": block_to_payload(make_placeholder("hole", 1))},
         {"miner_id": 1},
+        {
+            "miner_id": 1,
+            "block": {**block_to_payload(GENESIS), "depth": 1, "blocktime": float("inf")},
+        },
     ],
-    ids=["placeholder-block", "no-block"],
+    ids=["placeholder-block", "no-block", "infinite-blocktime"],
 )
 def test_invalid_last_block_discards_run(payload):
     server = AdminServer(quick_config(2), port=0)
@@ -345,6 +349,25 @@ def test_invalid_last_block_discards_run(payload):
     assert report["discarded"] is True
     assert "invalid LAST_BLOCK" in report["reason"]
     assert bad.outcome == honest.outcome == "DISCARD"
+
+
+def test_huge_integral_blocktime_in_last_block_is_harmless():
+    # ints are always finite, and the admin only compares blocktimes
+    tip = Block(id="far", parent_id=GENESIS.id, depth=1, miner_id=1, blocktime=10**400)
+    server = AdminServer(quick_config(2), port=0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fut = pool.submit(server.run)
+        far = ScriptedMiner(server.port, listen_port=7702, last_block=tip, chain=[GENESIS, tip])
+        honest = ScriptedMiner(server.port, listen_port=7703)
+        far.start()
+        honest.start()
+        report = fut.result(timeout=30)
+        far.join(timeout=5)
+        honest.join(timeout=5)
+    assert far.error is None and honest.error is None
+    assert not report["discarded"]
+    assert report["winner_id"] == far.miner_id
+    assert far.outcome == honest.outcome == "CONSENSUS_RESULT"
 
 
 def test_junk_on_peer_ports_costs_only_that_connection(caplog):
@@ -385,6 +408,9 @@ def test_rule_breaking_blocks_cost_only_their_connection(caplog):
     # depth 5 on genesis: a child of the tip at the wrong depth, or a branch
     # whose parent sits at the wrong depth once the tip has moved
     skewed = Block(id="skew", parent_id=GENESIS.id, depth=5, miner_id=1, blocktime=0.5)
+    # valid by the chain rules, but far deeper than any run can reach: the
+    # switch across its gap would pad the chain with 10^12 placeholders
+    deep = Block(id="deep", parent_id="nowhere", depth=10**12, miner_id=1, blocktime=0.5)
     config = SimulationConfig(
         num_miners=3, duration=60.0, interval=2.0, seed=4, time_scale=200.0
     )
@@ -394,7 +420,7 @@ def test_rule_breaking_blocks_cost_only_their_connection(caplog):
         forger = ScriptedMiner(
             server.port,
             listen_port=7900,
-            peer_frames=(encode(msg_block(hole)), encode(msg_block(skewed))),
+            peer_frames=tuple(encode(msg_block(b)) for b in (hole, skewed, deep)),
         )
         forger.start()
         miner_futs = [
@@ -416,6 +442,7 @@ def test_rule_breaking_blocks_cost_only_their_connection(caplog):
     rejected = [w for w in warnings if "breaks the chain rules" in w]
     assert sum("block hole " in w for w in rejected) == 2  # one per honest miner
     assert sum("block skew " in w for w in rejected) == 2
+    assert sum("block deep " in w for w in rejected) == 2
 
 
 def test_extra_delay_run_completes_and_agrees():

@@ -74,6 +74,19 @@ def test_malformed_json_rejected():
         decode(struct.pack(">I", len(body)) + body)
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"type":"SIM_END","payload":{"n":1' + b"0" * 5000 + b"}}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+    ids=["integer-too-long-to-convert", "nested-too-deep"],
+)
+def test_unparsable_json_values_rejected(body):
+    with pytest.raises(ParseError):
+        decode(struct.pack(">I", len(body)) + body)
+
+
 def test_non_object_body_rejected():
     body = json.dumps([1, 2, 3]).encode()
     with pytest.raises(ParseError):
@@ -177,6 +190,7 @@ def test_block_payload_rejects_garbage():
         ("blocktime", True),
         ("blocktime", None),
         ("blocktime", float("nan")),
+        ("blocktime", float("inf")),
         ("id", 7),
         ("parent_id", 7),
     ],
@@ -199,6 +213,16 @@ def test_block_payload_rejects_non_objects():
 def test_block_payload_takes_an_integral_blocktime():
     payload = {**block_to_payload(make_placeholder("bb", 4)), "blocktime": 0}
     assert block_from_payload(payload) == make_placeholder("bb", 4)
+
+
+def test_block_payload_takes_a_huge_integral_blocktime():
+    # ints are always finite; only comparisons ever touch a received blocktime
+    good = block_to_payload(
+        Block(id="aa", parent_id="bb", depth=4, miner_id=2, blocktime=1.5, tx_ids=("t",))
+    )
+    frame = encode(WireMessage("BLOCK", {"block": {**good, "blocktime": 10**400}}))
+    msg, _ = decode(frame)
+    assert block_from_payload(msg.payload["block"]).blocktime == 10**400
 
 
 def test_tx_payload_round_trip():
