@@ -28,7 +28,6 @@ class ActionKind(enum.Enum):
     APPENDED_RECEIVED = "appended_received"
     UNCLED = "uncled"
     SWITCHED_CHAIN = "switched_chain"
-    DROPPED_STALE = "dropped_stale"
 
 
 @dataclass(frozen=True)
@@ -62,17 +61,16 @@ class LocalChainState:
     main_chain goes genesis to tip with depth equal to list index; any
     placeholders sit at depths 1..h, below every real block but genesis.
     A switch assigns a new list, spliced at the fork point, and never
-    mutates the old one. uncles holds valid blocks that lost out on the
-    main chain. block_store remembers every real block ever created or
-    received, so a chain switch can be rebuilt locally instead of shipped
-    over the wire.
+    mutates the old one. block_store remembers every real block ever
+    created or received, so a chain switch can be rebuilt locally instead
+    of shipped over the wire; the uncles are the stored blocks that are
+    not on the main chain.
     """
 
     def __init__(self, genesis: Block):
         if genesis.depth != 0 or genesis.is_empty:
             raise StructuralError("state must start from a real genesis block")
         self.main_chain: list[Block] = [genesis]
-        self.uncles: dict[str, Block] = {}
         self.block_store: dict[str, Block] = {genesis.id: genesis}
 
     @property
@@ -93,25 +91,20 @@ def _known(state: LocalChainState, block: Block) -> bool:
 
 
 def apply_created_block(state: LocalChainState, block: Block) -> UpdateAction:
-    """Handle one of our own blocks whose blocktime has been reached.
+    """Append one of our own blocks, built on the tip when it fell due.
 
-    The block extends the chain only if it is still deeper than the tip;
-    a block outrun by the network meanwhile is dropped (it stays in the
-    store but is never broadcast and never becomes an uncle).
+    Own blocks are built on the current tip, so one that does not extend
+    it breaks the rules and raises before anything changes.
     """
     if block.is_empty:
         raise StructuralError("created blocks are never placeholders")
-    if block.depth <= 0:
-        raise StructuralError("created block must sit above genesis")
+    tip = state.tip
+    if block.parent_id != tip.id or block.depth != tip.depth + 1:
+        raise StructuralError("created block does not extend the current tip")
     if not _known(state, block):
         state.block_store[block.id] = block
-    tip = state.tip
-    if tip.depth < block.depth:
-        if block.parent_id != tip.id or block.depth != tip.depth + 1:
-            raise StructuralError("created block does not extend the current tip")
-        state.main_chain.append(block)
-        return UpdateAction(ActionKind.APPENDED_OWN, broadcast=True, new_tip_id=block.id)
-    return UpdateAction(ActionKind.DROPPED_STALE, broadcast=False, new_tip_id=tip.id)
+    state.main_chain.append(block)
+    return UpdateAction(ActionKind.APPENDED_OWN, broadcast=True, new_tip_id=block.id)
 
 
 def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
@@ -136,8 +129,6 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
             # The block fills the topmost placeholder: slot it in and let
             # its parent links resolve the run of placeholders below.
             _absorb_fill(state, state.main_chain[: block.depth] + [block])
-        else:
-            state.uncles[block.id] = block
         state.block_store[block.id] = block
         return UpdateAction(ActionKind.UNCLED, broadcast=False, new_tip_id=tip.id)
     if block.parent_id == tip.id:
@@ -166,9 +157,8 @@ def _switch(state: LocalChainState, block: Block) -> None:
     up to there and puts the branch on top: the Python work grows with
     the fork, not the chain. If an ancestor is missing first, the chain
     below the gap is padded with placeholders exactly as reconstruct_chain
-    pads it, and every old block becomes an uncle. Old blocks above the
-    fork become uncles; the branch's blocks stop being uncles. Raises
-    before anything changes if the branch breaks the chain rules.
+    pads it. Raises before anything changes if the branch breaks the
+    chain rules.
     """
     chain = state.main_chain
     branch = [block]
@@ -181,7 +171,6 @@ def _switch(state: LocalChainState, block: Block) -> None:
                 raise StructuralError("ancestry does not reach the stored genesis")
             while len(_UNKNOWN_RUN) < depth - 1:
                 _UNKNOWN_RUN.append(make_placeholder(UNKNOWN_ID, len(_UNKNOWN_RUN) + 1))
-            kept = 1
             gap = make_placeholder(cur.parent_id, depth)
             head = [state.genesis, *_UNKNOWN_RUN[: depth - 1], gap]
             break
@@ -190,18 +179,12 @@ def _switch(state: LocalChainState, block: Block) -> None:
                 f"parent {parent.id} at depth {parent.depth}, expected {depth}"
             )
         if depth < len(chain) and chain[depth].id == parent.id:
-            kept = depth + 1
-            head = chain[:kept]
+            head = chain[: depth + 1]
             break
         branch.append(parent)
         cur = parent
     branch.reverse()
     state.block_store[block.id] = block
-    for old in chain[kept:]:
-        if not old.is_empty:
-            state.uncles[old.id] = old
-    for new in branch:
-        state.uncles.pop(new.id, None)
     state.main_chain = head + branch
 
 
@@ -286,19 +269,15 @@ def fill_empty_blocks(chain: list[Block], store: dict[str, Block]) -> tuple[list
 def _absorb_fill(state: LocalChainState, span: list[Block]) -> int:
     """Fill span, the bottom of the main chain, and put it in place.
 
-    Blocks the fill recovers stop being uncles. Nothing changes if the
-    fill raises.
+    Nothing changes if the fill raises.
     """
     filled, remaining = fill_empty_blocks(span, state.block_store)
     state.main_chain = filled + state.main_chain[len(filled) :]
-    for b in filled:
-        if not b.is_empty:
-            state.uncles.pop(b.id, None)
     return remaining
 
 
 def finalize_state(state: LocalChainState) -> int:
-    """End-of-run repair: fill placeholders and prune uncles now on-chain.
+    """End-of-run repair: fill placeholders from the store.
 
     Placeholders only ever sit at depths 1..h, so the fill needs just
     the span up to one slot above the topmost, found by bisection.
@@ -352,14 +331,6 @@ def verify_state_invariants(state: LocalChainState) -> None:
     for blk in state.main_chain:
         if not blk.is_empty and state.block_store.get(blk.id) != blk:
             raise StructuralError(f"main-chain block {blk.id} missing from store")
-    main_ids = {b.id for b in state.main_chain if b.id != UNKNOWN_ID}
-    for uid, blk in state.uncles.items():
-        if uid != blk.id or blk.is_empty:
-            raise StructuralError("uncle set corrupted")
-        if state.block_store.get(uid) != blk:
-            raise StructuralError(f"uncle {uid} missing from store")
-        if uid in main_ids:
-            raise StructuralError(f"block {uid} on both main chain and uncle set")
     for bid, blk in state.block_store.items():
         if blk.is_empty or blk.id != bid:
             raise StructuralError("store may only hold real blocks keyed by id")

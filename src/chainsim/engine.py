@@ -1,11 +1,12 @@
 """In-process simulation on a logical clock, for deterministic runs.
 
 Same rules as the live network: every event goes through mining.step.
-Events (a miner's pending block coming due, a block arriving at a peer)
-sit in one priority queue and time jumps from event to event. Every
-random draw comes from a seeded generator, so a given configuration
-replays bit-identically. Peer delivery delay is drawn uniformly from a
-configurable range per (block, receiver) pair.
+Events (a miner's next own blocktime coming due, a block arriving at a
+peer) sit in one priority queue and time jumps from event to event.
+Each blocktime a miner draws is queued once, and received blocks never
+move it. Every random draw comes from a seeded generator, so a given
+configuration replays bit-identically. Peer delivery delay is drawn
+uniformly from a configurable range per (block, receiver) pair.
 """
 
 from __future__ import annotations
@@ -96,34 +97,31 @@ def run_logical(
     ]
     net_rng = random.Random(f"net:{config.seed}")
     seq = itertools.count()
-    # (time, seq, miner index, block): an own pending block coming due,
-    # or a peer's block arriving
-    heap: list[tuple[float, int, int, Block]] = []
+    # (time, seq, miner index, block): a miner's own blocktime coming due
+    # (block None), or a peer's block arriving
+    heap: list[tuple[float, int, int, Block | None]] = []
 
-    def run_step(i: int, received: tuple[Block, ...], now: float) -> None:
-        ctx = ctxs[i]
-        drawn = ctx.pending
-        _, broadcast = step(ctx, states[i], received, now, config.duration)
-        if broadcast is not None:
-            for j in range(n):
-                if j != i:
-                    arrival = now + net_rng.uniform(*delay_range)
-                    heapq.heappush(heap, (arrival, next(seq), j, broadcast))
-        if ctx.pending is not None and ctx.pending is not drawn:
-            heapq.heappush(heap, (ctx.pending.blocktime, next(seq), i, ctx.pending))
+    def queue_own(i: int) -> None:
+        if ctxs[i].next_time is not None:
+            heapq.heappush(heap, (ctxs[i].next_time, next(seq), i, None))
 
     for i in range(n):
-        run_step(i, (), 0.0)
+        step(ctxs[i], states[i], (), 0.0, config.duration)  # first draw
+        queue_own(i)
 
     while heap:
         t, _, i, block = heapq.heappop(heap)
         if t > config.duration:
             break
-        if block is ctxs[i].pending:
-            run_step(i, (), t)
-        elif block.miner_id != ctxs[i].miner_id:
-            run_step(i, (block,), t)
-        # else: an own block the tip moved away from before it came due
+        received = () if block is None else (block,)
+        _, broadcast = step(ctxs[i], states[i], received, t, config.duration)
+        if broadcast is not None:
+            # the own block came due, and its successor was drawn
+            for j in range(n):
+                if j != i:
+                    arrival = t + net_rng.uniform(*delay_range)
+                    heapq.heappush(heap, (arrival, next(seq), j, broadcast))
+            queue_own(i)
 
     remaining = [finalize_state(s) for s in states]
     entries = [

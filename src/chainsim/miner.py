@@ -266,8 +266,8 @@ class MinerNode:
                 for link in links:
                     link.flush(wall)
                 wakes = [link.outbox[0][0] for link in links if link.outbox]
-                if ctx.pending is not None and ctx.pending.blocktime <= duration:
-                    wakes.append(clock.start_instant + ctx.pending.blocktime / clock.time_scale)
+                if ctx.next_time is not None and ctx.next_time <= duration:
+                    wakes.append(clock.start_instant + ctx.next_time / clock.time_scale)
                 timeout = max(0.0, min(wakes) - time.monotonic()) if wakes else None
         finally:
             for key in list(sel.get_map().values()):

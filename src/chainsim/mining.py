@@ -1,12 +1,16 @@
 """Pure mining-step logic shared by the live miner and the logical engine.
 
+Mining is memoryless: a miner's wait for its next own block is
+exponential, so a tip that moves under it leaves the remaining wait
+unchanged. Each miner therefore keeps one drawn blocktime, next_time,
+that no received block changes; when it falls due the own block is
+built on whatever the tip is then, and the next blocktime is drawn
+from it.
+
 `step` is the one place the event order lives: apply every received
-block first, then release the own pending block if it is due, then make
-sure exactly one own block is pending on the current tip. Applying
-receives first means a deeper block that just arrived beats an own block
-that came due at the same instant; the own block is then consumed as a
-stale drop. A received block that extends the tip discards the own
-block pending at that depth outright.
+block first, then build and release the own block if it is due. Applying
+receives first means a deeper block that arrived at the same instant is
+already the tip the own block extends.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ class MinerTally:
     appended_received: int = 0
     uncled: int = 0
     switches: int = 0
-    dropped_stale: int = 0
 
     def record(self, action: UpdateAction) -> None:
         kind = action.kind
@@ -51,8 +54,6 @@ class MinerTally:
             self.uncled += 1
         elif kind is ActionKind.SWITCHED_CHAIN:
             self.switches += 1
-        elif kind is ActionKind.DROPPED_STALE:
-            self.dropped_stale += 1
 
     def as_dict(self) -> dict:
         return {
@@ -61,22 +62,21 @@ class MinerTally:
             "appended_received": self.appended_received,
             "uncled": self.uncled,
             "switches": self.switches,
-            "dropped_stale": self.dropped_stale,
         }
 
 
 @dataclass
 class MiningContext:
-    """Everything one miner needs to draw and release its own blocks."""
+    """Everything one miner needs to time, build and release its own blocks."""
 
     miner_id: int
     profile: HashpowerProfile
     interval: float
     rng: random.Random
     tx_pool_ids: tuple[str, ...] = ()
-    counter: int = 0
+    counter: int = 0  # own blocks built so far; keeps their ids unique
     tally: MinerTally = field(default_factory=MinerTally)
-    pending: Block | None = None  # own block drawn on the tip, not yet due
+    next_time: float | None = None  # blocktime of the next own block, once drawn
 
 
 def next_tx_ids(pool_ids: tuple[str, ...], depth: int) -> tuple[str, ...]:
@@ -85,9 +85,8 @@ def next_tx_ids(pool_ids: tuple[str, ...], depth: int) -> tuple[str, ...]:
     return pool_ids[start : start + TXS_PER_BLOCK]
 
 
-def draw_own_block(ctx: MiningContext, tip: Block, now: float) -> Block:
-    """Draw the miner's next own block on top of the given tip."""
-    blocktime = compute_block_time(ctx.profile, ctx.interval, now, ctx.rng)
+def draw_own_block(ctx: MiningContext, tip: Block, blocktime: float) -> Block:
+    """Build the miner's own block on top of the given tip, at its blocktime."""
     depth = tip.depth + 1
     ctx.counter += 1
     return Block(
@@ -98,19 +97,6 @@ def draw_own_block(ctx: MiningContext, tip: Block, now: float) -> Block:
         blocktime=blocktime,
         tx_ids=next_tx_ids(ctx.tx_pool_ids, depth),
     )
-
-
-def ensure_pending(ctx: MiningContext, state: LocalChainState, now: float) -> Block | None:
-    """Keep exactly one own block pending, drawn on the current tip.
-
-    A pending block whose parent is no longer the tip is silently
-    replaced (the tip moved before it came due). Returns the new pending
-    block if one was drawn.
-    """
-    if ctx.pending is not None and ctx.pending.parent_id == state.tip.id:
-        return None
-    ctx.pending = draw_own_block(ctx, state.tip, now)
-    return ctx.pending
 
 
 def depth_limit(duration: float, interval: float) -> int:
@@ -136,19 +122,21 @@ def step(
 ) -> tuple[list[UpdateAction], Block | None]:
     """One mining step; returns the actions taken and a block to broadcast.
 
-    Received blocks are applied in the order given, then the pending own
-    block is released if its blocktime has been reached. Own blocks are
-    only due while the simulation clock is inside the run (blocktime past
-    the duration never fires), and no new one is drawn once it is over.
+    Received blocks are applied in the order given; they never change
+    ctx.next_time. Then, if ctx.next_time has been reached, the own block
+    is built on the current tip at that blocktime, appended, and the next
+    blocktime is drawn from it. Own blocks are only due while the
+    simulation clock is inside the run (a blocktime past the duration
+    never fires), and nothing is drawn at or after the duration.
     A received block that breaks the chain rules, or sits deeper than
     depth_limit, raises, unless reject is given: then reject(block, error)
     is told and the step goes on, with the state as if the block had
     never arrived.
     """
     actions: list[UpdateAction] = []
+    limit = depth_limit(duration, ctx.interval)
     for block in received:
         try:
-            limit = depth_limit(duration, ctx.interval)
             if block.depth > limit:
                 raise StructuralError(
                     f"depth {block.depth} is beyond {limit}, the deepest this run can reach"
@@ -159,20 +147,21 @@ def step(
                 raise
             reject(block, exc)
             continue
-        if action.kind is ActionKind.APPENDED_RECEIVED:
-            ctx.pending = None  # a peer block took the depth ours was mining
         ctx.tally.record(action)
         actions.append(action)
-    broadcast: Block | None = None
-    due = ctx.pending
-    if due is not None and due.blocktime <= min(now, duration):
-        ctx.pending = None
-        ctx.tally.created += 1
-        action = apply_created_block(state, due)
-        ctx.tally.record(action)
-        actions.append(action)
-        if action.broadcast:
-            broadcast = due
-    if now < duration:
-        ensure_pending(ctx, state, now)
-    return actions, broadcast
+    if ctx.next_time is None:
+        if now < duration:
+            ctx.next_time = compute_block_time(ctx.profile, ctx.interval, now, ctx.rng)
+        return actions, None
+    blocktime = ctx.next_time
+    if blocktime > min(now, duration):
+        return actions, None
+    own = draw_own_block(ctx, state.tip, blocktime)
+    ctx.tally.created += 1
+    action = apply_created_block(state, own)
+    ctx.tally.record(action)
+    actions.append(action)
+    ctx.next_time = None
+    if blocktime < duration:
+        ctx.next_time = compute_block_time(ctx.profile, ctx.interval, blocktime, ctx.rng)
+    return actions, own

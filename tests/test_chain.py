@@ -28,6 +28,10 @@ from chainsim.timing import HashpowerProfile
 GENESIS = Block(id="g", parent_id=None, depth=0, miner_id=0, blocktime=0.0)
 
 
+def snapshot(state: LocalChainState) -> tuple:
+    return list(state.main_chain), dict(state.block_store)
+
+
 def mk(bid: str, parent: Block, miner: int = 1, t: float | None = None) -> Block:
     return Block(
         id=bid,
@@ -70,15 +74,15 @@ def test_created_block_appends_when_deeper():
     verify_state_invariants(state)
 
 
-def test_created_block_dropped_when_stale():
+def test_created_block_must_extend_the_tip():
     state = fresh_state(build_line(5))  # tip depth 5
     rival = mk("mine5", state.main_chain[4], miner=2)  # also depth 5
-    action = apply_created_block(state, rival)
-    assert action.kind is ActionKind.DROPPED_STALE
-    assert not action.broadcast
-    assert state.tip.id == "b5"
-    assert "mine5" in state.block_store  # recorded but nowhere else
-    assert "mine5" not in state.uncles
+    skewed = Block(id="mine7", parent_id="b5", depth=7, miner_id=2, blocktime=7.0)
+    before = snapshot(state)
+    for bad in (rival, skewed, make_placeholder("b5", 6)):
+        with pytest.raises(StructuralError):
+            apply_created_block(state, bad)
+    assert snapshot(state) == before
     verify_state_invariants(state)
 
 
@@ -96,11 +100,12 @@ def test_received_same_depth_becomes_uncle():
     action = apply_received_block(state, rival)
     assert action.kind is ActionKind.UNCLED
     assert state.tip.id == "b7"
-    assert state.uncles == {"r7": rival}
+    assert state.block_store["r7"] is rival
+    assert rival not in state.main_chain
     verify_state_invariants(state)
 
 
-def test_received_child_of_tip_appends_and_discards_own():
+def test_received_child_of_tip_appends_then_own_block_extends_it():
     state = fresh_state(build_line(7))
     ctx = MiningContext(
         miner_id=1,
@@ -108,14 +113,13 @@ def test_received_child_of_tip_appends_and_discards_own():
         interval=5.0,
         rng=random.Random(1),
     )
-    ctx.pending = mk("own8", state.tip, miner=1, t=7.5)  # due right now
+    ctx.next_time = 7.5  # due right now, the last instant of the run
     peer = mk("p8", state.tip, miner=2, t=7.5)
     actions, broadcast = step(ctx, state, [peer], now=7.5, duration=7.5)
-    assert [a.kind for a in actions] == [ActionKind.APPENDED_RECEIVED]
-    assert broadcast is None
-    assert state.tip.id == "p8"
-    assert ctx.pending is None  # in-progress own block discarded, not released
-    assert ctx.tally.created == 0
+    assert [a.kind for a in actions] == [ActionKind.APPENDED_RECEIVED, ActionKind.APPENDED_OWN]
+    assert state.main_chain[8] is peer
+    assert broadcast is state.tip and broadcast.parent_id == "p8" and broadcast.depth == 9
+    assert ctx.tally.created == 1
     verify_state_invariants(state)
 
 
@@ -133,8 +137,8 @@ def test_received_deeper_branch_switches_chain():
     assert state.main_chain[8].is_empty and state.main_chain[8].id == "t8"
     apply_received_block(state, theirs[8])  # late ancestor fills in
     assert [b.id for b in state.main_chain] == [b.id for b in theirs]
-    # displaced blocks are uncles now, adopted ones are not
-    assert set(state.uncles) == {f"a{i}" for i in range(1, 8)}
+    # displaced blocks stay in the store, off the main chain
+    assert set(state.block_store) == {b.id for b in ours + theirs}
     assert state.main_chain == brute_force_deepest(state.block_store)
     verify_state_invariants(state)
 
@@ -143,10 +147,10 @@ def test_duplicate_delivery_is_noop():
     state = fresh_state(build_line(3))
     rival = mk("r3", state.main_chain[2], miner=2)
     apply_received_block(state, rival)
-    before = (list(state.main_chain), dict(state.uncles), dict(state.block_store))
+    before = snapshot(state)
     action = apply_received_block(state, rival)
     assert action.kind is ActionKind.UNCLED
-    assert (list(state.main_chain), dict(state.uncles), dict(state.block_store)) == before
+    assert snapshot(state) == before
 
 
 def test_conflicting_block_id_rejected():
@@ -181,10 +185,6 @@ def test_invariants_demand_placeholders_at_the_bottom():
     state.main_chain = [chain[0], chain[1], make_placeholder("b2", 2), chain[3]]
     with pytest.raises(StructuralError):
         verify_state_invariants(state)
-
-
-def snapshot(state: LocalChainState) -> tuple:
-    return list(state.main_chain), dict(state.uncles), dict(state.block_store)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +225,7 @@ def test_switch_assigns_a_new_list_and_keeps_the_shared_prefix():
     assert state.main_chain is not old
     assert old == ours  # the old list is left as it was
     assert state.main_chain == ours[:4] + fork[1:]
-    assert set(state.uncles) == {"a4", "a5", "a6"}
+    assert set(state.block_store) == {b.id for b in ours + fork}
     verify_state_invariants(state)
 
 
@@ -238,8 +238,7 @@ def test_received_block_fills_main_chain_placeholder():
     assert state.main_chain[2].is_empty and state.main_chain[2].id == "x2"
     action = apply_received_block(state, line[2])
     assert action.kind is ActionKind.UNCLED  # depth 2 <= tip depth 3
-    assert state.main_chain[2] == line[2]  # slotted in, not an uncle
-    assert "x2" not in state.uncles
+    assert state.main_chain == line  # slotted in, not an uncle
     verify_state_invariants(state)
 
 
@@ -317,12 +316,11 @@ def test_finalize_prunes_uncles_absorbed_into_main_chain():
     state = LocalChainState(GENESIS)
     apply_received_block(state, line[1])
     apply_received_block(state, line[3])  # placeholder for x2
-    state.uncles["x2"] = line[2]  # simulate stale bookkeeping
-    state.block_store["x2"] = line[2]
+    state.block_store["x2"] = line[2]  # stored but off the main chain
+    assert state.main_chain[2].is_empty
     remaining = finalize_state(state)
     assert remaining == 0
     assert state.main_chain == line
-    assert "x2" not in state.uncles
     verify_state_invariants(state)
 
 
@@ -409,9 +407,9 @@ def deliver_and_check(blocks: list[Block], order: list[Block]) -> None:
     want = brute_force_deepest(state.block_store)
     assert state.main_chain == want
     validate_chain(state.main_chain, allow_empty=False)
-    # every real block is accounted for exactly once
-    on_main = {b.id for b in state.main_chain}
-    assert set(state.uncles) == set(state.block_store) - on_main
+    # every delivered block is stored, and the main chain is made of stored blocks
+    assert set(state.block_store) == {b.id for b in blocks}
+    assert all(state.block_store[b.id] is b for b in state.main_chain)
 
 
 def test_random_delivery_matches_oracle_unique_deepest():
@@ -449,9 +447,6 @@ def test_reconstruct_then_fill_round_trip_identity():
 
 def oracle_fill(state: LocalChainState) -> int:
     state.main_chain, remaining = fill_empty_blocks(state.main_chain, state.block_store)
-    for b in state.main_chain:
-        if not b.is_empty:
-            state.uncles.pop(b.id, None)
     return remaining
 
 
@@ -464,20 +459,11 @@ def oracle_receive(state: LocalChainState, block: Block) -> ActionKind:
         slot = state.main_chain[block.depth]
         if slot.is_empty and slot.id == block.id:
             oracle_fill(state)
-        else:
-            state.uncles[block.id] = block
         return ActionKind.UNCLED
     if block.parent_id == tip.id:
         state.main_chain.append(block)
         return ActionKind.APPENDED_RECEIVED
-    new_chain = reconstruct_chain(state.block_store, block)
-    new_ids = {b.id for b in new_chain if not b.is_empty}
-    for old in state.main_chain[1:]:
-        if not old.is_empty and old.id not in new_ids:
-            state.uncles[old.id] = old
-    for nid in new_ids:
-        state.uncles.pop(nid, None)
-    state.main_chain = new_chain
+    state.main_chain = reconstruct_chain(state.block_store, block)
     return ActionKind.SWITCHED_CHAIN
 
 

@@ -15,7 +15,6 @@ from chainsim.mining import (
     TXS_PER_BLOCK,
     draw_own_block,
     depth_limit,
-    ensure_pending,
     next_tx_ids,
     step,
 )
@@ -55,106 +54,135 @@ def test_next_tx_ids_slices_pool_by_depth():
 
 def test_draw_own_block_shape():
     ctx = ctx_for()
-    blk = draw_own_block(ctx, GENESIS, now=7.0)
+    blk = draw_own_block(ctx, GENESIS, blocktime=7.0)
     assert blk.parent_id == GENESIS.id
     assert blk.depth == 1
     assert blk.miner_id == 1
-    assert blk.blocktime > 7.0
+    assert blk.blocktime == 7.0
     assert blk.tx_ids == ctx.tx_pool_ids[:10]
-    other = draw_own_block(ctx, GENESIS, now=7.0)
+    assert ctx.counter == 1
+    other = draw_own_block(ctx, GENESIS, blocktime=7.0)
     assert other.id != blk.id  # counter keeps ids unique
 
 
-def test_ensure_pending_keeps_fresh_block():
+def test_first_step_draws_next_time_once():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    drawn = ensure_pending(ctx, state, now=0.0)
-    assert drawn is not None
-    assert ctx.pending is drawn
-    assert ensure_pending(ctx, state, now=1.0) is None  # still on the tip
-    assert ctx.pending is drawn
+    step(ctx, state, [], now=0.0, duration=1000.0)
+    drawn = ctx.next_time
+    assert drawn is not None and drawn > 0.0
+    rng = ctx.rng.getstate()
+    step(ctx, state, [], now=drawn / 2, duration=1000.0)  # not due yet
+    assert ctx.next_time == drawn
+    assert ctx.rng.getstate() == rng
+    assert ctx.counter == 0  # no block is built before it falls due
 
 
-def test_ensure_pending_replaces_stale_block():
+def foreign_branch(n: int) -> list[Block]:
+    branch = [GENESIS]
+    for i in range(1, n + 1):
+        branch.append(mk(f"t{i}", branch[-1], miner=2, t=0.01 * i))
+    return branch
+
+
+def test_tip_moves_leave_next_time_and_rng_alone():
+    # an append, an uncle and a switch each consume no draw
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    stale = ensure_pending(ctx, state, now=0.0)
-    apply_created_block(state, mk("own1", GENESIS, miner=1, t=1.0))
-    fresh = ensure_pending(ctx, state, now=1.0)
-    assert fresh is not None and fresh is not stale
-    assert ctx.pending is fresh
-    assert fresh.parent_id == "own1"
+    step(ctx, state, [], now=0.0, duration=1000.0)
+    drawn, rng = ctx.next_time, ctx.rng.getstate()
+    theirs = foreign_branch(3)
+    rival = mk("r1", GENESIS, miner=3, t=0.01)
+    arrivals = [theirs[1], rival, theirs[3]]
+    actions, broadcast = step(ctx, state, arrivals, now=0.05, duration=1000.0)
+    assert [a.kind for a in actions] == [
+        ActionKind.APPENDED_RECEIVED,
+        ActionKind.UNCLED,
+        ActionKind.SWITCHED_CHAIN,
+    ]
+    assert broadcast is None
+    assert ctx.next_time == drawn
+    assert ctx.rng.getstate() == rng
+    assert ctx.counter == 0 and ctx.tally.created == 0
 
 
 def test_step_releases_due_block_and_broadcasts():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    pending = ensure_pending(ctx, state, now=0.0)
-    actions, broadcast = step(ctx, state, [], now=pending.blocktime, duration=1000.0)
+    step(ctx, state, [], now=0.0, duration=1000.0)
+    due_at = ctx.next_time
+    actions, broadcast = step(ctx, state, [], now=due_at, duration=1000.0)
     assert [a.kind for a in actions] == [ActionKind.APPENDED_OWN]
-    assert broadcast is pending
-    assert state.tip is pending
-    assert ctx.pending.parent_id == pending.id  # fresh draw followed
+    assert broadcast is state.tip
+    assert broadcast.parent_id == GENESIS.id and broadcast.blocktime == due_at
+    assert ctx.next_time > due_at  # the next draw starts from the blocktime
     assert ctx.tally.created == 1 and ctx.tally.appended_own == 1
 
 
 def test_step_without_due_events_is_identity():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    ensure_pending(ctx, state, now=0.0)
-    before = (list(state.main_chain), ctx.pending)
+    step(ctx, state, [], now=0.0, duration=1000.0)
+    before = (list(state.main_chain), ctx.next_time, ctx.rng.getstate())
     actions, broadcast = step(ctx, state, [], now=0.0, duration=1000.0)
     assert actions == [] and broadcast is None
-    assert (list(state.main_chain), ctx.pending) == before
+    assert (list(state.main_chain), ctx.next_time, ctx.rng.getstate()) == before
 
 
-def test_step_switches_then_drops_stale_own_block():
+def test_step_switches_then_builds_own_block_on_the_new_tip():
     # a deeper foreign-branch block arrives just as our own block comes due
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    for bid, t in (("a1", 3.0), ("a2", 6.0)):
+    for bid, t in (("a1", 0.003), ("a2", 0.006)):
         apply_created_block(state, mk(bid, state.tip, miner=1, t=t))
-    pending = ensure_pending(ctx, state, now=6.0)
-    due_at = pending.blocktime
-    foreign = [GENESIS]
-    for i in range(1, 5):
-        foreign.append(mk(f"t{i}", foreign[-1], miner=2, t=1.5 * i))
-    actions, broadcast = step(ctx, state, [foreign[4]], now=due_at, duration=1000.0)
+    step(ctx, state, [], now=0.006, duration=1000.0)
+    due_at = ctx.next_time
+    theirs = foreign_branch(4)
+    actions, broadcast = step(ctx, state, [theirs[4]], now=due_at, duration=1000.0)
     assert [a.kind for a in actions] == [
         ActionKind.SWITCHED_CHAIN,
-        ActionKind.DROPPED_STALE,
+        ActionKind.APPENDED_OWN,
     ]
-    assert broadcast is None
-    assert state.tip.id == "t4"
-    assert ctx.tally.switches == 1 and ctx.tally.dropped_stale == 1
-    assert ctx.pending.parent_id == "t4"  # rescheduled on the new tip
+    assert broadcast is state.tip
+    assert broadcast.parent_id == "t4" and broadcast.depth == 5
+    assert broadcast.blocktime == due_at
+    assert ctx.tally.switches == 1 and ctx.tally.created == 1
 
 
 def test_step_honors_duration_gate():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    pending = ensure_pending(ctx, state, now=0.0)
+    step(ctx, state, [], now=0.0, duration=1000.0)
+    due_at = ctx.next_time
     # clock has run past the end; the block is not released even if due
-    actions, broadcast = step(
-        ctx, state, [], now=pending.blocktime + 100.0, duration=pending.blocktime - 0.1
-    )
+    actions, broadcast = step(ctx, state, [], now=due_at + 100.0, duration=due_at - 0.1)
     assert actions == [] and broadcast is None
-    assert ctx.pending is pending  # still parked, never released
+    assert ctx.next_time == due_at  # still parked, never released
 
 
 def test_step_does_not_redraw_after_expiry():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
+    rng = ctx.rng.getstate()
     actions, broadcast = step(ctx, state, [], now=50.0, duration=10.0)
     assert actions == [] and broadcast is None
-    assert ctx.pending is None  # nothing drawn past the end
+    assert ctx.next_time is None  # nothing drawn past the end
+    assert ctx.rng.getstate() == rng
+    # a block due exactly at the end is released, and nothing drawn after it
+    step(ctx, state, [], now=0.0, duration=1000.0)
+    due_at = ctx.next_time
+    rng = ctx.rng.getstate()
+    actions, broadcast = step(ctx, state, [], now=due_at, duration=due_at)
+    assert [a.kind for a in actions] == [ActionKind.APPENDED_OWN]
+    assert ctx.next_time is None and ctx.rng.getstate() == rng
 
 
 def test_step_rejects_rule_breaking_blocks_and_goes_on():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    pending = ensure_pending(ctx, state, now=0.0)
-    good = mk("p1", GENESIS, t=pending.blocktime / 2)
+    step(ctx, state, [], now=0.0, duration=1000.0)
+    drawn = ctx.next_time
+    good = mk("p1", GENESIS, t=drawn / 2)
     skewed = Block(id="x", parent_id="g", depth=3, miner_id=2, blocktime=0.1)
     bad = [make_placeholder("hole", 1), skewed]
     with pytest.raises(StructuralError):
@@ -164,7 +192,7 @@ def test_step_rejects_rule_breaking_blocks_and_goes_on():
         ctx,
         state,
         [bad[0], good, bad[1]],
-        now=pending.blocktime / 2,
+        now=drawn / 2,
         duration=1000.0,
         reject=lambda block, exc: rejected.append(block),
     )
@@ -172,7 +200,7 @@ def test_step_rejects_rule_breaking_blocks_and_goes_on():
     assert [a.kind for a in actions] == [ActionKind.APPENDED_RECEIVED]
     assert state.main_chain == [GENESIS, good]
     assert set(state.block_store) == {"g", "p1"}
-    assert ctx.pending.parent_id == "p1"  # redrawn on the new tip as usual
+    assert ctx.next_time == drawn  # the new tip moved no draw
 
 
 def test_depth_limit_is_far_above_the_expected_depth():
