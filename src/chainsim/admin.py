@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import select
 import socket
@@ -23,6 +24,7 @@ from .netio import BufferedConn, ConnectionClosed
 from .protocol import (
     MinerRecord,
     ProtocolError,
+    WireMessage,
     block_from_payload,
     chain_from_payload,
     msg_chain_request,
@@ -33,6 +35,7 @@ from .protocol import (
     msg_sim_end,
     msg_sim_start,
     msg_tx_pool,
+    register_from_payload,
 )
 
 log = logging.getLogger(__name__)
@@ -46,10 +49,6 @@ SIM_END_GRACE = 0.25  # wall seconds past the scaled duration before SIM_END
 
 class RegistrationTimeout(TimeoutError):
     """Not every expected miner registered in time."""
-
-
-class ConsensusTimeout(TimeoutError):
-    """A miner failed to answer during the consensus phase."""
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ class RegistrationLedger:
         self.entries: list[MinerRecord] = []
 
     def register(self, hashpower: float, ip: str, port: int) -> MinerRecord:
-        if hashpower <= 0:
-            raise ValueError("hashpower must be positive")
+        if not 0 < hashpower < math.inf:
+            raise ValueError("hashpower must be finite and positive")
         if any(e.ip == ip and e.port == port for e in self.entries):
             raise ValueError(f"duplicate registration from {ip}:{port}")
         record = MinerRecord(
@@ -193,10 +192,7 @@ class AdminServer:
 
     def close(self) -> None:
         for conn in self._conns:
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
+            conn.close()
         try:
             self._listener.close()
         except OSError:
@@ -230,12 +226,9 @@ class AdminServer:
             msg = conn.next_message(max(0.1, deadline - time.monotonic()))
             if msg.type != "REGISTER":
                 raise ProtocolError(f"expected REGISTER, got {msg.type}")
-            record = self.ledger.register(
-                hashpower=float(msg.payload["hashpower"]),
-                ip=addr[0],
-                port=int(msg.payload["port"]),
-            )
-        except (ProtocolError, TimeoutError, ConnectionClosed, KeyError, ValueError) as exc:
+            hashpower, port = register_from_payload(msg.payload)
+            record = self.ledger.register(hashpower=hashpower, ip=addr[0], port=port)
+        except (OSError, ValueError) as exc:  # ProtocolError is a ValueError
             log.warning("rejected registrant from %s: %s", addr, exc)
             sock.close()
             return
@@ -252,32 +245,36 @@ class AdminServer:
         pool = create_tx_pool(self.config, random.Random(self.config.seed))
         for conn in self._conns:
             mid = conn.record.miner_id
-            conn.send(msg_miner_info(mid, roster, total))
-            conn.send(
-                msg_sim_start(
-                    self.config.duration,
-                    self.config.interval,
-                    self.config.time_scale,
-                    subseed_for(self.config.seed, mid),
+            try:
+                conn.send(msg_miner_info(mid, roster, total))
+                conn.send(
+                    msg_sim_start(
+                        self.config.duration,
+                        self.config.interval,
+                        self.config.time_scale,
+                        subseed_for(self.config.seed, mid),
+                    )
                 )
-            )
-            conn.send(msg_genesis(self.genesis))
-            conn.send(msg_tx_pool(pool))
+                conn.send(msg_genesis(self.genesis))
+                conn.send(msg_tx_pool(pool))
+            except OSError as exc:
+                self._drop(conn, exc)
 
     # phase 3: sit out the simulation, watching for stray frames
 
     def _mining_wait(self) -> None:
         wall = self.config.duration / self.config.time_scale + SIM_END_GRACE
         end = time.monotonic() + wall
-        socks = {conn.sock: conn for conn in self._conns}
-        while True:
-            remaining = end - time.monotonic()
-            if remaining <= 0:
-                break
-            readable, _, _ = select.select(list(socks), [], [], min(remaining, 0.2))
+        socks = {conn.sock: conn for conn in self._conns if conn.sock.fileno() >= 0}
+        while (remaining := end - time.monotonic()) > 0:
+            readable, _, _ = select.select(list(socks), [], [], remaining)
             for sock in readable:
                 conn = socks[sock]
-                conn.pump(0.0)
+                try:
+                    conn.pump(0.0)
+                except (OSError, ProtocolError) as exc:
+                    del socks[sock]
+                    self._drop(conn, exc)
                 # no message is legitimate before SIM_END; count and drop
                 while conn.inbox:
                     msg = conn.inbox.popleft()
@@ -285,39 +282,36 @@ class AdminServer:
                     log.warning(
                         "unexpected %s frame from %s during mining", msg.type, conn.label
                     )
-        for conn in self._conns:
-            conn.send(msg_sim_end())
+        self._broadcast(msg_sim_end())
 
     # phase 4: last-block consensus
 
     def _run_consensus(self) -> dict:
+        deadline = time.monotonic() + self.consensus_timeout
         entries: list[ConsensusEntry] = []
         for conn in self._conns:
             try:
-                msg = conn.next_message(self.consensus_timeout)
-            except TimeoutError as exc:
-                raise ConsensusTimeout(f"no LAST_BLOCK from {conn.label}: {exc}") from exc
-            self.accounting.consensus[msg.type] += 1
-            if msg.type != "LAST_BLOCK":
-                raise ProtocolError(
-                    f"expected LAST_BLOCK from miner {conn.record.miner_id}, got {msg.type}"
-                )
-            try:
+                if conn.sock.fileno() < 0:
+                    raise ConnectionClosed("its connection was dropped")
+                msg = conn.next_message(deadline - time.monotonic())
+                self.accounting.consensus[msg.type] += 1
+                if msg.type != "LAST_BLOCK":
+                    raise ProtocolError(f"got {msg.type} instead")
                 last_block = block_from_payload(msg.payload["block"])
                 # keyed by the connection: a payload cannot claim another id
                 entries.append(ConsensusEntry(conn.record.miner_id, last_block))
-            except (ProtocolError, StructuralError, KeyError) as exc:
-                return self._discard(f"invalid LAST_BLOCK from {conn.label}: {exc}")
+            except (OSError, ValueError, KeyError) as exc:  # OSError covers timeouts
+                return self._discard(f"missing or invalid LAST_BLOCK from {conn.label}: {exc}")
         winner_id = select_consensus_winner(entries)
         winner = next(c for c in self._conns if c.record.miner_id == winner_id)
-        winner.send(msg_chain_request())
         try:
+            winner.send(msg_chain_request())
             msg = winner.next_message(self.consensus_timeout)
-        except TimeoutError as exc:
+            self.accounting.consensus[msg.type] += 1
+            if msg.type != "CHAIN":
+                raise ProtocolError(f"got {msg.type} instead")
+        except (OSError, ProtocolError) as exc:
             return self._discard(f"winner {winner_id} never sent its chain: {exc}")
-        self.accounting.consensus[msg.type] += 1
-        if msg.type != "CHAIN":
-            raise ProtocolError(f"expected CHAIN from winner, got {msg.type}")
         try:
             chain = chain_from_payload(msg.payload["blocks"])
             validate_chain(chain, allow_empty=True)
@@ -327,9 +321,7 @@ class AdminServer:
             return self._discard(f"winning chain failed validation: {exc}")
         if any(b.is_empty for b in chain):
             return self._discard("winning chain still contains placeholder blocks")
-        result = msg_consensus_result(winner_id, chain)
-        for conn in self._conns:
-            conn.send(result)
+        self._broadcast(msg_consensus_result(winner_id, chain))
         return emit_report(
             chain,
             self.ledger,
@@ -339,14 +331,22 @@ class AdminServer:
             accounting=self.accounting,
         )
 
-    def _discard(self, reason: str) -> dict:
-        log.warning("simulation discarded: %s", reason)
-        discard = msg_discard(reason)
+    def _drop(self, conn: MinerConn, exc: Exception) -> None:
+        # the run is lost, but the others still mine until SIM_END
+        log.warning("dropping %s: %s", conn.label, exc)
+        conn.close()
+
+    def _broadcast(self, msg: WireMessage) -> None:
+        """Send msg to every miner; a dropped or dead connection misses it."""
         for conn in self._conns:
             try:
-                conn.send(discard)
+                conn.send(msg)
             except OSError:
                 pass
+
+    def _discard(self, reason: str) -> dict:
+        log.warning("simulation discarded: %s", reason)
+        self._broadcast(msg_discard(reason))
         return emit_report(
             None,
             self.ledger,
@@ -428,6 +428,7 @@ def render_table(report: dict) -> str:
 
 
 def write_report(report: dict, path: str) -> None:
+    """Write a JSON record (a report, a miner's stats, an aggregate) to path."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -35,12 +35,6 @@ class UpdateAction:
     """Outcome of feeding one block through the update rules."""
 
     kind: ActionKind
-    broadcast: bool
-    new_tip_id: str
-
-    def __post_init__(self) -> None:
-        if self.broadcast and self.kind is not ActionKind.APPENDED_OWN:
-            raise ValueError("only own appended blocks are broadcast")
 
 
 @dataclass(frozen=True)
@@ -60,11 +54,12 @@ class LocalChainState:
 
     main_chain goes genesis to tip with depth equal to list index; any
     placeholders sit at depths 1..h, below every real block but genesis.
-    A switch assigns a new list, spliced at the fork point, and never
-    mutates the old one. block_store remembers every real block ever
-    created or received, so a chain switch can be rebuilt locally instead
-    of shipped over the wire; the uncles are the stored blocks that are
-    not on the main chain.
+    A switch, and so a fill of the topmost placeholder, assigns a new
+    list, spliced at the fork point, and never mutates the old one.
+    block_store remembers every real block ever created or received, so
+    a chain switch can be rebuilt locally instead of shipped over the
+    wire; the uncles are the stored blocks that are not on the main
+    chain.
     """
 
     def __init__(self, genesis: Block):
@@ -104,7 +99,7 @@ def apply_created_block(state: LocalChainState, block: Block) -> UpdateAction:
     if not _known(state, block):
         state.block_store[block.id] = block
     state.main_chain.append(block)
-    return UpdateAction(ActionKind.APPENDED_OWN, broadcast=True, new_tip_id=block.id)
+    return UpdateAction(ActionKind.APPENDED_OWN)
 
 
 def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
@@ -113,7 +108,9 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
     Not deeper than the tip: uncle. Built on the tip: append. Deeper on
     another branch: switch, splicing the branch onto the main chain at
     the fork point, with placeholders for whatever has not arrived yet.
-    A block that breaks the chain rules raises before anything changes.
+    The block a placeholder stands for fills it on arrival, by the same
+    walk. A block that breaks the chain rules raises before anything
+    changes.
     """
     if block.is_empty:
         raise StructuralError("received placeholders are not valid blocks")
@@ -122,23 +119,25 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
     tip = state.tip
     if _known(state, block):
         # retransmission of a known block: harmless no-op
-        return UpdateAction(ActionKind.UNCLED, broadcast=False, new_tip_id=tip.id)
+        return UpdateAction(ActionKind.UNCLED)
     if block.depth <= tip.depth:
         slot = state.main_chain[block.depth]
         if slot.is_empty and slot.id == block.id:
-            # The block fills the topmost placeholder: slot it in and let
-            # its parent links resolve the run of placeholders below.
-            _absorb_fill(state, state.main_chain[: block.depth] + [block])
+            # The block fills the topmost placeholder: walk its ancestry as
+            # a switch to it would, then put the chain above it back on top.
+            above = state.main_chain[block.depth + 1 :]
+            _switch(state, block)
+            state.main_chain += above
         state.block_store[block.id] = block
-        return UpdateAction(ActionKind.UNCLED, broadcast=False, new_tip_id=tip.id)
+        return UpdateAction(ActionKind.UNCLED)
     if block.parent_id == tip.id:
         if block.depth != tip.depth + 1:
             raise StructuralError("child of tip must sit exactly one deeper")
         state.block_store[block.id] = block
         state.main_chain.append(block)
-        return UpdateAction(ActionKind.APPENDED_RECEIVED, broadcast=False, new_tip_id=block.id)
+        return UpdateAction(ActionKind.APPENDED_RECEIVED)
     _switch(state, block)
-    return UpdateAction(ActionKind.SWITCHED_CHAIN, broadcast=False, new_tip_id=block.id)
+    return UpdateAction(ActionKind.SWITCHED_CHAIN)
 
 
 # _UNKNOWN_RUN[d - 1] is the unknown-id placeholder at depth d, made once
@@ -150,7 +149,7 @@ _UNKNOWN_RUN: list[Block] = []
 
 
 def _switch(state: LocalChainState, block: Block) -> None:
-    """Make block the tip, splicing its branch on at the fork point.
+    """Make block the top of the main chain, spliced on at the fork point.
 
     Walks parent links back through the store only until a parent is the
     main-chain block at its depth (the fork point), then keeps the chain
@@ -266,25 +265,15 @@ def fill_empty_blocks(chain: list[Block], store: dict[str, Block]) -> tuple[list
     return out, remaining
 
 
-def _absorb_fill(state: LocalChainState, span: list[Block]) -> int:
-    """Fill span, the bottom of the main chain, and put it in place.
-
-    Nothing changes if the fill raises.
-    """
-    filled, remaining = fill_empty_blocks(span, state.block_store)
-    state.main_chain = filled + state.main_chain[len(filled) :]
-    return remaining
-
-
 def finalize_state(state: LocalChainState) -> int:
-    """End-of-run repair: fill placeholders from the store.
+    """Count the placeholders left on the main chain at the end of a run.
 
-    Placeholders only ever sit at depths 1..h, so the fill needs just
-    the span up to one slot above the topmost, found by bisection.
+    Nothing is filled here, because a block that fills a placeholder does
+    so on arrival. Placeholders only ever sit at depths 1..h, so h is
+    found by bisection.
     """
     chain = state.main_chain
-    above = bisect.bisect_left(chain, True, 1, key=lambda b: not b.is_empty)
-    return _absorb_fill(state, chain[: above + 1])
+    return bisect.bisect_left(chain, True, 1, key=lambda b: not b.is_empty) - 1
 
 
 def select_consensus_winner(entries: list[ConsensusEntry]) -> int:
@@ -325,6 +314,11 @@ def verify_state_invariants(state: LocalChainState) -> None:
     holes = [b.depth for b in state.main_chain if b.is_empty]
     if holes != list(range(1, len(holes) + 1)):
         raise StructuralError(f"placeholders sit at depths other than 1..{len(holes)}")
+    if holes:
+        top = state.main_chain[len(holes)]
+        stored = state.block_store.get(top.id)
+        if stored is not None and stored.depth == top.depth:
+            raise StructuralError(f"stored block {top.id} was not filled in at depth {top.depth}")
     roots = sum(1 for b in state.block_store.values() if b.depth == 0)
     if roots != 1:
         raise StructuralError(f"store holds {roots} depth-0 blocks, expected 1")

@@ -22,7 +22,7 @@ from .harness import (
     render_experiment_table,
     run_experiment,
 )
-from .miner import MinerNode, write_stats
+from .miner import MinerNode
 from .protocol import ProtocolError
 
 
@@ -101,7 +101,7 @@ def cmd_miner(args: argparse.Namespace) -> int:
         print(f"miner failed: {exc}", file=sys.stderr)
         return 1
     if args.stats_out:
-        write_stats(stats, args.stats_out)
+        write_report(stats, args.stats_out)
     print(
         f"miner {stats['miner_id']}: chain length {stats['final_chain_len']}, "
         f"{'discarded' if stats['discarded'] else 'consensus ok'}"

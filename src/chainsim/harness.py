@@ -13,9 +13,9 @@ import os
 import socket
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .admin import EXIT_DISCARDED, SimulationConfig
+from .admin import EXIT_DISCARDED, SimulationConfig, write_report
 from .engine import DEFAULT_DELAY_RANGE, run_logical, slot_seed
 
 MODES = ("network", "logical")
@@ -70,24 +70,11 @@ def load_spec(path: str) -> ExperimentSpec:
         powers = tuple(float(h) for h in powers)
     else:
         raise ValueError("hashpowers must be a list or the string 'random'")
-    known = {
-        "mode",
-        "num_miners",
-        "duration",
-        "interval",
-        "seed",
-        "runs",
-        "time_scale",
-        "tx_pool_size",
-        "out_dir",
-        "base_port",
-        "extra_delay_ms",
-        "delay_range",
-    }
-    unknown = set(raw) - known - {"hashpowers"}
+    known = {f.name for f in fields(ExperimentSpec)}
+    unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-    kwargs = {k: raw[k] for k in known if k in raw}
+    kwargs = {k: raw[k] for k in known - {"hashpowers"} if k in raw}
     if "delay_range" in kwargs:
         kwargs["delay_range"] = tuple(kwargs["delay_range"])
     return ExperimentSpec(hashpowers=powers, **kwargs)
@@ -122,9 +109,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             attempt += 1
         report["run_idx"] = run_idx
         reports.append(report)
-        _write_json(report, os.path.join(spec.out_dir, f"run_{run_idx:03d}.json"))
+        write_report(report, os.path.join(spec.out_dir, f"run_{run_idx:03d}.json"))
     aggregate = _aggregate(spec, reports, retries)
-    _write_json(aggregate, os.path.join(spec.out_dir, "aggregate.json"))
+    write_report(aggregate, os.path.join(spec.out_dir, "aggregate.json"))
     with open(os.path.join(spec.out_dir, "table.txt"), "w", encoding="utf-8") as fh:
         fh.write(render_experiment_table(aggregate) + "\n")
     with open(os.path.join(spec.out_dir, "shares.csv"), "w", encoding="utf-8") as fh:
@@ -343,8 +330,3 @@ def render_shares_csv(aggregate: dict) -> str:
         )
     return "\n".join(out) + "\n"
 
-
-def _write_json(record: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -12,14 +12,12 @@ mines on.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import selectors
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from .blocks import Block
 from .chain import LocalChainState, finalize_state, validate_chain
@@ -45,19 +43,6 @@ log = logging.getLogger(__name__)
 CONNECT_TIMEOUT = 15.0
 ROSTER_TIMEOUT = 120.0  # full roster arrives only once every miner registers
 CONSENSUS_PHASE_TIMEOUT = 60.0
-
-
-@dataclass(frozen=True)
-class PeerRoster:
-    """Everyone else in the network, as assigned by the admin."""
-
-    self_id: int
-    peers: tuple[MinerRecord, ...]
-    total_hashpower: float
-
-    def __post_init__(self) -> None:
-        if any(p.miner_id == self.self_id for p in self.peers):
-            raise ValueError("roster peers must exclude the miner itself")
 
 
 class PeerLink:
@@ -178,11 +163,8 @@ class MinerNode:
 
             info = expect(admin, "MINER_INFO", ROSTER_TIMEOUT)
             records = [miner_record_from_payload(o) for o in info.payload["miners"]]
-            roster = PeerRoster(
-                self_id=my_id,
-                peers=tuple(r for r in records if r.miner_id != my_id),
-                total_hashpower=float(info.payload["total_hashpower"]),
-            )
+            peers = [r for r in records if r.miner_id != my_id]
+            total_hashpower = float(info.payload["total_hashpower"])
 
             start = expect(admin, "SIM_START", CONNECT_TIMEOUT)
             duration = float(start.payload["duration"])
@@ -197,7 +179,7 @@ class MinerNode:
 
             ctx = MiningContext(
                 miner_id=my_id,
-                profile=HashpowerProfile(own=self.hashpower, total=roster.total_hashpower),
+                profile=HashpowerProfile(own=self.hashpower, total=total_hashpower),
                 interval=interval,
                 rng=random.Random(subseed),
                 tx_pool_ids=tx_ids,
@@ -205,7 +187,7 @@ class MinerNode:
 
             links = [
                 PeerLink(peer, self.extra_delay_ms, random.Random(subseed ^ peer.miner_id))
-                for peer in roster.peers
+                for peer in peers
             ]
             self._mine(ctx, state, clock, duration, admin, listen_sock, links)
             return self._consensus(ctx, state, admin, my_id, port)
@@ -342,8 +324,3 @@ def _drop_peer(sel: selectors.BaseSelector, conn: BufferedConn) -> None:
     sel.unregister(conn.sock)
     conn.close()
 
-
-def write_stats(stats: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")

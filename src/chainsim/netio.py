@@ -64,7 +64,7 @@ class BufferedConn:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(f"{self.label} sent nothing within {timeout}s")
-            self.pump(min(remaining, 0.2))
+            self.pump(remaining)
         return self.inbox.popleft()
 
     def send(self, msg: WireMessage) -> None:

@@ -230,6 +230,19 @@ def miner_record_from_payload(obj: dict) -> MinerRecord:
         raise ParseError(f"bad miner record: {exc}") from exc
 
 
+def register_from_payload(obj: dict) -> tuple[float, int]:
+    """Type-checked (hashpower, port) of a REGISTER; the ledger checks the hashpower."""
+    power, port = obj.get("hashpower"), obj.get("port")
+    if not (_is_int(power) or isinstance(power, float)):
+        raise ParseError(f"bad REGISTER: hashpower is {type(power).__name__}")
+    if not _is_int(port) or not 0 < port < 65536:
+        raise ParseError(f"bad REGISTER: port {port!r} is not a TCP port number")
+    try:
+        return float(power), port
+    except OverflowError as exc:  # an int too large for a float
+        raise ParseError(f"bad REGISTER: hashpower {exc}") from exc
+
+
 # message constructors
 
 
@@ -308,4 +321,6 @@ def msg_discard(reason: str) -> WireMessage:
 
 
 def chain_from_payload(objs: list[dict]) -> list[Block]:
+    if not isinstance(objs, list):
+        raise ParseError(f"bad chain payload: blocks is {type(objs).__name__}")
     return [block_from_payload(o) for o in objs]

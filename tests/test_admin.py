@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import socket
+import time
 
 import pytest
 
 from chainsim.admin import (
+    AdminServer,
     RegistrationLedger,
     SimulationConfig,
     create_genesis,
@@ -18,6 +21,7 @@ from chainsim.admin import (
     write_report,
 )
 from chainsim.blocks import Block, StructuralError
+from chainsim.protocol import WireMessage, encode
 
 TABLE_POWERS = [17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4]
 
@@ -169,3 +173,40 @@ def test_write_report_round_trips(tmp_path):
     path = tmp_path / "report.json"
     write_report(report, str(path))
     assert json.loads(path.read_text()) == report
+
+
+def admit(payload: dict) -> AdminServer:
+    """Feed one REGISTER frame through the admin's admission over a socket pair."""
+    server = AdminServer(config(num_miners=1), port=0)
+    ours, theirs = socket.socketpair()
+    try:
+        ours.sendall(encode(WireMessage("REGISTER", payload)))
+        server._admit(theirs, ("127.0.0.1", 0), time.monotonic() + 5.0)
+    finally:
+        ours.close()
+        server.close()
+    return server
+
+
+def test_admit_takes_an_integral_hashpower():
+    server = admit({"hashpower": 10, "port": 7000})
+    assert [(e.hashpower, e.port) for e in server.ledger.entries] == [(10.0, 7000)]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"hashpower": float("nan"), "port": 7000},
+        {"hashpower": float("inf"), "port": 7000},
+        {"hashpower": [1], "port": 7000},
+        {"hashpower": True, "port": 7000},
+        {"hashpower": "10", "port": 7000},
+        {"hashpower": 10**400, "port": 7000},
+        {"hashpower": 10.0, "port": "7000"},
+        {"hashpower": 10.0, "port": 7000.0},
+        {"hashpower": 10.0, "port": 70000},
+    ],
+    ids=["nan", "inf", "list", "bool", "str", "huge-int", "port-str", "port-float", "port-range"],
+)
+def test_admit_rejects_mistyped_registrations(payload):
+    assert admit(payload).ledger.entries == []

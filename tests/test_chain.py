@@ -68,7 +68,6 @@ def test_created_block_appends_when_deeper():
     state = fresh_state(chain[:5])  # tip depth 4
     action = apply_created_block(state, chain[5])
     assert action.kind is ActionKind.APPENDED_OWN
-    assert action.broadcast
     assert len(state.main_chain) == 6
     assert state.tip.id == "b5"
     verify_state_invariants(state)
@@ -311,16 +310,28 @@ def test_fill_resolves_unknown_ids_top_down():
     assert remaining == 0
 
 
-def test_finalize_prunes_uncles_absorbed_into_main_chain():
+def test_invariants_reject_a_stored_block_left_off_its_placeholder():
     line = build_line(3, prefix="x", miner=2)
     state = LocalChainState(GENESIS)
     apply_received_block(state, line[1])
     apply_received_block(state, line[3])  # placeholder for x2
-    state.block_store["x2"] = line[2]  # stored but off the main chain
-    assert state.main_chain[2].is_empty
-    remaining = finalize_state(state)
-    assert remaining == 0
-    assert state.main_chain == line
+    state.block_store["x2"] = line[2]  # by hand: an arrival would have filled it
+    with pytest.raises(StructuralError):
+        verify_state_invariants(state)
+
+
+def test_late_parent_at_the_wrong_depth_is_left_as_an_uncle():
+    chain = build_line(5)
+    state = fresh_state(chain)
+    forged = Block(id="B", parent_id="X", depth=10, miner_id=3, blocktime=10.0)
+    apply_received_block(state, forged)  # switch across a gap: placeholder X at depth 9
+    late = Block(id="X", parent_id="b2", depth=3, miner_id=3, blocktime=3.0)
+    action = apply_received_block(state, late)
+    assert action.kind is ActionKind.UNCLED
+    assert state.main_chain[9] == make_placeholder("X", 9)
+    before = snapshot(state)
+    assert finalize_state(state) == 9
+    assert snapshot(state) == before  # finalize only counts
     verify_state_invariants(state)
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from chainsim.admin import (
     AdminServer,
-    ConsensusTimeout,
     RegistrationTimeout,
     SimulationConfig,
     create_genesis,
@@ -77,6 +76,10 @@ class ScriptedMiner(threading.Thread):
         answer_chain_request: bool = True,
         last_block_payload: dict | None = None,
         peer_frames: tuple[bytes, ...] = (),
+        chain_payload: dict | None = None,
+        admin_frames: tuple[bytes, ...] = (),
+        quit_after: str | None = None,
+        send_last_block: bool = True,
     ):
         super().__init__(daemon=True)
         self.admin_port = admin_port
@@ -88,6 +91,10 @@ class ScriptedMiner(threading.Thread):
         self.answer_chain_request = answer_chain_request
         self.last_block_payload = last_block_payload  # sent verbatim if given
         self.peer_frames = peer_frames  # raw frames, one connection each, to every peer
+        self.chain_payload = chain_payload  # sent verbatim as CHAIN if given
+        self.admin_frames = admin_frames  # raw bytes to the admin during mining
+        self.quit_after = quit_after  # "register" or "bootstrap": close the admin connection
+        self.send_last_block = send_last_block
         self.miner_id: int | None = None
         self.outcome: str | None = None
         self.got_chain_request = False
@@ -105,10 +112,16 @@ class ScriptedMiner(threading.Thread):
         conn.send(msg_register(self.listen_port, self.hashpower))
         ack = conn.next_message(10.0)
         self.miner_id = ack.payload["miner_id"]
+        if self.quit_after == "register":
+            conn.close()
+            return
         roster = conn.next_message(10.0).payload["miners"]
         for want in ("SIM_START", "GENESIS", "TX_POOL"):
             msg = conn.next_message(10.0)
             assert msg.type == want, f"expected {want}, got {msg.type}"
+        if self.quit_after == "bootstrap":
+            conn.close()
+            return
         for peer in roster:
             if peer["miner_id"] == self.miner_id:
                 continue
@@ -117,17 +130,21 @@ class ScriptedMiner(threading.Thread):
                     out.sendall(frame)
         for blk in self.blocks_during_mining:
             conn.send(msg_block(blk))
+        for raw in self.admin_frames:
+            sock.sendall(raw)
         msg = conn.next_message(30.0)
         assert msg.type == "SIM_END", f"expected SIM_END, got {msg.type}"
         if self.last_block_payload is not None:
             conn.send(WireMessage("LAST_BLOCK", self.last_block_payload))
-        else:
+        elif self.send_last_block:
             conn.send(msg_last_block(self.miner_id, self.last_block or GENESIS))
         while True:
             msg = conn.next_message(10.0)
             if msg.type == "CHAIN_REQUEST":
                 self.got_chain_request = True
-                if self.answer_chain_request:
+                if self.chain_payload is not None:
+                    conn.send(WireMessage("CHAIN", self.chain_payload))
+                elif self.answer_chain_request:
                     conn.send(msg_chain(self.miner_id, self.chain or [GENESIS]))
             elif msg.type in ("CONSENSUS_RESULT", "DISCARD"):
                 self.outcome = msg.type
@@ -348,6 +365,52 @@ def test_invalid_last_block_discards_run(payload):
         honest.join(timeout=5)
     assert report["discarded"] is True
     assert "invalid LAST_BLOCK" in report["reason"]
+    assert bad.outcome == honest.outcome == "DISCARD"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        dict(quit_after="register"),
+        dict(quit_after="bootstrap"),
+        dict(admin_frames=(b"\x00\x00\x00\x05hello",)),  # framed, but not JSON
+        dict(send_last_block=False),
+    ],
+    ids=["closes-before-bootstrap", "closes", "corrupt-frame", "silent"],
+)
+def test_dead_or_silent_miner_costs_only_its_run(fault):
+    server = AdminServer(quick_config(2), port=0, consensus_timeout=0.8)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fut = pool.submit(server.run)
+        bad = ScriptedMiner(server.port, listen_port=7710, **fault)
+        bad.start()
+        honest = pool.submit(
+            MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=10.0, seed=1).run
+        )
+        report = fut.result(timeout=30)
+        stats = honest.result(timeout=30)
+        bad.join(timeout=5)
+    assert report["discarded"] is True
+    assert f"LAST_BLOCK from miner {bad.miner_id}" in report["reason"]
+    assert stats["discarded"] and stats["reason"] == report["reason"]
+
+
+def test_chain_payload_that_is_not_a_list_discards_run():
+    tip = Block(id="t1", parent_id=GENESIS.id, depth=1, miner_id=1, blocktime=0.5)
+    server = AdminServer(quick_config(2), port=0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fut = pool.submit(server.run)
+        bad = ScriptedMiner(
+            server.port, listen_port=7720, last_block=tip, chain_payload={"miner_id": 1, "blocks": 5}
+        )
+        honest = ScriptedMiner(server.port, listen_port=7721)
+        bad.start()
+        honest.start()
+        report = fut.result(timeout=30)
+        bad.join(timeout=5)
+        honest.join(timeout=5)
+    assert report["discarded"] is True
+    assert "winning chain failed validation" in report["reason"]
     assert bad.outcome == honest.outcome == "DISCARD"
 
 
