@@ -60,6 +60,14 @@ class LocalChainState:
     a chain switch can be rebuilt locally instead of shipped over the
     wire; the uncles are the stored blocks that are not on the main
     chain.
+
+    below_gap is the last main chain without placeholders, kept while
+    the current one has any: the list a switch across a gap replaced,
+    held by reference (nothing appends to a replaced list). A walk that
+    would otherwise pass the placeholders down to genesis splices onto
+    it at its fork point instead, so closing a gap costs the branch
+    above the old chain, not the chain. It is None whenever main_chain
+    has no placeholders, so a state holds at most one stale list.
     """
 
     def __init__(self, genesis: Block):
@@ -67,6 +75,7 @@ class LocalChainState:
             raise StructuralError("state must start from a real genesis block")
         self.main_chain: list[Block] = [genesis]
         self.block_store: dict[str, Block] = {genesis.id: genesis}
+        self.below_gap: list[Block] | None = None
 
     @property
     def tip(self) -> Block:
@@ -152,14 +161,16 @@ def _switch(state: LocalChainState, block: Block) -> None:
     """Make block the top of the main chain, spliced on at the fork point.
 
     Walks parent links back through the store only until a parent is the
-    main-chain block at its depth (the fork point), then keeps the chain
-    up to there and puts the branch on top: the Python work grows with
-    the fork, not the chain. If an ancestor is missing first, the chain
-    below the gap is padded with placeholders exactly as reconstruct_chain
-    pads it. Raises before anything changes if the branch breaks the
-    chain rules.
+    block at its depth on the main chain or, while a gap is open, on
+    below_gap (the fork point), then keeps that chain up to there and
+    puts the branch on top: the Python work grows with the fork, not the
+    chain. If an ancestor is missing first, the chain below the gap is
+    padded with placeholders exactly as reconstruct_chain pads it, and a
+    main chain without placeholders is kept as below_gap. Raises before
+    anything changes if the branch breaks the chain rules.
     """
     chain = state.main_chain
+    kept = state.below_gap
     branch = [block]
     cur = block
     while True:
@@ -172,6 +183,8 @@ def _switch(state: LocalChainState, block: Block) -> None:
                 _UNKNOWN_RUN.append(make_placeholder(UNKNOWN_ID, len(_UNKNOWN_RUN) + 1))
             gap = make_placeholder(cur.parent_id, depth)
             head = [state.genesis, *_UNKNOWN_RUN[: depth - 1], gap]
+            if kept is None:  # no gap was open, so chain has no placeholders
+                kept = chain
             break
         if parent.depth != depth:
             raise StructuralError(
@@ -180,11 +193,16 @@ def _switch(state: LocalChainState, block: Block) -> None:
         if depth < len(chain) and chain[depth].id == parent.id:
             head = chain[: depth + 1]
             break
+        if kept is not None and depth < len(kept) and kept[depth].id == parent.id:
+            head = kept[: depth + 1]
+            break
         branch.append(parent)
         cur = parent
     branch.reverse()
     state.block_store[block.id] = block
     state.main_chain = head + branch
+    # placeholders sit at depths 1..h, so head[1] says whether a gap is open
+    state.below_gap = kept if len(head) > 1 and head[1].is_empty else None
 
 
 def reconstruct_chain(store: dict[str, Block], tip: Block) -> list[Block]:
@@ -319,6 +337,13 @@ def verify_state_invariants(state: LocalChainState) -> None:
         stored = state.block_store.get(top.id)
         if stored is not None and stored.depth == top.depth:
             raise StructuralError(f"stored block {top.id} was not filled in at depth {top.depth}")
+    if (state.below_gap is not None) != bool(holes):
+        raise StructuralError("below_gap must be kept exactly while placeholders remain")
+    if state.below_gap is not None:
+        validate_chain(state.below_gap, allow_empty=False)
+        for blk in state.below_gap:
+            if state.block_store.get(blk.id) != blk:
+                raise StructuralError(f"below_gap block {blk.id} missing from store")
     roots = sum(1 for b in state.block_store.values() if b.depth == 0)
     if roots != 1:
         raise StructuralError(f"store holds {roots} depth-0 blocks, expected 1")

@@ -1,18 +1,23 @@
 """In-process simulation on a logical clock, for deterministic runs.
 
 Same rules as the live network: every event goes through mining.step.
-Events (a miner's next own blocktime coming due, a block arriving at a
-peer) sit in one priority queue and time jumps from event to event.
-Each blocktime a miner draws is queued once, and received blocks never
-move it. Every random draw comes from a seeded generator, so a given
-configuration replays bit-identically. Peer delivery delay is drawn
-uniformly from a configurable range per (block, receiver) pair.
+One priority queue holds each miner's next own blocktime, drawn once and
+never moved by a received block, and time jumps from one to the next.
+A broadcast block waits in each receiver's inbox, a heap ordered by
+arrival time. Mining is memoryless, so a miner's state matters only
+when its own block falls due and when the run ends: there, one step
+applies every arrival that comes before, in (time, queue order), and
+arrivals after the duration are dropped. Every random draw comes from a
+seeded generator, so a given configuration replays bit-identically.
+Peer delivery delay is drawn uniformly from a configurable range per
+(block, receiver) pair.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -65,6 +70,54 @@ def resolve_hashpowers(
     ]
 
 
+def run_events(
+    ctxs: list[MiningContext],
+    states: list[LocalChainState],
+    duration: float,
+    delay_range: tuple[float, float],
+    net_rng: random.Random,
+) -> None:
+    """Step every miner through the run, from its first draw to the duration."""
+    n = len(ctxs)
+    seq = itertools.count()
+    # (time, seq, miner index): a miner's own blocktime coming due
+    heap: list[tuple[float, int, int]] = []
+    # per miner, (arrival time, seq, block) for each block still on its way
+    inboxes: list[list[tuple[float, int, Block]]] = [[] for _ in range(n)]
+
+    def queue_own(i: int) -> None:
+        if ctxs[i].next_time is not None:
+            heapq.heappush(heap, (ctxs[i].next_time, next(seq), i))
+
+    def arrived(i: int, until: tuple[float, float]) -> list[Block]:
+        """Pop every block in miner i's inbox that sorts before until."""
+        inbox = inboxes[i]
+        out = []
+        while inbox and inbox[0] < until:
+            out.append(heapq.heappop(inbox)[2])
+        return out
+
+    for i in range(n):
+        step(ctxs[i], states[i], (), 0.0, duration)  # first draw
+        queue_own(i)
+
+    while heap:
+        t, s, i = heapq.heappop(heap)
+        if t > duration:
+            break
+        _, broadcast = step(ctxs[i], states[i], arrived(i, (t, s)), t, duration)
+        if broadcast is not None:
+            # the own block came due, and its successor was drawn
+            for j in range(n):
+                if j != i:
+                    arrival = t + net_rng.uniform(*delay_range)
+                    heapq.heappush(inboxes[j], (arrival, next(seq), broadcast))
+            queue_own(i)
+    end = (duration, math.inf)
+    for i in range(n):
+        step(ctxs[i], states[i], arrived(i, end), duration, duration)
+
+
 def run_logical(
     config: SimulationConfig,
     hashpowers: list[float] | None = None,
@@ -95,33 +148,7 @@ def run_logical(
         )
         for i in range(n)
     ]
-    net_rng = random.Random(f"net:{config.seed}")
-    seq = itertools.count()
-    # (time, seq, miner index, block): a miner's own blocktime coming due
-    # (block None), or a peer's block arriving
-    heap: list[tuple[float, int, int, Block | None]] = []
-
-    def queue_own(i: int) -> None:
-        if ctxs[i].next_time is not None:
-            heapq.heappush(heap, (ctxs[i].next_time, next(seq), i, None))
-
-    for i in range(n):
-        step(ctxs[i], states[i], (), 0.0, config.duration)  # first draw
-        queue_own(i)
-
-    while heap:
-        t, _, i, block = heapq.heappop(heap)
-        if t > config.duration:
-            break
-        received = () if block is None else (block,)
-        _, broadcast = step(ctxs[i], states[i], received, t, config.duration)
-        if broadcast is not None:
-            # the own block came due, and its successor was drawn
-            for j in range(n):
-                if j != i:
-                    arrival = t + net_rng.uniform(*delay_range)
-                    heapq.heappush(heap, (arrival, next(seq), j, broadcast))
-            queue_own(i)
+    run_events(ctxs, states, config.duration, delay_range, random.Random(f"net:{config.seed}"))
 
     remaining = [finalize_state(s) for s in states]
     entries = [

@@ -98,16 +98,23 @@ def decode(data: bytes) -> tuple[WireMessage, int]:
     Returns the message and the number of bytes consumed; anything after
     the frame is left for the next call.
     """
-    if len(data) < LENGTH_PREFIX.size:
+    return _decode_at(data, 0)
+
+
+def _decode_at(data: bytes | bytearray, pos: int) -> tuple[WireMessage, int]:
+    """decode for the frame that starts at data[pos:]; returns it and where it ends."""
+    have = len(data) - pos
+    if have < LENGTH_PREFIX.size:
         raise IncompleteFrame("length prefix not yet complete")
-    (length,) = LENGTH_PREFIX.unpack_from(data)
+    (length,) = LENGTH_PREFIX.unpack_from(data, pos)
     if length == 0:
         raise EmptyFrame("zero-length frame")
-    end = LENGTH_PREFIX.size + length
-    if len(data) < end:
-        raise IncompleteFrame(f"frame wants {length} bytes, have {len(data) - 4}")
+    if have < LENGTH_PREFIX.size + length:
+        raise IncompleteFrame(f"frame wants {length} bytes, have {have - 4}")
+    start = pos + LENGTH_PREFIX.size
+    end = start + length
     try:
-        obj = json.loads(data[LENGTH_PREFIX.size:end].decode("utf-8"))
+        obj = json.loads(data[start:end].decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and an integer literal too
         # long to convert; RecursionError, arrays nested too deep to parse
@@ -129,15 +136,25 @@ class FrameReader:
         self._buf = bytearray()
 
     def feed(self, chunk: bytes) -> list[WireMessage]:
-        self._buf.extend(chunk)
+        """Every whole message the stream holds so far, in order.
+
+        Frames are decoded in place and the buffer is compacted once, so
+        a chunk of many frames costs time linear in its size. A frame
+        that fails to decode raises with it left at the head of the
+        buffer and every frame before it consumed.
+        """
+        buf = self._buf
+        buf.extend(chunk)
         out: list[WireMessage] = []
-        while True:
-            try:
-                msg, used = decode(bytes(self._buf))
-            except IncompleteFrame:
-                return out
-            del self._buf[:used]
-            out.append(msg)
+        pos = 0
+        try:
+            while True:
+                msg, pos = _decode_at(buf, pos)
+                out.append(msg)
+        except IncompleteFrame:
+            return out
+        finally:
+            del buf[:pos]
 
     @property
     def pending_bytes(self) -> int:

@@ -478,12 +478,51 @@ def oracle_receive(state: LocalChainState, block: Block) -> ActionKind:
     return ActionKind.SWITCHED_CHAIN
 
 
-def differential_run(rng: random.Random, blocks: list[Block]) -> tuple[int, int]:
+class CountingStore(dict):
+    """A block store that counts its lookups: one per parent link a walk takes."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def counted_state() -> LocalChainState:
+    state = LocalChainState(GENESIS)
+    state.block_store = CountingStore(state.block_store)
+    return state
+
+
+def checked_delivery(
+    state: LocalChainState, oracle: LocalChainState, blk: Block
+) -> tuple[ActionKind, bool]:
+    """Deliver blk to both states and check they agree.
+
+    Returns the action kind and whether the block closed a gap by splicing
+    onto below_gap: the gap was open, the new main chain has none, and
+    the walk took fewer parent links than a walk down to genesis would.
+    """
+    kept, lookups = state.below_gap, state.block_store.lookups
+    action = apply_received_block(state, blk)
+    walked = state.block_store.lookups - lookups - 1  # less _known's lookup
+    assert action.kind is oracle_receive(oracle, blk)
+    assert snapshot(state) == snapshot(oracle)
+    verify_state_invariants(state)
+    spliced = kept is not None and state.below_gap is None and walked < blk.depth
+    if spliced:
+        fork = blk.depth - walked
+        assert state.main_chain[: fork + 1] == kept[: fork + 1]
+    return action.kind, spliced
+
+
+def differential_run(rng: random.Random, blocks: list[Block]) -> tuple[int, int, int]:
     """Deliver blocks out of order, some withheld until after a finalize.
 
     Half the time the order is a full shuffle, otherwise blocktime order
-    under a random delivery delay. Returns how many switches there were
-    and how many of them met a missing ancestor.
+    under a random delivery delay. Returns how many switches there were,
+    how many of them met a missing ancestor, and how many deliveries
+    closed a gap by splicing onto below_gap.
     """
     order = blocks[1:]
     if rng.random() < 0.5:
@@ -492,16 +531,14 @@ def differential_run(rng: random.Random, blocks: list[Block]) -> tuple[int, int]
         order.sort(key=lambda b: b.blocktime + rng.uniform(0.0, 1.5))
     withheld = [b for b in order if rng.random() < 0.2]
     first = [b for b in order if b not in withheld]
-    state, oracle = LocalChainState(GENESIS), LocalChainState(GENESIS)
-    switches = gaps = 0
+    state, oracle = counted_state(), LocalChainState(GENESIS)
+    switches = gaps = kept_splices = 0
     for batch in (first, withheld):
         for blk in batch:
             old = state.main_chain
-            action = apply_received_block(state, blk)
-            assert action.kind is oracle_receive(oracle, blk)
-            assert snapshot(state) == snapshot(oracle)
-            verify_state_invariants(state)
-            if action.kind is ActionKind.SWITCHED_CHAIN:
+            kind, spliced = checked_delivery(state, oracle, blk)
+            kept_splices += spliced
+            if kind is ActionKind.SWITCHED_CHAIN:
                 # the branch sits right on a placeholder: its walk hit a gap
                 h = sum(b.is_empty for b in state.main_chain)
                 switches += 1
@@ -509,16 +546,51 @@ def differential_run(rng: random.Random, blocks: list[Block]) -> tuple[int, int]
         assert finalize_state(state) == oracle_fill(oracle)
         assert snapshot(state) == snapshot(oracle)
     assert state.main_chain == brute_force_deepest(state.block_store)
-    return switches, gaps
+    assert state.below_gap is None
+    return switches, gaps, kept_splices
 
 
 def test_fork_point_splice_matches_full_rebuild_oracle():
     rng = random.Random(20261018)
-    switches = gaps = 0
+    switches = gaps = kept_splices = 0
     for trial in range(300):
         recent = (0, 2, 3, 6)[trial % 4]
         blocks = random_dag(rng, rng.randint(1, 80), miners=4, unique_deepest=True, recent=recent)
-        s, g = differential_run(rng, blocks)
+        s, g, k = differential_run(rng, blocks)
         switches += s
         gaps += g
+        kept_splices += k
     assert gaps > 500 and switches - gaps > 200  # both the gap and the splice path
+    assert kept_splices > 100  # and gaps closed at the chain they replaced
+
+
+@pytest.mark.parametrize("second_on_first", [True, False], ids=["stacked", "side-by-side"])
+@pytest.mark.parametrize("first_fill_first", [True, False], ids=["in-order", "reversed"])
+def test_chained_gaps_close_at_the_chain_the_first_gap_replaced(second_on_first, first_fill_first):
+    ours = build_line(4, prefix="a")
+    b = [ours[1]]  # b2..b6 fork off a1; b5 is the first missing block
+    for d in range(2, 7):
+        b.append(mk(f"b{d}", b[-1], miner=2))
+    c = [b[-1]] if second_on_first else [ours[2]]  # c7 (or c3..c7) and c8; c7 goes missing
+    for d in range(c[0].depth + 1, 9):
+        c.append(mk(f"c{d}", c[-1], miner=3))
+    first_gap, second_gap = b[4], c[-2]
+    state, oracle = counted_state(), LocalChainState(GENESIS)
+    for blk in ours[1:]:
+        apply_created_block(state, blk)
+        apply_created_block(oracle, blk)
+    for blk in b[1:4]:
+        checked_delivery(state, oracle, blk)
+    assert checked_delivery(state, oracle, b[5])[0] is ActionKind.SWITCHED_CHAIN  # gap at b5
+    assert state.below_gap == ours
+    kept = state.below_gap
+    for blk in c[1:-2]:  # no deeper than b6: uncles
+        checked_delivery(state, oracle, blk)
+    assert checked_delivery(state, oracle, c[-1])[0] is ActionKind.SWITCHED_CHAIN  # gap at c7
+    assert state.main_chain[second_gap.depth] == make_placeholder(second_gap.id, second_gap.depth)
+    assert state.below_gap is kept  # a second gap keeps the chain the first one replaced
+    fills = [first_gap, second_gap] if first_fill_first else [second_gap, first_gap]
+    spliced = [checked_delivery(state, oracle, blk)[1] for blk in fills]
+    assert state.main_chain == brute_force_deepest(state.block_store)
+    assert state.below_gap is None
+    assert spliced.count(True) == 1  # the gap closed onto kept, not by a walk to genesis

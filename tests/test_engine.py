@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import json
 import math
 
 import pytest
 
+import chainsim.engine as engine
 from chainsim.admin import SimulationConfig
 from chainsim.chain import verify_state_invariants
 from chainsim.engine import DEFAULT_DELAY_RANGE, resolve_hashpowers, run_logical, slot_seed
+from chainsim.mining import step
 
 TABLE_POWERS = [17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4]
 
@@ -234,3 +238,92 @@ def test_zero_delay_network_never_forks():
     assert sum(t.switches for t in result.tallies) == 0
     assert sum(t.uncled for t in result.tallies) == 0
     assert DEFAULT_DELAY_RANGE[0] > 0.0  # default keeps some contention
+
+
+# differential test against the event loop the engine had before inboxes:
+# every delivery is its own heap event and its own step
+
+
+def per_arrival_events(ctxs, states, duration, delay_range, net_rng):
+    n = len(ctxs)
+    seq = itertools.count()
+    heap = []  # (time, seq, miner index, block or None for an own blocktime)
+
+    def queue_own(i):
+        if ctxs[i].next_time is not None:
+            heapq.heappush(heap, (ctxs[i].next_time, next(seq), i, None))
+
+    for i in range(n):
+        step(ctxs[i], states[i], (), 0.0, duration)
+        queue_own(i)
+    while heap:
+        t, _, i, block = heapq.heappop(heap)
+        if t > duration:
+            break
+        received = () if block is None else (block,)
+        _, broadcast = step(ctxs[i], states[i], received, t, duration)
+        if broadcast is not None:
+            for j in range(n):
+                if j != i:
+                    arrival = t + net_rng.uniform(*delay_range)
+                    heapq.heappush(heap, (arrival, next(seq), j, broadcast))
+            queue_own(i)
+
+
+def assert_matches_per_arrival_loop(monkeypatch, cfg, powers, delay_range):
+    got = run_logical(cfg, powers, delay_range=delay_range)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "run_events", per_arrival_events)
+        want = run_logical(cfg, powers, delay_range=delay_range)
+    assert report_digest(got.report) == report_digest(want.report)
+    assert [t.as_dict() for t in got.tallies] == [t.as_dict() for t in want.tallies]
+    for mine, theirs in zip(got.states, want.states):
+        assert mine.main_chain == theirs.main_chain
+        assert mine.block_store == theirs.block_store
+        verify_state_invariants(mine)
+    return got
+
+
+@pytest.mark.parametrize(
+    "n, duration, powers, delay_range",
+    [
+        (7, 3000.0, TABLE_POWERS, (0.0, 0.0)),
+        (7, 3000.0, TABLE_POWERS, DEFAULT_DELAY_RANGE),
+        (7, 3000.0, TABLE_POWERS, (1.0, 4.0)),
+        (7, 3000.0, TABLE_POWERS, (1.0, 20.0)),
+        (1, 3000.0, [30.0], DEFAULT_DELAY_RANGE),
+        (50, 1500.0, None, DEFAULT_DELAY_RANGE),
+        (50, 600.0, None, (1.0, 20.0)),
+    ],
+)
+def test_inboxes_match_the_per_arrival_loop(monkeypatch, n, duration, powers, delay_range):
+    for seed in (1, 2):
+        cfg = config(seed, duration=duration, n=n)
+        assert_matches_per_arrival_loop(monkeypatch, cfg, powers, delay_range)
+
+
+def test_run_shorter_than_the_first_blocktime_matches_the_per_arrival_loop(monkeypatch):
+    result = assert_matches_per_arrival_loop(
+        monkeypatch, config(3, duration=0.01), TABLE_POWERS, DEFAULT_DELAY_RANGE
+    )
+    assert sum(t.created for t in result.tallies) == 0
+    assert result.report["final_chain_ids"] == [result.states[0].genesis.id]
+
+
+def test_arrival_exactly_at_the_duration_is_applied_and_one_after_it_dropped(monkeypatch):
+    delay = 1.0  # a fixed delay puts an arrival exactly where we choose
+    long = run_logical(config(8, duration=500.0), TABLE_POWERS, delay_range=(delay, delay))
+    block = long.final_chain[10]
+    maker = block.miner_id - 1
+    peers = [j for j in range(len(TABLE_POWERS)) if j != maker]
+    # the block arrives at every peer at block.blocktime + delay
+    duration = block.blocktime + delay
+    at = assert_matches_per_arrival_loop(
+        monkeypatch, config(8, duration=duration), TABLE_POWERS, (delay, delay)
+    )
+    assert all(block.id in at.states[j].block_store for j in peers)
+    before = assert_matches_per_arrival_loop(
+        monkeypatch, config(8, duration=math.nextafter(duration, 0.0)), TABLE_POWERS, (delay, delay)
+    )
+    assert block.id in before.states[maker].block_store
+    assert not any(block.id in before.states[j].block_store for j in peers)

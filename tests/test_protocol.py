@@ -7,6 +7,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainsim.protocol as protocol
 from chainsim.blocks import Block, make_placeholder
@@ -153,6 +155,48 @@ def test_reader_single_and_double_frames():
     assert [m.type for m in reader.feed(one)] == ["SIM_END"]
     two = encode(msg_sim_end()) + encode(protocol.msg_chain_request())
     assert [m.type for m in reader.feed(two)] == ["SIM_END", "CHAIN_REQUEST"]
+
+
+def decode_whole(stream: bytes) -> list[WireMessage]:
+    """Decode a stream frame by frame with decode alone."""
+    msgs, pos = [], 0
+    while pos < len(stream):
+        msg, used = decode(stream[pos:])
+        msgs.append(msg)
+        pos += used
+    return msgs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reader_any_chunking_matches_decoding_in_one_piece(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    msgs = [random_message(rng) for _ in range(data.draw(st.integers(1, 12), label="n"))]
+    stream = b"".join(encode(m) for m in msgs)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=40), label="cuts"))
+    reader = FrameReader()
+    got = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
+        got.extend(reader.feed(stream[lo:hi]))
+    assert got == decode_whole(stream) == msgs
+    assert reader.pending_bytes == 0
+
+
+def test_reader_takes_thousands_of_coalesced_frames_in_one_chunk():
+    rng = random.Random(4000)
+    msgs = [random_message(rng) for _ in range(4000)]
+    reader = FrameReader()
+    assert reader.feed(b"".join(encode(m) for m in msgs)) == msgs
+    assert reader.pending_bytes == 0
+
+
+def test_reader_error_leaves_the_bad_frame_at_the_head():
+    good = encode(msg_sim_end())
+    bad = struct.pack(">I", 3) + b"{x}"
+    reader = FrameReader()
+    with pytest.raises(ParseError):
+        reader.feed(good + good + bad + good)
+    assert reader.pending_bytes == len(bad + good)  # both good frames were consumed
 
 
 def test_block_payload_round_trip():
