@@ -37,6 +37,17 @@ class UpdateAction:
     kind: ActionKind
 
 
+# The one UpdateAction of each kind, returned by every update. An action
+# is frozen and carries only its kind, so sharing it changes no result and
+# a delivery allocates none. Plain names rather than a dict keyed by
+# ActionKind: an Enum hashes in Python, which costs about what building a
+# new action does, while a module name reads in one lookup.
+APPENDED_OWN = UpdateAction(ActionKind.APPENDED_OWN)
+APPENDED_RECEIVED = UpdateAction(ActionKind.APPENDED_RECEIVED)
+UNCLED = UpdateAction(ActionKind.UNCLED)
+SWITCHED_CHAIN = UpdateAction(ActionKind.SWITCHED_CHAIN)
+
+
 @dataclass(frozen=True)
 class ConsensusEntry:
     """A miner's end-of-run report: the tip of its longest local chain."""
@@ -108,7 +119,7 @@ def apply_created_block(state: LocalChainState, block: Block) -> UpdateAction:
     if not _known(state, block):
         state.block_store[block.id] = block
     state.main_chain.append(block)
-    return UpdateAction(ActionKind.APPENDED_OWN)
+    return APPENDED_OWN
 
 
 def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
@@ -128,7 +139,7 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
     tip = state.tip
     if _known(state, block):
         # retransmission of a known block: harmless no-op
-        return UpdateAction(ActionKind.UNCLED)
+        return UNCLED
     if block.depth <= tip.depth:
         slot = state.main_chain[block.depth]
         if slot.is_empty and slot.id == block.id:
@@ -138,15 +149,15 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
             _switch(state, block)
             state.main_chain += above
         state.block_store[block.id] = block
-        return UpdateAction(ActionKind.UNCLED)
+        return UNCLED
     if block.parent_id == tip.id:
         if block.depth != tip.depth + 1:
             raise StructuralError("child of tip must sit exactly one deeper")
         state.block_store[block.id] = block
         state.main_chain.append(block)
-        return UpdateAction(ActionKind.APPENDED_RECEIVED)
+        return APPENDED_RECEIVED
     _switch(state, block)
-    return UpdateAction(ActionKind.SWITCHED_CHAIN)
+    return SWITCHED_CHAIN
 
 
 # _UNKNOWN_RUN[d - 1] is the unknown-id placeholder at depth d, made once

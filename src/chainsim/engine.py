@@ -3,10 +3,11 @@
 Same rules as the live network: every event goes through mining.step.
 One priority queue holds each miner's next own blocktime, drawn once and
 never moved by a received block, and time jumps from one to the next.
-A broadcast block waits in each receiver's inbox, a heap ordered by
-arrival time. Mining is memoryless, so a miner's state matters only
-when its own block falls due and when the run ends: there, one step
-applies every arrival that comes before, in (time, queue order), and
+A broadcast block waits in each receiver's inbox, a plain list it is
+appended to in broadcast order. Mining is memoryless, so a miner's
+state matters only when its own block falls due and when the run ends:
+there the inbox is sorted once, and one step applies every arrival that
+comes before, in (time, queue order), sliced off as the sorted prefix;
 arrivals after the duration are dropped. Every random draw comes from a
 seeded generator, so a given configuration replays bit-identically.
 Peer delivery delay is drawn uniformly from a configurable range per
@@ -15,11 +16,14 @@ Peer delivery delay is drawn uniformly from a configurable range per
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .admin import (
     RegistrationLedger,
@@ -82,20 +86,23 @@ def run_events(
     seq = itertools.count()
     # (time, seq, miner index): a miner's own blocktime coming due
     heap: list[tuple[float, int, int]] = []
-    # per miner, (arrival time, seq, block) for each block still on its way
+    # per miner, (arrival time, seq, block) for each block still on its
+    # way, unsorted until drained; seq is unique, so no Block is compared
     inboxes: list[list[tuple[float, int, Block]]] = [[] for _ in range(n)]
+    block_of = itemgetter(2)
 
     def queue_own(i: int) -> None:
         if ctxs[i].next_time is not None:
             heapq.heappush(heap, (ctxs[i].next_time, next(seq), i))
 
-    def arrived(i: int, until: tuple[float, float]) -> list[Block]:
-        """Pop every block in miner i's inbox that sorts before until."""
+    def arrived(i: int, until: tuple[float, float]) -> Iterator[Block]:
+        """Take every block in miner i's inbox that sorts before until, in order."""
         inbox = inboxes[i]
-        out = []
-        while inbox and inbox[0] < until:
-            out.append(heapq.heappop(inbox)[2])
-        return out
+        inbox.sort()
+        k = bisect.bisect_left(inbox, until)
+        due = inbox[:k]
+        del inbox[:k]
+        return map(block_of, due)
 
     for i in range(n):
         step(ctxs[i], states[i], (), 0.0, duration)  # first draw
@@ -111,7 +118,7 @@ def run_events(
             for j in range(n):
                 if j != i:
                     arrival = t + net_rng.uniform(*delay_range)
-                    heapq.heappush(inboxes[j], (arrival, next(seq), broadcast))
+                    inboxes[j].append((arrival, next(seq), broadcast))
             queue_own(i)
     end = (duration, math.inf)
     for i in range(n):

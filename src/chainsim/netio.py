@@ -19,15 +19,26 @@ class ConnectionClosed(ConnectionError):
     """Peer closed the connection before a full message arrived."""
 
 
+RETRY_FIRST_S = 0.005  # wait after the first refused dial, doubled after each
+RETRY_MAX_S = 0.05
+
+
 def connect_with_retry(host: str, port: int, deadline: float) -> socket.socket:
-    """Dial until success or the wall-clock deadline passes."""
+    """Dial until success or the wall-clock deadline passes.
+
+    A refused dial is retried after RETRY_FIRST_S, doubling up to
+    RETRY_MAX_S, so a listener that starts a moment late is reached a
+    moment late, and a wait never overshoots the deadline.
+    """
     last: Exception | None = None
+    pause = RETRY_FIRST_S
     while time.monotonic() < deadline:
         try:
             return socket.create_connection((host, port), timeout=2.0)
         except OSError as exc:
             last = exc
-            time.sleep(0.05)
+            time.sleep(max(0.0, min(pause, deadline - time.monotonic())))
+            pause = min(2 * pause, RETRY_MAX_S)
     raise ConnectionError(f"could not reach {host}:{port}: {last}")
 
 

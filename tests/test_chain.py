@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from chainsim.chain import (
     DuplicateIdConflict,
     LocalChainState,
     NoParticipants,
+    UpdateAction,
     apply_created_block,
     apply_received_block,
     fill_empty_blocks,
@@ -150,6 +152,41 @@ def test_duplicate_delivery_is_noop():
     action = apply_received_block(state, rival)
     assert action.kind is ActionKind.UNCLED
     assert snapshot(state) == before
+
+
+def actions_of_every_kind(suffix: str) -> dict[ActionKind, UpdateAction]:
+    """One fresh call per kind, on blocks named apart by suffix."""
+    state = fresh_state(build_line(3, prefix=f"b{suffix}-"))
+    own = apply_created_block(state, mk(f"o{suffix}", state.tip))
+    appended = apply_received_block(state, mk(f"p{suffix}", state.tip, miner=2))
+    uncle = apply_received_block(state, mk(f"u{suffix}", state.main_chain[2], miner=3))
+    side = build_line(7, prefix=f"s{suffix}-", miner=4)
+    switched = apply_received_block(state, side[-1])
+    return {
+        ActionKind.APPENDED_OWN: own,
+        ActionKind.APPENDED_RECEIVED: appended,
+        ActionKind.UNCLED: uncle,
+        ActionKind.SWITCHED_CHAIN: switched,
+    }
+
+
+def test_each_kind_returns_one_shared_frozen_action():
+    first, again = actions_of_every_kind("x"), actions_of_every_kind("y")
+    for kind in ActionKind:
+        action = first[kind]
+        assert action.kind is kind
+        assert again[kind] is action  # the same object on every call
+        assert action == UpdateAction(kind)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            action.kind = ActionKind.UNCLED
+        assert action.kind is kind
+    # traces and reports name actions by these strings
+    assert {k: a.kind.value for k, a in first.items()} == {
+        ActionKind.APPENDED_OWN: "appended_own",
+        ActionKind.APPENDED_RECEIVED: "appended_received",
+        ActionKind.UNCLED: "uncled",
+        ActionKind.SWITCHED_CHAIN: "switched_chain",
+    }
 
 
 def test_conflicting_block_id_rejected():

@@ -9,6 +9,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainsim.engine as engine
 from chainsim.admin import SimulationConfig
@@ -327,3 +329,30 @@ def test_arrival_exactly_at_the_duration_is_applied_and_one_after_it_dropped(mon
     )
     assert block.id in before.states[maker].block_store
     assert not any(block.id in before.states[j].block_store for j in peers)
+
+
+INTERVAL = 12.42
+DELAY_RANGES = st.one_of(
+    st.just((0.0, 0.0)),
+    # lo equal to hi: every receiver of a block hears it at one instant
+    st.floats(0.0, 2 * INTERVAL).map(lambda d: (d, d)),
+    # hi several intervals wide: inboxes fill with many out-of-order entries
+    st.tuples(st.floats(0.0, INTERVAL), st.integers(2, 6)).map(
+        lambda p: (p[0], p[0] + p[1] * INTERVAL)
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    powers=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=8),
+    duration=st.floats(1.0, 1500.0),
+    seed=st.integers(0, 2**16),
+    delay_range=DELAY_RANGES,
+)
+def test_drained_inboxes_match_the_per_arrival_loop_on_random_configs(
+    powers, duration, seed, delay_range
+):
+    cfg = config(seed, duration=duration, n=len(powers))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_per_arrival_loop(monkeypatch, cfg, powers, delay_range)

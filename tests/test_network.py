@@ -18,7 +18,8 @@ from chainsim.admin import (
 )
 from chainsim.blocks import Block, make_placeholder
 from chainsim.miner import MinerNode
-from chainsim.netio import BufferedConn
+import chainsim.netio as netio
+from chainsim.netio import BufferedConn, connect_with_retry
 from chainsim.protocol import (
     WireMessage,
     block_to_payload,
@@ -520,3 +521,48 @@ def test_extra_delay_run_completes_and_agrees():
     assert acct["last_block_frames"] == 3
     assert acct["chain_frames"] == 1
     assert acct["block_frames_during_mining"] == 0
+
+
+def refusing_port() -> socket.socket:
+    """A socket bound to a free local port but not listening: dials are refused."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.bind(("127.0.0.1", 0))
+    return sock
+
+
+def test_connect_reaches_a_listener_that_starts_late():
+    sock = refusing_port()
+    late = threading.Timer(0.03, sock.listen)
+    start = time.monotonic()
+    late.start()
+    try:
+        conn = connect_with_retry("127.0.0.1", sock.getsockname()[1], start + 5.0)
+        waited = time.monotonic() - start
+        conn.close()
+    finally:
+        late.join()
+        sock.close()
+    assert 0.03 <= waited < 1.0
+
+
+def test_connect_backs_off_and_gives_up_at_the_deadline(monkeypatch):
+    pauses = []
+    real_sleep = time.sleep
+
+    def sleep(seconds):
+        pauses.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(netio.time, "sleep", sleep)
+    sock = refusing_port()
+    start = time.monotonic()
+    try:
+        with pytest.raises(ConnectionError, match="could not reach"):
+            connect_with_retry("127.0.0.1", sock.getsockname()[1], start + 0.3)
+    finally:
+        sock.close()
+    assert time.monotonic() - start < 0.3 + 0.2
+    # 5 ms after the first refusal, doubling up to 50 ms; the last wait
+    # may be cut short by the deadline
+    assert pauses[:5] == pytest.approx([0.005, 0.01, 0.02, 0.04, 0.05])
+    assert all(p <= 0.05 for p in pauses) and pauses.count(0.05) >= 2
