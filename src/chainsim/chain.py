@@ -134,27 +134,37 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
     """
     if block.is_empty:
         raise StructuralError("received placeholders are not valid blocks")
-    if block.depth <= 0:
+    depth = block.depth
+    if depth <= 0:
         raise StructuralError("received block must sit above genesis")
-    tip = state.tip
-    if _known(state, block):
+    # runs once per (block, receiver) pair: each attribute is read once,
+    # and _known's lookup is written out
+    chain = state.main_chain
+    tip = chain[-1]
+    store = state.block_store
+    block_id = block.id
+    existing = store.get(block_id)
+    if existing is not None:
+        if existing != block:
+            raise DuplicateIdConflict(f"conflicting blocks for id {block_id}")
         # retransmission of a known block: harmless no-op
         return UNCLED
-    if block.depth <= tip.depth:
-        slot = state.main_chain[block.depth]
-        if slot.is_empty and slot.id == block.id:
+    tip_depth = tip.depth
+    if depth <= tip_depth:
+        slot = chain[depth]
+        if slot.is_empty and slot.id == block_id:
             # The block fills the topmost placeholder: walk its ancestry as
             # a switch to it would, then put the chain above it back on top.
-            above = state.main_chain[block.depth + 1 :]
+            above = chain[depth + 1 :]
             _switch(state, block)
             state.main_chain += above
-        state.block_store[block.id] = block
+        store[block_id] = block
         return UNCLED
     if block.parent_id == tip.id:
-        if block.depth != tip.depth + 1:
+        if depth != tip_depth + 1:
             raise StructuralError("child of tip must sit exactly one deeper")
-        state.block_store[block.id] = block
-        state.main_chain.append(block)
+        store[block_id] = block
+        chain.append(block)
         return APPENDED_RECEIVED
     _switch(state, block)
     return SWITCHED_CHAIN

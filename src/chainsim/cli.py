@@ -22,8 +22,10 @@ from .harness import (
     render_experiment_table,
     run_experiment,
 )
+from .blocks import StructuralError
 from .miner import MinerNode
 from .protocol import ProtocolError
+from .timing import InvalidHashpower
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +99,10 @@ def cmd_miner(args: argparse.Namespace) -> int:
     )
     try:
         stats = node.run()
-    except (ProtocolError, TimeoutError, OSError) as exc:
+    # a mistyped admin frame is a ProtocolError; a well-typed one can still
+    # carry a genesis or result chain that breaks the rules, or a roster
+    # total below this miner's own hashpower
+    except (ProtocolError, StructuralError, InvalidHashpower, TimeoutError, OSError) as exc:
         print(f"miner failed: {exc}", file=sys.stderr)
         return 1
     if args.stats_out:

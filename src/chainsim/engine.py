@@ -83,7 +83,12 @@ def run_events(
 ) -> None:
     """Step every miner through the run, from its first draw to the duration."""
     n = len(ctxs)
-    seq = itertools.count()
+    next_seq = itertools.count().__next__
+    # Random.uniform(lo, hi) written out, bound once: the fan-out draws
+    # once per (block, receiver) pair, and the floats come out the same
+    lo, hi = delay_range
+    span = hi - lo
+    random_unit = net_rng.random
     # (time, seq, miner index): a miner's own blocktime coming due
     heap: list[tuple[float, int, int]] = []
     # per miner, (arrival time, seq, block) for each block still on its
@@ -93,7 +98,7 @@ def run_events(
 
     def queue_own(i: int) -> None:
         if ctxs[i].next_time is not None:
-            heapq.heappush(heap, (ctxs[i].next_time, next(seq), i))
+            heapq.heappush(heap, (ctxs[i].next_time, next_seq(), i))
 
     def arrived(i: int, until: tuple[float, float]) -> Iterator[Block]:
         """Take every block in miner i's inbox that sorts before until, in order."""
@@ -117,8 +122,8 @@ def run_events(
             # the own block came due, and its successor was drawn
             for j in range(n):
                 if j != i:
-                    arrival = t + net_rng.uniform(*delay_range)
-                    inboxes[j].append((arrival, next(seq), broadcast))
+                    arrival = t + (lo + span * random_unit())
+                    inboxes[j].append((arrival, next_seq(), broadcast))
             queue_own(i)
     end = (duration, math.inf)
     for i in range(n):

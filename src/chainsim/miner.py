@@ -28,13 +28,15 @@ from .protocol import (
     ProtocolError,
     WireMessage,
     block_from_payload,
-    chain_from_payload,
+    consensus_result_from_payload,
     encode,
-    miner_record_from_payload,
+    miner_info_from_payload,
     msg_block,
     msg_chain,
     msg_last_block,
     msg_register,
+    sim_start_from_payload,
+    tx_ids_from_payload,
 )
 from .timing import HashpowerProfile, SimulationClock, sample_hashpower
 
@@ -159,23 +161,20 @@ class MinerNode:
         try:
             admin.send(msg_register(port, self.hashpower))
             ack = expect(admin, "MINER_INFO", CONNECT_TIMEOUT)
-            my_id = int(ack.payload["miner_id"])
+            my_id, _, _ = miner_info_from_payload(ack.payload)
 
             info = expect(admin, "MINER_INFO", ROSTER_TIMEOUT)
-            records = [miner_record_from_payload(o) for o in info.payload["miners"]]
+            _, records, total_hashpower = miner_info_from_payload(info.payload)
             peers = [r for r in records if r.miner_id != my_id]
-            total_hashpower = float(info.payload["total_hashpower"])
 
             start = expect(admin, "SIM_START", CONNECT_TIMEOUT)
-            duration = float(start.payload["duration"])
-            interval = float(start.payload["interval"])
-            subseed = int(start.payload["subseed"])
-            clock = SimulationClock(time_scale=float(start.payload["time_scale"]))
+            duration, interval, time_scale, subseed = sim_start_from_payload(start.payload)
+            clock = SimulationClock(time_scale=time_scale)
 
             genesis_msg = expect(admin, "GENESIS", CONNECT_TIMEOUT)
-            state = LocalChainState(block_from_payload(genesis_msg.payload["block"]))
+            state = LocalChainState(block_from_payload(genesis_msg.payload.get("block")))
             pool_msg = expect(admin, "TX_POOL", CONNECT_TIMEOUT)
-            tx_ids = tuple(t["id"] for t in pool_msg.payload["transactions"])
+            tx_ids = tx_ids_from_payload(pool_msg.payload)
 
             ctx = MiningContext(
                 miner_id=my_id,
@@ -231,13 +230,15 @@ class MinerNode:
                         sel.register(sock, selectors.EVENT_READ, BufferedConn(sock))
                     elif key.data is admin:
                         admin.pump(0.0)
-                        while admin.inbox:
-                            msg = admin.inbox.popleft()
-                            if msg.type == "SIM_END":
-                                return
-                            log.warning("unexpected %s from admin during mining", msg.type)
                     else:
                         _read_peer(sel, key.data, received)
+                # read outside the select: frames that came in one read with
+                # the bootstrap wait here and never make the socket readable
+                while admin.inbox:
+                    msg = admin.inbox.popleft()
+                    if msg.type == "SIM_END":
+                        return
+                    log.warning("unexpected %s from admin during mining", msg.type)
                 blocks = [b for _, b in received]
                 _, broadcast = step(ctx, state, blocks, clock.now(), duration, reject)
                 wall = time.monotonic()
@@ -275,9 +276,8 @@ class MinerNode:
             if msg.type == "CHAIN_REQUEST":
                 admin.send(msg_chain(my_id, state.main_chain))
             elif msg.type == "CONSENSUS_RESULT":
-                chain = chain_from_payload(msg.payload["blocks"])
+                winner_id, chain = consensus_result_from_payload(msg.payload)
                 validate_chain(chain, allow_empty=False)
-                winner_id = int(msg.payload["winner_id"])
                 state.main_chain = chain  # the run's agreed output
                 break
             elif msg.type == "DISCARD":
@@ -311,10 +311,10 @@ def _read_peer(
         while conn.inbox:
             msg = conn.inbox.popleft()
             if msg.type == "BLOCK":
-                received.append((conn, block_from_payload(msg.payload["block"])))
+                received.append((conn, block_from_payload(msg.payload.get("block"))))
             else:
                 log.warning("protocol violation: %s frame on a peer connection", msg.type)
-    except (OSError, ProtocolError, KeyError) as exc:
+    except (OSError, ProtocolError) as exc:
         if not isinstance(exc, ConnectionClosed):
             log.warning("dropping peer connection: %s", exc)
         _drop_peer(sel, conn)

@@ -22,7 +22,10 @@ from dataclasses import dataclass, field
 
 from .blocks import Block, StructuralError, derive_block_id
 from .chain import (
-    ActionKind,
+    APPENDED_OWN,
+    APPENDED_RECEIVED,
+    SWITCHED_CHAIN,
+    UNCLED,
     DuplicateIdConflict,
     LocalChainState,
     UpdateAction,
@@ -45,15 +48,23 @@ class MinerTally:
     switches: int = 0
 
     def record(self, action: UpdateAction) -> None:
-        kind = action.kind
-        if kind is ActionKind.APPENDED_OWN:
-            self.appended_own += 1
-        elif kind is ActionKind.APPENDED_RECEIVED:
+        """Count one action returned by chain's update rules.
+
+        The rules return only chain's four shared actions, so they are told
+        apart by identity, most frequent first: reading an ActionKind member
+        is an Enum class-attribute lookup, several times dearer than the
+        module-global read of a shared action.
+        """
+        if action is APPENDED_RECEIVED:
             self.appended_received += 1
-        elif kind is ActionKind.UNCLED:
+        elif action is UNCLED:
             self.uncled += 1
-        elif kind is ActionKind.SWITCHED_CHAIN:
+        elif action is SWITCHED_CHAIN:
             self.switches += 1
+        elif action is APPENDED_OWN:
+            self.appended_own += 1
+        else:
+            raise ValueError(f"{action!r} is not one of chain's shared actions")
 
     def as_dict(self) -> dict:
         return {

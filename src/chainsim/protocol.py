@@ -33,7 +33,11 @@ MESSAGE_TYPES = frozenset(
 )
 
 LENGTH_PREFIX = struct.Struct(">I")
-MAX_FRAME = 2**32 - 1
+# Longest frame body accepted, and the most one connection ever buffers.
+# A CHAIN of mining.depth_limit blocks, each carrying the most transaction
+# ids a block holds, is about 0.5 KiB per block: 13 MB for a 150000 s run
+# at interval 12.42, the longest in this repository; 64 MiB holds five times that.
+MAX_FRAME = 2**26
 
 
 class ProtocolError(ValueError):
@@ -41,7 +45,7 @@ class ProtocolError(ValueError):
 
 
 class FrameOverflow(ProtocolError):
-    """Encoded body does not fit the 4-byte length prefix."""
+    """Frame body, declared or encoded, is longer than MAX_FRAME."""
 
 
 class IncompleteFrame(ProtocolError):
@@ -109,6 +113,9 @@ def _decode_at(data: bytes | bytearray, pos: int) -> tuple[WireMessage, int]:
     (length,) = LENGTH_PREFIX.unpack_from(data, pos)
     if length == 0:
         raise EmptyFrame("zero-length frame")
+    if length > MAX_FRAME:
+        # refused on the prefix alone, before any of the body is buffered
+        raise FrameOverflow(f"frame declares {length} bytes, over the {MAX_FRAME} cap")
     if have < LENGTH_PREFIX.size + length:
         raise IncompleteFrame(f"frame wants {length} bytes, have {have - 4}")
     start = pos + LENGTH_PREFIX.size
@@ -180,27 +187,66 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value: object) -> bool:
+    # ints are always finite; math.isfinite would overflow on a huge one
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_positive(value: object) -> bool:
+    return _is_number(value) and value > 0
+
+
+def _is_list(value: object) -> bool:
+    return isinstance(value, list)
+
+
+def _is_port(value: object) -> bool:
+    return _is_int(value) and 0 < value < 65536
+
+
+def _checked(obj: object, what: str, fields: dict) -> dict:
+    """obj, once it is an object whose every named field passes its check.
+
+    fields maps each required field to a check of the JSON value it must
+    decode to; a non-object, a missing field or a failed check is a
+    ParseError naming what was being parsed.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"bad {what}: not an object")
+    for name, valid in fields.items():
+        if name not in obj:
+            raise ParseError(f"bad {what}: missing {name!r}")
+        if not valid(obj[name]):
+            kind = type(obj[name]).__name__
+            raise ParseError(f"bad {what}: {name} is {kind}, not a valid value")
+    return obj
+
+
+def _as_float(value: int | float, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int too large for a float
+        raise ParseError(f"bad {what}: {exc}") from exc
+
+
 # JSON type each block payload field must decode to; bool is not a number here
 _BLOCK_FIELD_TYPES = {
-    "id": lambda v: isinstance(v, str),
+    "id": _is_str,
     "parent_id": lambda v: v is None or isinstance(v, str),
     "depth": _is_int,
     "miner_id": _is_int,
-    # ints are always finite; math.isfinite would overflow on a huge one
-    "blocktime": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
-    "tx_ids": lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+    "blocktime": _is_number,
+    "tx_ids": lambda v: _is_list(v) and all(isinstance(t, str) for t in v),
     "is_empty": lambda v: isinstance(v, bool),
 }
 
 
 def block_from_payload(obj: dict) -> Block:
-    if not isinstance(obj, dict):
-        raise ParseError("bad block payload: not an object")
-    for name, valid in _BLOCK_FIELD_TYPES.items():
-        if name not in obj:
-            raise ParseError(f"bad block payload: missing {name!r}")
-        if not valid(obj[name]):
-            raise ParseError(f"bad block payload: {name} is {type(obj[name]).__name__}")
+    _checked(obj, "block payload", _BLOCK_FIELD_TYPES)
     try:
         return Block(
             id=obj["id"],
@@ -235,29 +281,28 @@ def miner_record_to_payload(rec: MinerRecord) -> dict:
     }
 
 
+_RECORD_FIELD_TYPES = {
+    "miner_id": _is_int,
+    "hashpower": _is_number,
+    "ip": _is_str,
+    "port": _is_port,
+}
+
+
 def miner_record_from_payload(obj: dict) -> MinerRecord:
-    try:
-        return MinerRecord(
-            miner_id=obj["miner_id"],
-            hashpower=obj["hashpower"],
-            ip=obj["ip"],
-            port=obj["port"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad miner record: {exc}") from exc
+    _checked(obj, "miner record", _RECORD_FIELD_TYPES)
+    return MinerRecord(
+        miner_id=obj["miner_id"],
+        hashpower=_as_float(obj["hashpower"], "miner record"),
+        ip=obj["ip"],
+        port=obj["port"],
+    )
 
 
 def register_from_payload(obj: dict) -> tuple[float, int]:
     """Type-checked (hashpower, port) of a REGISTER; the ledger checks the hashpower."""
-    power, port = obj.get("hashpower"), obj.get("port")
-    if not (_is_int(power) or isinstance(power, float)):
-        raise ParseError(f"bad REGISTER: hashpower is {type(power).__name__}")
-    if not _is_int(port) or not 0 < port < 65536:
-        raise ParseError(f"bad REGISTER: port {port!r} is not a TCP port number")
-    try:
-        return float(power), port
-    except OverflowError as exc:  # an int too large for a float
-        raise ParseError(f"bad REGISTER: hashpower {exc}") from exc
+    _checked(obj, "REGISTER", {"hashpower": _is_number, "port": _is_port})
+    return _as_float(obj["hashpower"], "REGISTER"), obj["port"]
 
 
 # message constructors
@@ -341,3 +386,34 @@ def chain_from_payload(objs: list[dict]) -> list[Block]:
     if not isinstance(objs, list):
         raise ParseError(f"bad chain payload: blocks is {type(objs).__name__}")
     return [block_from_payload(o) for o in objs]
+
+
+# payloads a miner reads from the admin, type-checked like REGISTER
+
+
+def miner_info_from_payload(obj: dict) -> tuple[int, list[MinerRecord], float]:
+    """(miner_id, roster, total_hashpower) of a MINER_INFO, the ack or the roster."""
+    fields = {"miner_id": _is_int, "miners": _is_list, "total_hashpower": _is_number}
+    _checked(obj, "MINER_INFO", fields)
+    roster = [miner_record_from_payload(o) for o in obj["miners"]]
+    return obj["miner_id"], roster, _as_float(obj["total_hashpower"], "MINER_INFO")
+
+
+def sim_start_from_payload(obj: dict) -> tuple[float, float, float, int]:
+    """(duration, interval, time_scale, subseed) of a SIM_START; all but subseed positive."""
+    positive = ("duration", "interval", "time_scale")
+    _checked(obj, "SIM_START", {**dict.fromkeys(positive, _is_positive), "subseed": _is_int})
+    duration, interval, time_scale = (_as_float(obj[name], "SIM_START") for name in positive)
+    return duration, interval, time_scale, obj["subseed"]
+
+
+def tx_ids_from_payload(obj: dict) -> tuple[str, ...]:
+    """Ids of the pool a TX_POOL carries, in order; the miner needs nothing else."""
+    _checked(obj, "TX_POOL", {"transactions": _is_list})
+    return tuple(_checked(t, "transaction", {"id": _is_str})["id"] for t in obj["transactions"])
+
+
+def consensus_result_from_payload(obj: dict) -> tuple[int, list[Block]]:
+    """(winner_id, chain) of a CONSENSUS_RESULT; the chain's shape is not checked here."""
+    _checked(obj, "CONSENSUS_RESULT", {"winner_id": _is_int, "blocks": _is_list})
+    return obj["winner_id"], chain_from_payload(obj["blocks"])

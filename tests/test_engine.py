@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import heapq
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -356,3 +358,53 @@ def test_drained_inboxes_match_the_per_arrival_loop_on_random_configs(
     cfg = config(seed, duration=duration, n=len(powers))
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_matches_per_arrival_loop(monkeypatch, cfg, powers, delay_range)
+
+
+# The fan-out writes Random.uniform out as lo + (hi - lo) * random(). The
+# per-arrival oracle above still calls uniform, but an arrival time reaches
+# a report only through its order, so this checks the floats themselves.
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (1.0, 1.0), (0.05, 0.3), (1.0, 20.0)])
+def test_written_out_fan_out_draw_equals_uniform_bit_for_bit(lo, hi):
+    ours, theirs = random.Random(7), random.Random(7)
+    span = hi - lo
+    for t in (0.0, 0.1, 12.42, 149_999.5):
+        for _ in range(1000):
+            got = t + (lo + span * ours.random())
+            assert got.hex() == (t + theirs.uniform(lo, hi)).hex()
+    assert ours.getstate() == theirs.getstate()
+
+
+def counted_steps(monkeypatch) -> collections.defaultdict:
+    """Count, per miner id, what the engine's steps return, without MinerTally."""
+    counts = collections.defaultdict(collections.Counter)
+
+    def counting_step(ctx, *args, **kwargs):
+        actions, own = step(ctx, *args, **kwargs)
+        counts[ctx.miner_id].update(action.kind.value for action in actions)
+        counts[ctx.miner_id]["created"] += own is not None
+        return actions, own
+
+    monkeypatch.setattr(engine, "step", counting_step)
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    powers=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=8),
+    duration=st.floats(1.0, 1500.0),
+    seed=st.integers(0, 2**16),
+    delay_range=DELAY_RANGES,
+)
+def test_tallies_equal_the_actions_steps_return(powers, duration, seed, delay_range):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counts = counted_steps(monkeypatch)
+        result = run_logical(config(seed, duration=duration, n=len(powers)), powers, delay_range)
+    for miner_id, tally in enumerate(result.tallies, start=1):
+        got = counts[miner_id]
+        assert tally.as_dict() == {
+            "created": got["created"],
+            "appended_own": got["appended_own"],
+            "appended_received": got["appended_received"],
+            "uncled": got["uncled"],
+            "switches": got["switched_chain"],
+        }

@@ -9,8 +9,9 @@ import pytest
 import chainsim.chain as chain
 
 from chainsim.blocks import Block, StructuralError, make_placeholder
-from chainsim.chain import ActionKind, LocalChainState, apply_created_block
+from chainsim.chain import ActionKind, LocalChainState, UpdateAction, apply_created_block
 from chainsim.mining import (
+    MinerTally,
     MiningContext,
     TXS_PER_BLOCK,
     draw_own_block,
@@ -232,3 +233,49 @@ def test_step_rejects_implausibly_deep_blocks_before_padding():
     actions, _ = step(ctx, state, [at_limit], now=0.0, duration=1000.0)
     assert [a.kind for a in actions] == [ActionKind.SWITCHED_CHAIN]
     assert state.tip.id == "edge" and len(state.main_chain) == limit + 1
+
+
+def state_before(kind: ActionKind) -> tuple[LocalChainState, list[Block]]:
+    """A state after an own block a1, and the arrival that makes a step of kind."""
+    state = LocalChainState(GENESIS)
+    a1 = mk("a1", GENESIS, miner=1, t=0.003)
+    apply_created_block(state, a1)
+    theirs = foreign_branch(2)
+    arrivals = {
+        ActionKind.APPENDED_RECEIVED: [mk("b2", a1, miner=2, t=0.004)],
+        ActionKind.UNCLED: [theirs[1]],
+        ActionKind.SWITCHED_CHAIN: [theirs[2]],
+        ActionKind.APPENDED_OWN: [],
+    }
+    return state, arrivals[kind]
+
+
+@pytest.mark.parametrize("kind", list(ActionKind))
+def test_step_counts_each_kind_once_in_its_own_counter(kind):
+    ctx = ctx_for()
+    state, arrivals = state_before(kind)
+    step(ctx, state, [], now=0.003, duration=1000.0)
+    now = ctx.next_time if kind is ActionKind.APPENDED_OWN else 0.003
+    actions, broadcast = step(ctx, state, arrivals, now=now, duration=1000.0)
+    assert [a.kind for a in actions] == [kind]
+    assert actions[0] is getattr(chain, kind.name)  # one of chain's shared actions
+    want = {name: 0 for name in ctx.tally.as_dict()}
+    want["switches" if kind is ActionKind.SWITCHED_CHAIN else kind.value] = 1
+    want["created"] = int(broadcast is not None)
+    assert ctx.tally.as_dict() == want
+
+
+def test_tally_refuses_an_action_that_is_not_shared():
+    # record tells actions apart by identity, so a copy would go uncounted
+    tally = MinerTally()
+    for kind in ActionKind:
+        tally.record(getattr(chain, kind.name))
+        with pytest.raises(ValueError, match="shared"):
+            tally.record(UpdateAction(kind))
+    assert tally.as_dict() == {
+        "created": 0,
+        "appended_own": 1,
+        "appended_received": 1,
+        "uncled": 1,
+        "switches": 1,
+    }

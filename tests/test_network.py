@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from chainsim import cli
 from chainsim.admin import (
     AdminServer,
     RegistrationTimeout,
@@ -21,14 +22,21 @@ from chainsim.miner import MinerNode
 import chainsim.netio as netio
 from chainsim.netio import BufferedConn, connect_with_retry
 from chainsim.protocol import (
+    MinerRecord,
+    ProtocolError,
     WireMessage,
     block_to_payload,
     encode,
     msg_block,
     msg_chain,
+    msg_consensus_result,
+    msg_genesis,
     msg_last_block,
+    msg_miner_info,
     msg_register,
     msg_sim_end,
+    msg_sim_start,
+    msg_tx_pool,
 )
 
 GENESIS = create_genesis()
@@ -566,3 +574,120 @@ def test_connect_backs_off_and_gives_up_at_the_deadline(monkeypatch):
     # may be cut short by the deadline
     assert pauses[:5] == pytest.approx([0.005, 0.01, 0.02, 0.04, 0.05])
     assert all(p <= 0.05 for p in pauses) and pauses.count(0.05) >= 2
+
+
+class ScriptedAdmin(threading.Thread):
+    """Protocol-level fake admin for one miner: sends every frame of a run at once.
+
+    The bootstrap frames and SIM_END go out in one write as soon as the
+    miner registers, so the miner reads SIM_END from the same buffer as
+    its bootstrap; the result goes out once the miner's LAST_BLOCK arrives.
+    """
+
+    def __init__(self, bootstrap: list[WireMessage], result: WireMessage):
+        super().__init__(daemon=True)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.frames = b"".join(encode(m) for m in [*bootstrap, msg_sim_end()])
+        self.result = result
+        self.last_block: WireMessage | None = None
+
+    def run(self) -> None:
+        self.listener.settimeout(10.0)
+        try:
+            sock, _ = self.listener.accept()
+        finally:
+            self.listener.close()
+        conn = BufferedConn(sock)
+        try:
+            conn.next_message(10.0)  # REGISTER
+            sock.sendall(self.frames)
+            self.last_block = conn.next_message(10.0)
+            conn.send(self.result)
+        except (OSError, ProtocolError):
+            pass  # the miner gave up first
+        finally:
+            conn.close()
+
+
+ADMIN_RUN = {
+    "ack": msg_miner_info(1, [], 0.0),
+    "roster": msg_miner_info(1, [MinerRecord(1, 10.0, "127.0.0.1", 9)], 10.0),
+    "start": msg_sim_start(1.0, 12.42, 100.0, 5),
+    "genesis": msg_genesis(GENESIS),
+    "pool": msg_tx_pool([]),
+    "result": msg_consensus_result(1, [GENESIS]),
+}
+
+
+def run_miner_cli(capsys, **replace: dict) -> tuple[int, str, ScriptedAdmin]:
+    """cli's miner command against a fake admin; replace maps an ADMIN_RUN
+    frame's name to payload fields that overwrite its own."""
+    frames = {
+        name: WireMessage(msg.type, {**msg.payload, **replace.get(name, {})})
+        for name, msg in ADMIN_RUN.items()
+    }
+    result = frames.pop("result")
+    admin = ScriptedAdmin(list(frames.values()), result)
+    admin.start()
+    args = cli.build_parser().parse_args(
+        ["miner", "--admin", f"127.0.0.1:{admin.port}", "--listen-port", "0",
+         "--hashpower", "10", "--seed", "1"]
+    )
+    status = cli.cmd_miner(args)
+    admin.join(timeout=15)
+    assert not admin.is_alive()
+    return status, capsys.readouterr().err, admin
+
+
+def test_miner_runs_to_consensus_against_the_scripted_admin(capsys):
+    status, err, admin = run_miner_cli(capsys)
+    assert status == 0, err
+    assert admin.last_block.type == "LAST_BLOCK"
+
+
+@pytest.mark.parametrize(
+    "frame, fields",
+    [
+        ("ack", {"miner_id": "x"}),
+        ("ack", {"miner_id": None}),
+        ("roster", {"total_hashpower": [1]}),
+        ("roster", {"total_hashpower": 10**400}),
+        ("roster", {"miners": {"1": {}}}),
+        ("roster", {"miners": [{"miner_id": 1, "hashpower": 10.0, "ip": "127.0.0.1"}]}),
+        ("roster", {"miners": [{"miner_id": 2, "hashpower": 1.0, "ip": "h", "port": "9"}]}),
+        ("roster", {"miners": [{"miner_id": 2, "hashpower": 1.0, "ip": "h", "port": 70000}]}),
+        ("start", {"duration": "1.0"}),
+        ("start", {"interval": 0}),
+        ("start", {"time_scale": -1.0}),
+        ("start", {"subseed": 1.5}),
+        ("genesis", {"block": None}),
+        ("pool", {"transactions": "abc"}),
+        ("pool", {"transactions": [{"size_bytes": 1}]}),
+        ("result", {"winner_id": "1"}),
+        ("result", {"blocks": {"0": None}}),
+    ],
+)
+def test_mistyped_admin_frame_ends_the_miner_cleanly(capsys, frame, fields):
+    status, err, _ = run_miner_cli(capsys, **{frame: fields})
+    assert status == 1
+    assert err.startswith("miner failed: bad ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "frame, fields",
+    [
+        # a well-typed frame that still breaks the chain rules or the hashpower
+        ("genesis", {"block": block_to_payload(make_placeholder("hole", 1))}),
+        ("genesis", {"block": block_to_payload(Block("b1", GENESIS.id, 1, 2, 1.0))}),
+        ("result", {"blocks": [block_to_payload(Block("b1", GENESIS.id, 1, 2, 1.0))]}),
+        ("result", {"blocks": [block_to_payload(GENESIS), block_to_payload(make_placeholder("h", 1))]}),
+        ("roster", {"total_hashpower": 5.0}),
+    ],
+)
+def test_rule_breaking_admin_frame_ends_the_miner_cleanly(capsys, frame, fields):
+    status, err, _ = run_miner_cli(capsys, **{frame: fields})
+    assert status == 1
+    assert err.startswith("miner failed: ")
+    assert "Traceback" not in err

@@ -12,22 +12,34 @@ from hypothesis import strategies as st
 
 import chainsim.protocol as protocol
 from chainsim.blocks import Block, make_placeholder
+from chainsim.mining import TXS_PER_BLOCK, depth_limit
 from chainsim.protocol import (
+    LENGTH_PREFIX,
+    MAX_FRAME,
     EmptyFrame,
     FrameOverflow,
     FrameReader,
     IncompleteFrame,
     MESSAGE_TYPES,
     ParseError,
+    ProtocolError,
     UnknownMessage,
     WireMessage,
     block_from_payload,
     block_to_payload,
+    chain_from_payload,
+    consensus_result_from_payload,
     decode,
     encode,
+    miner_info_from_payload,
+    miner_record_from_payload,
+    msg_chain,
     msg_miner_info,
     msg_sim_end,
+    register_from_payload,
+    sim_start_from_payload,
     tx_from_payload,
+    tx_ids_from_payload,
     tx_to_payload,
 )
 from wiregen import rand_block, rand_tx, random_message
@@ -131,6 +143,38 @@ def test_frame_overflow_guard(monkeypatch):
     monkeypatch.setattr(protocol, "MAX_FRAME", 8)
     with pytest.raises(FrameOverflow):
         encode(msg_sim_end())
+
+
+def test_over_cap_length_prefix_fails_before_the_body_arrives():
+    over = LENGTH_PREFIX.pack(MAX_FRAME + 1)
+    with pytest.raises(FrameOverflow):
+        decode(over)  # the prefix alone is enough to refuse the frame
+    reader = FrameReader()
+    with pytest.raises(FrameOverflow):
+        reader.feed(over + b'{"type"')
+    assert reader.pending_bytes == len(over) + 7  # nothing more is waited for
+    with pytest.raises(IncompleteFrame):
+        decode(LENGTH_PREFIX.pack(MAX_FRAME))  # at the cap, the body is awaited
+
+
+def test_longest_runs_chain_fits_the_frame_cap_with_room():
+    # logical-deep's 150000 s at interval 12.42 is the longest run in the
+    # repository; every block here carries a full claim of transaction ids
+    tx_ids = tuple(f"{i:032x}" for i in range(TXS_PER_BLOCK))
+    chain = [Block(id="0" * 32, parent_id=None, depth=0, miner_id=0, blocktime=0.0)]
+    for depth in range(1, depth_limit(150_000.0, 12.42) + 1):
+        chain.append(
+            Block(
+                id=f"{depth:032x}",
+                parent_id=chain[-1].id,
+                depth=depth,
+                miner_id=9999,
+                blocktime=149_999.12345678901 - depth * 1e-3,
+                tx_ids=tx_ids,
+            )
+        )
+    body = len(encode(msg_chain(9999, chain))) - LENGTH_PREFIX.size
+    assert 4 * body < MAX_FRAME
 
 
 def test_reader_reassembles_arbitrary_chunking():
@@ -274,3 +318,147 @@ def test_tx_payload_round_trip():
     for _ in range(100):
         tx = rand_tx(rng)
         assert tx_from_payload(tx_to_payload(tx)) == tx
+
+
+# fuzzing: whatever arrives, a reader or payload parser raises only ProtocolError
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 65536, 2**64, 10**400])
+    | st.floats()
+    | st.text(max_size=12)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# every field name some payload parser looks for, so objects reach the type checks
+FIELD_NAMES = sorted(
+    {
+        *block_to_payload(make_placeholder("x", 1)),
+        "miner_id", "hashpower", "ip", "port", "miners", "total_hashpower",
+        "duration", "interval", "time_scale", "subseed", "transactions",
+        "winner_id", "blocks",
+    }
+)
+FIELDS = st.dictionaries(st.sampled_from(FIELD_NAMES), JSON_VALUES, max_size=8)
+PAYLOADS = (
+    JSON_VALUES
+    | st.lists(FIELDS, max_size=3)  # a chain's blocks
+    | st.dictionaries(  # a message payload, maybe holding a block, a roster or a pool
+        st.sampled_from(FIELD_NAMES), JSON_VALUES | FIELDS | st.lists(FIELDS, max_size=3), max_size=8
+    )
+)
+
+
+def framed(body: bytes) -> bytes:
+    return LENGTH_PREFIX.pack(len(body)) + body
+
+
+FRAMES = st.one_of(
+    st.binary(max_size=40),
+    st.binary(max_size=40).map(framed),
+    JSON_VALUES.map(lambda v: framed(json.dumps(v).encode())),
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(sorted(MESSAGE_TYPES)) | st.text(max_size=8), "payload": PAYLOADS}
+    ).map(lambda v: framed(json.dumps(v).encode())),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=FRAMES, tail=st.binary(max_size=8))
+def test_decode_of_any_bytes_raises_only_protocol_errors(frame, tail):
+    data = frame + tail
+    try:
+        msg, used = decode(data)
+    except ProtocolError:
+        return
+    assert 0 < used <= len(data) and isinstance(msg.payload, dict)
+
+
+PAYLOAD_PARSERS = [
+    block_from_payload,
+    chain_from_payload,
+    miner_record_from_payload,
+    register_from_payload,
+    miner_info_from_payload,
+    sim_start_from_payload,
+    tx_ids_from_payload,
+    consensus_result_from_payload,
+]
+
+
+@settings(max_examples=250, deadline=None)
+@given(payload=PAYLOADS)
+def test_payload_parsers_raise_only_parse_errors(payload):
+    for parse in PAYLOAD_PARSERS:
+        try:
+            parse(payload)
+        except ParseError:
+            pass
+
+
+GOOD_RECORD = {"miner_id": 2, "hashpower": 1.5, "ip": "127.0.0.1", "port": 9000}
+GOOD_ADMIN_PAYLOADS = {
+    register_from_payload: {"hashpower": 12, "port": 9000},
+    miner_record_from_payload: GOOD_RECORD,
+    miner_info_from_payload: {"miner_id": 2, "miners": [GOOD_RECORD], "total_hashpower": 3.0},
+    sim_start_from_payload: {"duration": 10, "interval": 1.5, "time_scale": 100.0, "subseed": 7},
+    tx_ids_from_payload: {"transactions": [{"id": "t1"}]},
+    consensus_result_from_payload: {"winner_id": 2, "blocks": []},
+}
+
+
+@pytest.mark.parametrize(
+    "parse, field, value",
+    [
+        (register_from_payload, "hashpower", True),
+        (register_from_payload, "hashpower", 10**400),
+        (register_from_payload, "port", 65536),
+        (miner_record_from_payload, "miner_id", "2"),
+        (miner_record_from_payload, "hashpower", 10**400),
+        (miner_record_from_payload, "hashpower", float("nan")),
+        (miner_record_from_payload, "ip", None),
+        (miner_record_from_payload, "port", 0),
+        (miner_record_from_payload, "port", True),
+        (miner_info_from_payload, "miner_id", 2.0),
+        (miner_info_from_payload, "miners", [{**GOOD_RECORD, "port": "9000"}]),
+        (miner_info_from_payload, "total_hashpower", 10**400),
+        (miner_info_from_payload, "total_hashpower", [1]),
+        (sim_start_from_payload, "duration", 0),
+        (sim_start_from_payload, "interval", 10**400),
+        (sim_start_from_payload, "time_scale", float("inf")),
+        (sim_start_from_payload, "subseed", False),
+        (tx_ids_from_payload, "transactions", [{"id": 1}]),
+        (tx_ids_from_payload, "transactions", ["t1"]),
+        (consensus_result_from_payload, "winner_id", None),
+        (consensus_result_from_payload, "blocks", [None]),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_admin_payloads_reject_one_bad_field(parse, field, value):
+    good = GOOD_ADMIN_PAYLOADS[parse]
+    parse(good)
+    with pytest.raises(ParseError):
+        parse({**good, field: value})
+    with pytest.raises(ParseError):
+        parse({name: v for name, v in good.items() if name != field})
+
+
+def test_admin_payload_parsers_take_what_the_admin_sends():
+    rng = random.Random(8)
+    for _ in range(200):
+        msg = random_message(rng)
+        if msg.type == "MINER_INFO":
+            miner_id, roster, total = miner_info_from_payload(msg.payload)
+            assert msg_miner_info(miner_id, roster, total) == msg
+        elif msg.type == "SIM_START":
+            assert protocol.msg_sim_start(*sim_start_from_payload(msg.payload)) == msg
+        elif msg.type == "TX_POOL":
+            want = tuple(t["id"] for t in msg.payload["transactions"])
+            assert tx_ids_from_payload(msg.payload) == want
+        elif msg.type == "CONSENSUS_RESULT":
+            assert protocol.msg_consensus_result(*consensus_result_from_payload(msg.payload)) == msg
