@@ -27,6 +27,7 @@ from .protocol import (
     WireMessage,
     block_from_payload,
     chain_from_payload,
+    encode,
     msg_chain_request,
     msg_consensus_result,
     msg_discard,
@@ -173,6 +174,11 @@ class AdminServer:
         self.ledger = RegistrationLedger()
         self.accounting = FrameAccounting()
         self.genesis = create_genesis()
+        # one frame for every miner, encoded before the port binds: a pool
+        # over the frame cap fails here, before any miner registers
+        self._tx_pool_frame = encode(
+            msg_tx_pool(create_tx_pool(config, random.Random(config.seed)))
+        )
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -242,7 +248,6 @@ class AdminServer:
     def _bootstrap(self) -> None:
         roster = list(self.ledger.entries)
         total = self.ledger.total_hashpower
-        pool = create_tx_pool(self.config, random.Random(self.config.seed))
         for conn in self._conns:
             mid = conn.record.miner_id
             try:
@@ -256,7 +261,7 @@ class AdminServer:
                     )
                 )
                 conn.send(msg_genesis(self.genesis))
-                conn.send(msg_tx_pool(pool))
+                conn.sock.sendall(self._tx_pool_frame)
             except OSError as exc:
                 self._drop(conn, exc)
 

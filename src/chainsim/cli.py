@@ -10,7 +10,6 @@ import sys
 from .admin import (
     EXIT_DISCARDED,
     AdminServer,
-    RegistrationTimeout,
     SimulationConfig,
     render_table,
     write_report,
@@ -22,10 +21,7 @@ from .harness import (
     render_experiment_table,
     run_experiment,
 )
-from .blocks import StructuralError
 from .miner import MinerNode
-from .protocol import ProtocolError
-from .timing import InvalidHashpower
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,18 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_admin(args: argparse.Namespace) -> int:
-    config = SimulationConfig(
-        num_miners=args.num_miners,
-        duration=args.sim_time,
-        interval=args.block_interval,
-        seed=args.seed,
-        time_scale=args.time_scale,
-        tx_pool_size=args.tx_pool_size,
-    )
-    server = AdminServer(config, port=args.port)
     try:
-        report = server.run()
-    except (RegistrationTimeout, ProtocolError, OSError) as exc:
+        config = SimulationConfig(
+            num_miners=args.num_miners,
+            duration=args.sim_time,
+            interval=args.block_interval,
+            seed=args.seed,
+            time_scale=args.time_scale,
+            tx_pool_size=args.tx_pool_size,
+        )
+        report = AdminServer(config, port=args.port).run()
+    # a bad option or an over-cap transaction pool is a ValueError (so is a
+    # ProtocolError); a port in use or a registration timeout is an OSError
+    except (ValueError, OSError) as exc:
         print(f"admin failed: {exc}", file=sys.stderr)
         return 1
     print(render_table(report))
@@ -89,20 +86,20 @@ def cmd_miner(args: argparse.Namespace) -> int:
     if not sep or not port.isdigit():
         print(f"--admin must be HOST:PORT, got {args.admin!r}", file=sys.stderr)
         return 2
-    node = MinerNode(
-        admin_host=host,
-        admin_port=int(port),
-        listen_port=args.listen_port,
-        hashpower=args.hashpower,  # None with --hashpower-random: sampled from seed
-        seed=args.seed,
-        extra_delay_ms=args.extra_delay_ms,
-    )
     try:
-        stats = node.run()
-    # a mistyped admin frame is a ProtocolError; a well-typed one can still
-    # carry a genesis or result chain that breaks the rules, or a roster
-    # total below this miner's own hashpower
-    except (ProtocolError, StructuralError, InvalidHashpower, TimeoutError, OSError) as exc:
+        stats = MinerNode(
+            admin_host=host,
+            admin_port=int(port),
+            listen_port=args.listen_port,
+            hashpower=args.hashpower,  # None with --hashpower-random: sampled from seed
+            seed=args.seed,
+            extra_delay_ms=args.extra_delay_ms,
+        ).run()
+    # a ValueError is a hashpower that is not positive, a mistyped admin frame
+    # (ProtocolError), a genesis or result chain that breaks the rules
+    # (StructuralError) or a roster total below this miner's own hashpower
+    # (InvalidHashpower); a timeout or a lost admin is an OSError
+    except (ValueError, OSError) as exc:
         print(f"miner failed: {exc}", file=sys.stderr)
         return 1
     if args.stats_out:
@@ -124,9 +121,13 @@ def cmd_harness(args: argparse.Namespace) -> int:
             return 1
         print(render_experiment_table(aggregate))
         return 0
-    with open(args.aggregate, encoding="utf-8") as fh:
-        aggregate = json.load(fh)
-    result = fairness_check(aggregate, args.tolerance_pp)
+    try:
+        with open(args.aggregate, encoding="utf-8") as fh:
+            aggregate = json.load(fh)
+        result = fairness_check(aggregate, args.tolerance_pp)
+    except (ValueError, OSError) as exc:
+        print(f"harness check failed: {exc}", file=sys.stderr)
+        return 1
     for row in result["miners"]:
         mark = "ok" if row["ok"] else "FAIL"
         print(

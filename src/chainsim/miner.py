@@ -1,13 +1,14 @@
 """Miner process: registration, peer mesh, mining loop, consensus.
 
-A miner runs on one thread. During mining a single selectors loop
-sleeps until the next own blocktime, the next delayed outbound frame or
+A miner runs on one thread. It dials every peer once, after bootstrap
+and before mining. During mining a single selectors loop waits only in
+select, until the next own blocktime, the next delayed outbound frame or
 a readable socket. It accepts peer connections, reads BLOCK frames off
 them into mining.step, and writes its own blocks to every peer without
-blocking: a peer that cannot take a whole frame loses that frame and
-its connection, never the miner's time. A peer whose frame is corrupt,
-or whose block breaks the chain rules, loses its connection; the miner
-mines on.
+blocking: a peer that cannot be dialed, or cannot take a whole frame,
+loses its link for the rest of the run, never the miner's time. A peer
+whose frame is corrupt, or whose block breaks the chain rules, loses its
+connection; the miner mines on.
 """
 
 from __future__ import annotations
@@ -48,14 +49,13 @@ CONSENSUS_PHASE_TIMEOUT = 60.0
 
 
 class PeerLink:
-    """Outbound frames to one peer, in order, over one lazy connection.
+    """Outbound frames to one peer, in order, over one connection dialed before mining.
 
     Each frame waits until its due time: with an extra delay of d ms, the
-    next due time is max(now, previous due) + U(0, d). Sends never block;
-    only the lazy connect may wait, for at most 2 s. A failed send is
-    retried once on a fresh connection, then the frame is dropped: that
-    peer simply misses the block. A send the socket cannot take whole
-    drops the frame and the connection.
+    next due time is max(now, previous due) + U(0, d). The peer is dialed
+    once, when the link is built; sends never block. A failed dial, or a
+    send that fails or that the socket cannot take whole, costs that
+    peer every later frame of the run.
     """
 
     def __init__(self, record: MinerRecord, delay_ms: int, rng: random.Random):
@@ -65,8 +65,18 @@ class PeerLink:
         self.outbox: deque[tuple[float, bytes]] = deque()  # (monotonic due, frame)
         self._last_due = 0.0
         self._sock: socket.socket | None = None
+        try:
+            self._sock = socket.create_connection((record.ip, record.port), timeout=2.0)
+            self._sock.setblocking(False)
+        except OSError as exc:
+            self.close()
+            log.warning(
+                "no link to miner %d at %s:%d: %s", record.miner_id, record.ip, record.port, exc
+            )
 
     def submit(self, frame: bytes, now: float) -> None:
+        if self._sock is None:
+            return
         due = max(now, self._last_due)
         if self.delay_s > 0:
             due += self.rng.uniform(0.0, self.delay_s)
@@ -78,34 +88,21 @@ class PeerLink:
             self._deliver(self.outbox.popleft()[1])
 
     def _deliver(self, frame: bytes) -> None:
-        for attempt in (1, 2):
-            try:
-                if self._sock is None:
-                    self._sock = socket.create_connection(
-                        (self.record.ip, self.record.port), timeout=2.0
-                    )
-                    self._sock.setblocking(False)
-                whole = self._sock.send(frame) == len(frame)
-            except BlockingIOError:
-                whole = False
-            except OSError as exc:
-                self.close()
-                if attempt == 2:
-                    log.warning(
-                        "dropping frame for miner %d after retry: %s",
-                        self.record.miner_id,
-                        exc,
-                    )
-                continue
-            if not whole:
-                self.close()
-                log.warning(
-                    "dropping frame and connection for miner %d: send buffer full",
-                    self.record.miner_id,
-                )
-            return
+        try:
+            if self._sock.send(frame) == len(frame):
+                return
+            reason = "send buffer full"
+        except OSError as exc:  # a full buffer raises BlockingIOError
+            reason = str(exc)
+        log.warning(
+            "dropping frame and link to miner %d for the rest of the run: %s",
+            self.record.miner_id,
+            reason,
+        )
+        self.close()
 
     def close(self) -> None:
+        self.outbox.clear()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -149,7 +146,7 @@ class MinerNode:
         listen_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listen_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listen_sock.bind((self.listen_host, self.listen_port))
-        listen_sock.listen(16)
+        listen_sock.listen()
         port = listen_sock.getsockname()[1]
 
         admin = BufferedConn(

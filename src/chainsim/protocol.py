@@ -265,13 +265,6 @@ def tx_to_payload(tx: Transaction) -> dict:
     return {"id": tx.id, "size_bytes": tx.size_bytes, "fee": tx.fee}
 
 
-def tx_from_payload(obj: dict) -> Transaction:
-    try:
-        return Transaction(id=obj["id"], size_bytes=obj["size_bytes"], fee=obj["fee"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad transaction payload: {exc}") from exc
-
-
 def miner_record_to_payload(rec: MinerRecord) -> dict:
     return {
         "miner_id": rec.miner_id,

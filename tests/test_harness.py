@@ -1,6 +1,7 @@
 """Harness and CLI behavior: spec parsing, aggregation, retries, fairness."""
 
 import json
+import socket
 import subprocess
 import sys
 
@@ -245,6 +246,34 @@ def test_cli_rejects_bad_miner_address():
     )
     assert proc.returncode == 2
     assert "HOST:PORT" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, failed",
+    [
+        (["admin", "--port", "0", "--num-miners", "0"], "admin failed: need at least one miner"),
+        (["admin", "--port", "{busy}", "--num-miners", "1"], "admin failed: "),
+        (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "-1",
+          "--seed", "1"], "miner failed: hashpower must be positive"),
+        (["harness", "check", "--aggregate", "{missing}", "--tolerance-pp", "1"],
+         "harness check failed: "),
+    ],
+    ids=["no-miners", "admin-port-in-use", "negative-hashpower", "missing-aggregate"],
+)
+def test_cli_reports_bad_input_without_a_traceback(tmp_path, argv, failed):
+    if argv[0] == "admin":
+        argv = argv + ["--sim-time", "1", "--block-interval", "1", "--seed", "1"]
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        fill = {"{busy}": str(busy.getsockname()[1]), "{missing}": str(tmp_path / "no.json")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainsim", *(fill.get(a, a) for a in argv)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(failed), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_network_experiment_single_run(tmp_path):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import logging
+import random
 import socket
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -18,10 +20,12 @@ from chainsim.admin import (
     create_genesis,
 )
 from chainsim.blocks import Block, make_placeholder
-from chainsim.miner import MinerNode
+from chainsim.miner import MinerNode, PeerLink
 import chainsim.netio as netio
 from chainsim.netio import BufferedConn, connect_with_retry
+import chainsim.protocol as protocol
 from chainsim.protocol import (
+    FrameOverflow,
     MinerRecord,
     ProtocolError,
     WireMessage,
@@ -449,10 +453,13 @@ def test_junk_on_peer_ports_costs_only_that_connection(caplog):
         num_miners=3, duration=60.0, interval=2.0, seed=3, time_scale=200.0
     )
     server = AdminServer(config, port=0)
-    with ThreadPoolExecutor(max_workers=3) as pool:
+    unlistened = refusing_port()  # the junk miner's registered port: every dial is refused
+    with unlistened, ThreadPoolExecutor(max_workers=3) as pool:
         admin_fut = pool.submit(server.run)
         junk = ScriptedMiner(
-            server.port, listen_port=7800, peer_frames=(encode(msg_sim_end()), malformed)
+            server.port,
+            listen_port=unlistened.getsockname()[1],
+            peer_frames=(encode(msg_sim_end()), malformed),
         )
         junk.start()
         miner_futs = [
@@ -472,6 +479,13 @@ def test_junk_on_peer_ports_costs_only_that_connection(caplog):
     warnings = [r.getMessage() for r in caplog.records]
     assert any("SIM_END frame on a peer connection" in w for w in warnings)
     assert any("dropping peer connection" in w for w in warnings)
+    # the dial to the junk miner fails once per honest miner, before mining;
+    # the honest miners' blocks then skip it without a warning per frame
+    no_link = [r for r in caplog.records if r.getMessage().startswith("no link to ")]
+    assert len(no_link) == 2
+    assert len({r.threadName for r in no_link}) == 2
+    assert all(f"no link to miner {junk.miner_id} " in r.getMessage() for r in no_link)
+    assert not any("dropping frame" in w for w in warnings)
 
 
 def test_rule_breaking_blocks_cost_only_their_connection(caplog):
@@ -529,6 +543,59 @@ def test_extra_delay_run_completes_and_agrees():
     assert acct["last_block_frames"] == 3
     assert acct["chain_frames"] == 1
     assert acct["block_frames_during_mining"] == 0
+
+
+def test_every_peer_is_dialed_once_before_mining(monkeypatch):
+    mining = set()  # threads inside MinerNode._mine
+    dials = []  # (address, dialed while mining)
+    real_mine, real_dial = MinerNode._mine, socket.create_connection
+
+    def mine(self, *args):
+        mining.add(threading.get_ident())
+        try:
+            return real_mine(self, *args)
+        finally:
+            mining.discard(threading.get_ident())
+
+    def dial(address, *args, **kw):
+        dials.append((address, threading.get_ident() in mining))
+        return real_dial(address, *args, **kw)
+
+    monkeypatch.setattr(MinerNode, "_mine", mine)
+    monkeypatch.setattr(socket, "create_connection", dial)
+    config = SimulationConfig(
+        num_miners=3, duration=60.0, interval=2.0, seed=6, time_scale=200.0
+    )
+    report, stats = run_network(config, [10.0, 20.0, 30.0])
+    assert not report["discarded"]
+    assert report["total_blocks"] > 0
+    assert len({tuple(s["final_chain_ids"]) for s in stats}) == 1
+    assert not any(while_mining for _, while_mining in dials)
+    # each miner is dialed by its two peers, once each
+    peer_ports = {m["port"] for m in report["miners"]}
+    assert Counter(port for (_, port), _ in dials if port in peer_ports) == {
+        port: 2 for port in peer_ports
+    }
+
+
+def test_a_partial_send_costs_the_link_for_the_rest_of_the_run(caplog):
+    caplog.set_level(logging.WARNING, logger="chainsim.miner")
+    with socket.create_server(("127.0.0.1", 0)) as peer:
+        record = MinerRecord(2, 1.0, "127.0.0.1", peer.getsockname()[1])
+        link = PeerLink(record, 0, random.Random(1))
+        link.submit(bytes(2**24), 0.0)  # more than the unread socket buffers hold
+        link.flush(0.0)
+        link.submit(b"later", 0.0)
+        link.flush(0.0)
+        link.close()
+        peer.setblocking(False)
+        peer.accept()[0].close()  # the dial made before mining
+        with pytest.raises(BlockingIOError):
+            peer.accept()  # and no redial after the failed send
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropping frame and link to miner 2 for the rest of the run: send buffer full"
+    ]
+    assert not link.outbox
 
 
 def refusing_port() -> socket.socket:
@@ -691,3 +758,19 @@ def test_rule_breaking_admin_frame_ends_the_miner_cleanly(capsys, frame, fields)
     assert status == 1
     assert err.startswith("miner failed: ")
     assert "Traceback" not in err
+
+
+def test_over_cap_tx_pool_fails_before_the_admin_listens(monkeypatch, capsys):
+    # the default 100-transaction pool is an 8477-byte TX_POOL frame
+    monkeypatch.setattr(protocol, "MAX_FRAME", 3000)
+    with pytest.raises(FrameOverflow):
+        AdminServer(quick_config(1), port=0)
+    args = cli.build_parser().parse_args(
+        ["admin", "--port", "0", "--num-miners", "1", "--sim-time", "1",
+         "--block-interval", "12.42", "--seed", "1"]
+    )
+    start = time.monotonic()
+    assert cli.cmd_admin(args) == 1
+    assert time.monotonic() - start < 5.0  # no wait for a registration
+    err = capsys.readouterr().err
+    assert err.startswith("admin failed: body of ") and "exceeds frame limit" in err
