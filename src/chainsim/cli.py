@@ -22,6 +22,7 @@ from .harness import (
     run_experiment,
 )
 from .miner import MinerNode
+from .timing import DEFAULT_DELAY_RANGE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     power.add_argument("--hashpower", type=float, default=None)
     power.add_argument("--hashpower-random", action="store_true")
     miner.add_argument("--seed", type=int, required=True)
-    miner.add_argument("--extra-delay-ms", type=int, default=0)
+    miner.add_argument(
+        "--delay-range", type=float, nargs=2, default=DEFAULT_DELAY_RANGE, metavar=("LO", "HI"),
+        help="peer delay per block, U(LO, HI) sim-seconds",
+    )
     miner.add_argument("--stats-out", default=None)
 
     harness = sub.add_parser("harness", help="drive repeated simulations")
@@ -93,12 +97,12 @@ def cmd_miner(args: argparse.Namespace) -> int:
             listen_port=args.listen_port,
             hashpower=args.hashpower,  # None with --hashpower-random: sampled from seed
             seed=args.seed,
-            extra_delay_ms=args.extra_delay_ms,
+            delay_range=args.delay_range,
         ).run()
-    # a ValueError is a hashpower that is not positive, a mistyped admin frame
-    # (ProtocolError), a genesis or result chain that breaks the rules
-    # (StructuralError) or a roster total below this miner's own hashpower
-    # (InvalidHashpower); a timeout or a lost admin is an OSError
+    # a ValueError is a hashpower that is not positive, a bad delay range, a
+    # mistyped admin frame (ProtocolError), a genesis or result chain that
+    # breaks the rules (StructuralError) or a roster total below this miner's
+    # own hashpower (InvalidHashpower); a timeout or a lost admin is an OSError
     except (ValueError, OSError) as exc:
         print(f"miner failed: {exc}", file=sys.stderr)
         return 1

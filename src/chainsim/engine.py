@@ -10,8 +10,9 @@ there the inbox is sorted once, and one step applies every arrival that
 comes before, in (time, queue order), sliced off as the sorted prefix;
 arrivals after the duration are dropped. Every random draw comes from a
 seeded generator, so a given configuration replays bit-identically.
-Peer delivery delay is drawn uniformly from a configurable range per
-(block, receiver) pair.
+Peer delivery delay is drawn from U(lo, hi) sim-seconds per (block,
+receiver) pair, so blocks may overtake each other: the same model the
+live miner's peer links use, there on the scaled wall clock.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ from .admin import (
 from .blocks import Block
 from .chain import ConsensusEntry, LocalChainState, finalize_state, select_consensus_winner
 from .mining import MiningContext, MinerTally, step
-from .timing import HashpowerProfile, sample_hashpower
+from .timing import DEFAULT_DELAY_RANGE, HashpowerProfile, check_delay_range, sample_hashpower
 
 # Bound here though unused: the benchmark's tracer patches these names on this module.
 from .chain import apply_created_block, apply_received_block  # noqa: F401
 from .mining import draw_own_block  # noqa: F401
-
-DEFAULT_DELAY_RANGE = (0.05, 0.3)  # sim-seconds, roughly LAN-to-WAN scale
 
 
 def slot_seed(seed: int, slot: int) -> int:
@@ -136,8 +135,7 @@ def run_logical(
     delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE,
 ) -> RunResult:
     """One full simulation plus consensus, entirely in this process."""
-    if not 0 <= delay_range[0] <= delay_range[1]:
-        raise ValueError("delay range must satisfy 0 <= lo <= hi")
+    check_delay_range(delay_range)
     powers = resolve_hashpowers(config, hashpowers)
     total = sum(powers)
     genesis = create_genesis()

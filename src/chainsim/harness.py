@@ -16,7 +16,8 @@ import sys
 from dataclasses import dataclass, fields
 
 from .admin import EXIT_DISCARDED, SimulationConfig, write_report
-from .engine import DEFAULT_DELAY_RANGE, run_logical, slot_seed
+from .engine import run_logical, slot_seed
+from .timing import DEFAULT_DELAY_RANGE, check_delay_range
 
 MODES = ("network", "logical")
 
@@ -38,8 +39,7 @@ class ExperimentSpec:
     hashpowers: tuple[float, ...] | None = None  # None means sampled per run
     out_dir: str = "experiment-out"
     base_port: int = 0  # 0 means probe for a free block of ports
-    extra_delay_ms: int = 0
-    delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE
+    delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE  # sim-seconds, both modes
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -48,6 +48,9 @@ class ExperimentSpec:
             raise ValueError("runs must be at least 1")
         if self.hashpowers is not None and len(self.hashpowers) != self.num_miners:
             raise ValueError("hashpowers list length must equal num_miners")
+        if self.mode == "logical" and (self.time_scale != 1.0 or self.base_port != 0):
+            raise ValueError("a logical spec takes no time_scale or base_port")
+        check_delay_range(self.delay_range)
 
     def config(self, run_seed: int) -> SimulationConfig:
         return SimulationConfig(
@@ -135,26 +138,15 @@ def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int
     os.makedirs(work, exist_ok=True)
     report_path = os.path.join(work, "report.json")
     admin_cmd = [
-        sys.executable,
-        "-m",
-        "chainsim",
-        "admin",
-        "--port",
-        str(ports[0]),
-        "--num-miners",
-        str(spec.num_miners),
-        "--sim-time",
-        str(spec.duration),
-        "--block-interval",
-        str(spec.interval),
-        "--seed",
-        str(run_seed),
-        "--time-scale",
-        str(spec.time_scale),
-        "--tx-pool-size",
-        str(spec.tx_pool_size),
-        "--report-out",
-        report_path,
+        sys.executable, "-m", "chainsim", "admin",
+        "--port", str(ports[0]),
+        "--num-miners", str(spec.num_miners),
+        "--sim-time", str(spec.duration),
+        "--block-interval", str(spec.interval),
+        "--seed", str(run_seed),
+        "--time-scale", str(spec.time_scale),
+        "--tx-pool-size", str(spec.tx_pool_size),
+        "--report-out", report_path,
     ]
     miner_cmds = []
     stats_paths = []
@@ -162,25 +154,17 @@ def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int
         stats_path = os.path.join(work, f"miner_{i}.json")
         stats_paths.append(stats_path)
         cmd = [
-            sys.executable,
-            "-m",
-            "chainsim",
-            "miner",
-            "--admin",
-            f"127.0.0.1:{ports[0]}",
-            "--listen-port",
-            str(ports[1 + i]),
-            "--seed",
-            str(slot_seed(run_seed, i)),
-            "--stats-out",
-            stats_path,
+            sys.executable, "-m", "chainsim", "miner",
+            "--admin", f"127.0.0.1:{ports[0]}",
+            "--listen-port", str(ports[1 + i]),
+            "--seed", str(slot_seed(run_seed, i)),
+            "--stats-out", stats_path,
+            "--delay-range", *map(str, spec.delay_range),
         ]
         if spec.hashpowers is not None:
             cmd += ["--hashpower", str(spec.hashpowers[i])]
         else:
             cmd += ["--hashpower-random"]
-        if spec.extra_delay_ms:
-            cmd += ["--extra-delay-ms", str(spec.extra_delay_ms)]
         miner_cmds.append(cmd)
 
     procs: list[subprocess.Popen] = []

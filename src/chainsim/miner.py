@@ -6,19 +6,22 @@ select, until the next own blocktime, the next delayed outbound frame or
 a readable socket. It accepts peer connections, reads BLOCK frames off
 them into mining.step, and writes its own blocks to every peer without
 blocking: a peer that cannot be dialed, or cannot take a whole frame,
-loses its link for the rest of the run, never the miner's time. A peer
-whose frame is corrupt, or whose block breaks the chain rules, loses its
-connection; the miner mines on.
+loses its link for the rest of the run, never the miner's time. Each
+outbound frame waits U(lo, hi) sim-seconds of the delay range, drawn per
+(frame, peer) as the logical engine draws per (block, receiver), and
+scaled to the wall clock; loopback transport adds its own delay on top.
+A peer whose frame is corrupt, or whose block breaks the chain rules,
+loses its connection; the miner mines on.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import random
 import selectors
 import socket
 import time
-from collections import deque
 
 from .blocks import Block
 from .chain import LocalChainState, finalize_state, validate_chain
@@ -39,7 +42,9 @@ from .protocol import (
     sim_start_from_payload,
     tx_ids_from_payload,
 )
-from .timing import HashpowerProfile, SimulationClock, sample_hashpower
+from .timing import (
+    DEFAULT_DELAY_RANGE, HashpowerProfile, SimulationClock, check_delay_range, sample_hashpower
+)
 
 log = logging.getLogger(__name__)
 
@@ -49,21 +54,21 @@ CONSENSUS_PHASE_TIMEOUT = 60.0
 
 
 class PeerLink:
-    """Outbound frames to one peer, in order, over one connection dialed before mining.
+    """Outbound frames to one peer, over one connection dialed before mining.
 
-    Each frame waits until its due time: with an extra delay of d ms, the
-    next due time is max(now, previous due) + U(0, d). The peer is dialed
-    once, when the link is built; sends never block. A failed dial, or a
-    send that fails or that the socket cannot take whole, costs that
-    peer every later frame of the run.
+    Each frame waits until its own due time, now + U(lo, hi) wall-seconds,
+    where (lo, hi) is the run's delay range over its time_scale, so frames
+    may overtake each other. The peer is dialed once, when the link is
+    built; sends never block. A failed dial, or a send that fails or that
+    the socket cannot take whole, costs that peer every later frame of the
+    run.
     """
 
-    def __init__(self, record: MinerRecord, delay_ms: int, rng: random.Random):
+    def __init__(self, record: MinerRecord, delays: tuple[float, float], rng: random.Random):
         self.record = record
-        self.delay_s = delay_ms / 1000.0
+        self.delays = delays  # (lo, hi) in wall-seconds
         self.rng = rng
-        self.outbox: deque[tuple[float, bytes]] = deque()  # (monotonic due, frame)
-        self._last_due = 0.0
+        self.outbox: list[tuple[float, bytes]] = []  # heap of (monotonic due, frame)
         self._sock: socket.socket | None = None
         try:
             self._sock = socket.create_connection((record.ip, record.port), timeout=2.0)
@@ -75,17 +80,12 @@ class PeerLink:
             )
 
     def submit(self, frame: bytes, now: float) -> None:
-        if self._sock is None:
-            return
-        due = max(now, self._last_due)
-        if self.delay_s > 0:
-            due += self.rng.uniform(0.0, self.delay_s)
-        self._last_due = due
-        self.outbox.append((due, frame))
+        if self._sock is not None:
+            heapq.heappush(self.outbox, (now + self.rng.uniform(*self.delays), frame))
 
     def flush(self, now: float) -> None:
         while self.outbox and self.outbox[0][0] <= now:
-            self._deliver(self.outbox.popleft()[1])
+            self._deliver(heapq.heappop(self.outbox)[1])
 
     def _deliver(self, frame: bytes) -> None:
         try:
@@ -128,7 +128,7 @@ class MinerNode:
         listen_port: int,
         hashpower: float | None,
         seed: int,
-        extra_delay_ms: int = 0,
+        delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE,
         listen_host: str = "127.0.0.1",
     ):
         self.admin_host = admin_host
@@ -136,7 +136,8 @@ class MinerNode:
         self.listen_host = listen_host
         self.listen_port = listen_port
         self.seed = seed
-        self.extra_delay_ms = extra_delay_ms
+        check_delay_range(delay_range)
+        self.delay_range = delay_range
         rng = random.Random(seed)
         self.hashpower = hashpower if hashpower is not None else sample_hashpower(rng)
         if self.hashpower <= 0:
@@ -181,9 +182,9 @@ class MinerNode:
                 tx_pool_ids=tx_ids,
             )
 
+            delays = (self.delay_range[0] / time_scale, self.delay_range[1] / time_scale)
             links = [
-                PeerLink(peer, self.extra_delay_ms, random.Random(subseed ^ peer.miner_id))
-                for peer in peers
+                PeerLink(peer, delays, random.Random(subseed ^ peer.miner_id)) for peer in peers
             ]
             self._mine(ctx, state, clock, duration, admin, listen_sock, links)
             return self._consensus(ctx, state, admin, my_id, port)

@@ -8,11 +8,13 @@ interval on average regardless of how the hashpower is split.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 
 HASHPOWER_MAX = 30.0  # upper edge of the uniform hashpower draw
+DEFAULT_DELAY_RANGE = (0.05, 0.3)  # sim-seconds of peer delay, roughly LAN-to-WAN scale
 
 
 class InvalidHashpower(ValueError):
@@ -44,6 +46,13 @@ class SimulationClock:
 
     def now(self) -> float:
         return (time.monotonic() - self.start_instant) * self.time_scale
+
+
+def check_delay_range(delay_range: tuple[float, float]) -> None:
+    """A peer delay range, in sim-seconds, is finite and satisfies 0 <= lo <= hi."""
+    lo, hi = delay_range
+    if not 0 <= lo <= hi < math.inf:
+        raise ValueError(f"delay range must be finite with 0 <= lo <= hi, got {delay_range}")
 
 
 def sample_hashpower(rng: random.Random) -> float:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from chainsim import cli
 from chainsim.harness import (
     ExperimentFailure,
     ExperimentSpec,
@@ -43,6 +44,23 @@ def test_spec_validation(tmp_path):
         make_spec(tmp_path, hashpowers=(1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (dict(time_scale=100.0), "logical spec takes no time_scale or base_port"),
+        (dict(base_port=9000), "logical spec takes no time_scale or base_port"),
+        (dict(delay_range=(2.0, 1.0)), "delay range"),
+        (dict(mode="network", delay_range=(-0.1, 1.0)), "delay range"),
+        (dict(mode="network", delay_range=(0.0, float("inf"))), "delay range"),
+        (dict(mode="network", delay_range=(float("nan"), 1.0)), "delay range"),
+        (dict(mode="network", delay_range=(1.0,)), "unpack"),
+    ],
+)
+def test_spec_rejects_a_field_its_mode_ignores_or_a_bad_delay_range(tmp_path, overrides, match):
+    with pytest.raises(ValueError, match=match):
+        make_spec(tmp_path, **overrides)
+
+
 def test_load_spec_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(
@@ -71,6 +89,13 @@ def test_load_spec_round_trip(tmp_path):
     path.write_text(json.dumps({"mode": "logical", "num_miners": 1, "duration": 1.0,
                                 "interval": 1.0, "seed": 1, "runs": 1, "bogus": True}))
     with pytest.raises(ValueError, match="bogus"):
+        load_spec(str(path))
+
+    # a bad network spec fails here, before any process starts
+    path.write_text(json.dumps({"mode": "network", "num_miners": 2, "duration": 1.0,
+                                "interval": 1.0, "seed": 1, "runs": 1, "time_scale": 100.0,
+                                "delay_range": [0.3, 0.05]}))
+    with pytest.raises(ValueError, match="delay range"):
         load_spec(str(path))
 
 
@@ -248,6 +273,14 @@ def test_cli_rejects_bad_miner_address():
     assert "HOST:PORT" in proc.stderr
 
 
+def test_cli_refuses_the_removed_fifo_delay_flag(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "5",
+                  "--seed", "1", "--extra-delay-ms", "5"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --extra-delay-ms" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, failed",
     [
@@ -255,10 +288,13 @@ def test_cli_rejects_bad_miner_address():
         (["admin", "--port", "{busy}", "--num-miners", "1"], "admin failed: "),
         (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "-1",
           "--seed", "1"], "miner failed: hashpower must be positive"),
+        (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "5",
+          "--seed", "1", "--delay-range", "2", "1"], "miner failed: delay range must be "),
         (["harness", "check", "--aggregate", "{missing}", "--tolerance-pp", "1"],
          "harness check failed: "),
     ],
-    ids=["no-miners", "admin-port-in-use", "negative-hashpower", "missing-aggregate"],
+    ids=["no-miners", "admin-port-in-use", "negative-hashpower", "inverted-delay-range",
+         "missing-aggregate"],
 )
 def test_cli_reports_bad_input_without_a_traceback(tmp_path, argv, failed):
     if argv[0] == "admin":
@@ -299,3 +335,32 @@ def test_network_experiment_single_run(tmp_path):
     assert (work / "miner_1.json").exists()
     stats = json.loads((work / "miner_0.json").read_text())
     assert stats["discarded"] is False
+
+
+def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkeypatch):
+    commands = []
+    real_popen = subprocess.Popen
+
+    def popen(cmd, *args, **kw):
+        commands.append(cmd)
+        return real_popen(cmd, *args, **kw)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    spec = make_spec(
+        tmp_path,
+        mode="network",
+        num_miners=2,
+        duration=30.0,
+        time_scale=100.0,
+        runs=1,
+        seed=78,
+        hashpowers=(12.0, 24.0),
+        delay_range=(0.125, 0.75),
+    )
+    aggregate = run_experiment(spec)
+    assert aggregate["runs"] == 1
+    miners = [cmd for cmd in commands if "miner" in cmd]
+    assert len(miners) == 2
+    for cmd in miners:
+        at = cmd.index("--delay-range")
+        assert [float(v) for v in cmd[at + 1 : at + 3]] == [0.125, 0.75]

@@ -42,6 +42,7 @@ from chainsim.protocol import (
     msg_sim_start,
     msg_tx_pool,
 )
+from chainsim.timing import DEFAULT_DELAY_RANGE
 
 GENESIS = create_genesis()
 
@@ -50,7 +51,7 @@ def run_network(
     config: SimulationConfig,
     hashpowers: list[float],
     seed_offset: int = 0,
-    extra_delay_ms: int = 0,
+    delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE,
     **admin_kw,
 ) -> tuple[dict, list[dict]]:
     """One full in-process run: admin thread plus one thread per miner."""
@@ -65,7 +66,7 @@ def run_network(
                     listen_port=0,
                     hashpower=hp,
                     seed=seed_offset + i,
-                    extra_delay_ms=extra_delay_ms,
+                    delay_range=delay_range,
                 ).run
             )
             for i, hp in enumerate(hashpowers)
@@ -531,14 +532,16 @@ def test_rule_breaking_blocks_cost_only_their_connection(caplog):
     assert sum("block deep " in w for w in rejected) == 2
 
 
-def test_extra_delay_run_completes_and_agrees():
+def test_delay_range_run_forks_and_agrees():
+    # 0.5-1 sim-s of delay at a 2 s interval: blocks cross in flight often
     config = SimulationConfig(
         num_miners=3, duration=60.0, interval=2.0, seed=5, time_scale=200.0
     )
-    report, stats = run_network(config, [10.0, 20.0, 30.0], extra_delay_ms=5)
+    report, stats = run_network(config, [10.0, 20.0, 30.0], delay_range=(0.5, 1.0))
     assert not report["discarded"]
     assert report["total_blocks"] > 0
     assert len({tuple(s["final_chain_ids"]) for s in stats}) == 1
+    assert sum(s["tally"]["switches"] for s in stats) > 0
     acct = report["frame_accounting"]
     assert acct["last_block_frames"] == 3
     assert acct["chain_frames"] == 1
@@ -582,7 +585,7 @@ def test_a_partial_send_costs_the_link_for_the_rest_of_the_run(caplog):
     caplog.set_level(logging.WARNING, logger="chainsim.miner")
     with socket.create_server(("127.0.0.1", 0)) as peer:
         record = MinerRecord(2, 1.0, "127.0.0.1", peer.getsockname()[1])
-        link = PeerLink(record, 0, random.Random(1))
+        link = PeerLink(record, (0.0, 0.0), random.Random(1))
         link.submit(bytes(2**24), 0.0)  # more than the unread socket buffers hold
         link.flush(0.0)
         link.submit(b"later", 0.0)
@@ -596,6 +599,30 @@ def test_a_partial_send_costs_the_link_for_the_rest_of_the_run(caplog):
         "dropping frame and link to miner 2 for the rest of the run: send buffer full"
     ]
     assert not link.outbox
+
+
+def test_peer_link_frames_wait_their_own_delay_and_may_overtake():
+    with socket.create_server(("127.0.0.1", 0)) as peer:
+        record = MinerRecord(2, 1.0, "127.0.0.1", peer.getsockname()[1])
+        # a delay range of (1, 3) sim-s at time_scale 100: 10 to 30 wall-ms
+        link = PeerLink(record, (1.0 / 100, 3.0 / 100), random.Random(7))
+        frames = [i.to_bytes(2, "big") for i in range(50)]
+        for frame in frames:
+            link.submit(frame, 0.0)
+        conn, _ = peer.accept()
+        with conn:
+            link.flush(0.0099)
+            assert len(link.outbox) == 50
+            link.flush(0.03)
+            assert not link.outbox
+            link.close()
+            received = b""
+            conn.settimeout(5.0)
+            while chunk := conn.recv(4096):
+                received += chunk
+    got = [received[i : i + 2] for i in range(0, len(received), 2)]
+    assert sorted(got) == frames
+    assert got != frames  # later frames overtook earlier ones
 
 
 def refusing_port() -> socket.socket:
