@@ -128,15 +128,16 @@ def subseed_for(seed: int, miner_id: int) -> int:
 
 
 class MinerConn(BufferedConn):
-    """One registered miner's admin-side connection."""
+    """One miner's admin-side connection; record is set once it registers."""
 
-    def __init__(self, sock: socket.socket, record: MinerRecord | None = None):
+    def __init__(self, sock: socket.socket, ip: str):
         super().__init__(sock)
-        self.record = record
+        self.ip = ip
+        self.record: MinerRecord | None = None
 
     @property
     def label(self) -> str:
-        return f"miner {self.record.miner_id}" if self.record else "unregistered peer"
+        return f"miner {self.record.miner_id}" if self.record else f"registrant at {self.ip}"
 
 
 @dataclass
@@ -207,41 +208,65 @@ class AdminServer:
     # phase 1: registration
 
     def _run_registration(self) -> None:
+        """Accept and admit miners until all are in or the deadline passes.
+
+        Waits only in select, over the listener and every connection whose
+        REGISTER frame is not in yet, so a registrant that sends nothing,
+        or half a frame, holds up no one; it is closed at the end.
+        """
         deadline = time.monotonic() + self.registration_timeout
-        while len(self._conns) < self.config.num_miners:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RegistrationTimeout(
-                    f"{len(self._conns)}/{self.config.num_miners} miners registered"
-                )
-            self._listener.settimeout(remaining)
-            try:
-                sock, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            self._admit(sock, addr, deadline)
+        pending: dict[socket.socket, MinerConn] = {}
+        try:
+            while len(self._conns) < self.config.num_miners:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise RegistrationTimeout(
+                        f"{len(self._conns)}/{self.config.num_miners} miners registered"
+                    )
+                readable, _, _ = select.select([self._listener, *pending], [], [], remaining)
+                for sock in readable:
+                    if sock is self._listener:
+                        conn_sock, addr = sock.accept()
+                        pending[conn_sock] = MinerConn(conn_sock, addr[0])
+                    elif self._admit(pending[sock]):
+                        del pending[sock]
+        finally:
+            for conn in pending.values():
+                conn.close()
         log.info(
             "registration complete: %d miners, total hashpower %.3f",
             len(self._conns),
             self.ledger.total_hashpower,
         )
 
-    def _admit(self, sock: socket.socket, addr: tuple, deadline: float) -> None:
-        conn = MinerConn(sock)
+    def _admit(self, conn: MinerConn) -> bool:
+        """Read a readable registrant; register it once its REGISTER frame is in.
+
+        Returns False while the frame is incomplete. A registrant that
+        closes, sends a corrupt or other frame, or is refused by the ledger
+        is closed. The read's timeout stays on the socket and bounds the
+        blocking bootstrap sends.
+        """
         try:
-            msg = conn.next_message(max(0.1, deadline - time.monotonic()))
+            conn.pump(self.registration_timeout)
+            if not conn.inbox:
+                return False
+            msg = conn.inbox.popleft()
             if msg.type != "REGISTER":
                 raise ProtocolError(f"expected REGISTER, got {msg.type}")
             hashpower, port = register_from_payload(msg.payload)
-            record = self.ledger.register(hashpower=hashpower, ip=addr[0], port=port)
+            conn.record = self.ledger.register(hashpower=hashpower, ip=conn.ip, port=port)
         except (OSError, ValueError) as exc:  # ProtocolError is a ValueError
-            log.warning("rejected registrant from %s: %s", addr, exc)
-            sock.close()
-            return
-        conn.record = record
-        # immediate ack: your id, roster to follow once everyone is in
-        conn.send(msg_miner_info(record.miner_id, [], 0.0))
+            log.warning("rejected %s: %s", conn.label, exc)
+            conn.close()
+            return True
         self._conns.append(conn)
+        try:
+            # immediate ack: your id, roster to follow once everyone is in
+            conn.send(msg_miner_info(conn.record.miner_id, [], 0.0))
+        except OSError as exc:
+            self._drop(conn, exc)
+        return True
 
     # phase 2: roster, clock parameters, genesis, transaction pool
 

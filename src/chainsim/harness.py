@@ -13,7 +13,7 @@ import os
 import socket
 import subprocess
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .admin import EXIT_DISCARDED, SimulationConfig, write_report
 from .engine import run_logical, slot_seed
@@ -38,7 +38,6 @@ class ExperimentSpec:
     tx_pool_size: int = 100
     hashpowers: tuple[float, ...] | None = None  # None means sampled per run
     out_dir: str = "experiment-out"
-    base_port: int = 0  # 0 means probe for a free block of ports
     delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE  # sim-seconds, both modes
 
     def __post_init__(self) -> None:
@@ -48,8 +47,8 @@ class ExperimentSpec:
             raise ValueError("runs must be at least 1")
         if self.hashpowers is not None and len(self.hashpowers) != self.num_miners:
             raise ValueError("hashpowers list length must equal num_miners")
-        if self.mode == "logical" and (self.time_scale != 1.0 or self.base_port != 0):
-            raise ValueError("a logical spec takes no time_scale or base_port")
+        if self.mode == "logical" and self.time_scale != 1.0:
+            raise ValueError("a logical spec takes no time_scale")
         check_delay_range(self.delay_range)
 
     def config(self, run_seed: int) -> SimulationConfig:
@@ -63,24 +62,50 @@ class ExperimentSpec:
         )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    # finite as a float; the comparison, unlike float(), cannot overflow on a huge int
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+_STR = ("a string", lambda v: isinstance(v, str))
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", _is_number)
+# what each spec field's JSON value must be, and a check of it
+_SPEC_FIELD_TYPES = {
+    "mode": _STR, "out_dir": _STR,
+    "num_miners": _INT, "seed": _INT, "runs": _INT, "tx_pool_size": _INT,
+    "duration": _NUMBER, "interval": _NUMBER, "time_scale": _NUMBER,
+    "delay_range": (
+        "a list of two numbers",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+    ),
+    "hashpowers": (
+        'a list of numbers or "random"',
+        lambda v: v == "random" or isinstance(v, list) and all(map(_is_number, v)),
+    ),
+}
+
+
 def load_spec(path: str) -> ExperimentSpec:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    powers = raw.get("hashpowers", "random")
-    if powers == "random":
-        powers = None
-    elif isinstance(powers, list):
-        powers = tuple(float(h) for h in powers)
-    else:
-        raise ValueError("hashpowers must be a list or the string 'random'")
-    known = {f.name for f in fields(ExperimentSpec)}
-    unknown = set(raw) - known
+    """The spec in a JSON file; a mistyped or unknown field is a ValueError naming it."""
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ValueError("a spec must be a JSON object")
+    unknown = set(raw) - set(_SPEC_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-    kwargs = {k: raw[k] for k in known - {"hashpowers"} if k in raw}
-    if "delay_range" in kwargs:
-        kwargs["delay_range"] = tuple(kwargs["delay_range"])
-    return ExperimentSpec(hashpowers=powers, **kwargs)
+    for name, value in raw.items():
+        what, valid = _SPEC_FIELD_TYPES[name]
+        if not valid(value):
+            raise ValueError(f"spec field {name} must be {what}, got {value!r}")
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+    powers = kwargs.pop("hashpowers", "random")
+    hashpowers = None if powers == "random" else tuple(map(float, powers))
+    return ExperimentSpec(hashpowers=hashpowers, **kwargs)
 
 
 def run_seed_for(spec_seed: int, run_idx: int, attempt: int) -> int:
@@ -133,13 +158,17 @@ def _run_once(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int) -
 
 
 def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int) -> dict:
-    ports = _allocate_ports(spec.base_port, spec.num_miners + 1)
+    # miners bind port 0 and register the port they got; only the admin's
+    # port is probed, as the miners must know it before the admin binds
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        admin_port = probe.getsockname()[1]
     work = os.path.join(spec.out_dir, "work", f"run_{run_idx:03d}_a{attempt}")
     os.makedirs(work, exist_ok=True)
     report_path = os.path.join(work, "report.json")
     admin_cmd = [
         sys.executable, "-m", "chainsim", "admin",
-        "--port", str(ports[0]),
+        "--port", str(admin_port),
         "--num-miners", str(spec.num_miners),
         "--sim-time", str(spec.duration),
         "--block-interval", str(spec.interval),
@@ -155,8 +184,8 @@ def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int
         stats_paths.append(stats_path)
         cmd = [
             sys.executable, "-m", "chainsim", "miner",
-            "--admin", f"127.0.0.1:{ports[0]}",
-            "--listen-port", str(ports[1 + i]),
+            "--admin", f"127.0.0.1:{admin_port}",
+            "--listen-port", "0",
             "--seed", str(slot_seed(run_seed, i)),
             "--stats-out", stats_path,
             "--delay-range", *map(str, spec.delay_range),
@@ -195,34 +224,25 @@ def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int
         raise ExperimentFailure(
             f"admin exited with status {admin_rc} for seed {run_seed}; see {work}/admin.log"
         )
-    with open(report_path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    port_to_slot = {ports[1 + i]: i for i in range(spec.num_miners)}
+    report = _read_json(report_path)
+    if report["discarded"]:
+        return report  # retried, never written or aggregated: no slots needed
+    missing = [i for i, path in enumerate(stats_paths) if not os.path.exists(path)]
+    if missing:
+        raise ExperimentFailure(
+            f"miners {missing} wrote no stats for accepted seed {run_seed}; see {work}"
+        )
+    # miner i wrote miner_{i}.json, which holds the id the admin gave it
+    report["miner_stats"] = [_read_json(path) for path in stats_paths]
+    slots = {stats["miner_id"]: i for i, stats in enumerate(report["miner_stats"])}
     for row in report["miners"]:
-        row["slot"] = port_to_slot[row["port"]]
-    miner_stats = []
-    for path in stats_paths:
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                miner_stats.append(json.load(fh))
-    report["miner_stats"] = miner_stats
+        row["slot"] = slots[row["miner_id"]]
     return report
 
 
-def _allocate_ports(base_port: int, count: int) -> list[int]:
-    """A block of ports known to be free right now."""
-    if base_port:
-        return [base_port + i for i in range(count)]
-    socks = []
-    try:
-        for _ in range(count):
-            s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            s.bind(("127.0.0.1", 0))
-            socks.append(s)
-        return [s.getsockname()[1] for s in socks]
-    finally:
-        for s in socks:
-            s.close()
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _aggregate(spec: ExperimentSpec, reports: list[dict], retries: int) -> dict:

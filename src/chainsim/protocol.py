@@ -96,17 +96,13 @@ def encode(msg: WireMessage) -> bytes:
     return LENGTH_PREFIX.pack(len(body)) + body
 
 
-def decode(data: bytes) -> tuple[WireMessage, int]:
-    """Parse one frame from the head of data.
+def decode(data: bytes | bytearray, pos: int = 0) -> tuple[WireMessage, int]:
+    """Parse the frame that starts at data[pos:].
 
-    Returns the message and the number of bytes consumed; anything after
-    the frame is left for the next call.
+    Returns the message and the offset where the frame ends (from pos 0,
+    the bytes consumed); anything after the frame is left for the next
+    call.
     """
-    return _decode_at(data, 0)
-
-
-def _decode_at(data: bytes | bytearray, pos: int) -> tuple[WireMessage, int]:
-    """decode for the frame that starts at data[pos:]; returns it and where it ends."""
     have = len(data) - pos
     if have < LENGTH_PREFIX.size:
         raise IncompleteFrame("length prefix not yet complete")
@@ -156,7 +152,7 @@ class FrameReader:
         pos = 0
         try:
             while True:
-                msg, pos = _decode_at(buf, pos)
+                msg, pos = decode(buf, pos)
                 out.append(msg)
         except IncompleteFrame:
             return out

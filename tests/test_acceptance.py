@@ -35,9 +35,13 @@ from conftest import record_criterion
 
 from chainsim.admin import SimulationConfig
 from chainsim.chain import (
+    LocalChainState,
+    apply_received_block,
     fill_empty_blocks,
+    finalize_state,
     reconstruct_chain,
     select_consensus_winner,
+    verify_state_invariants,
 )
 from chainsim.engine import run_logical
 from chainsim.harness import ExperimentSpec, run_experiment
@@ -276,7 +280,26 @@ def test_criterion_8_reconstruction_round_trip():
             assert [b.id for b in holed[k + 1 :]] == [b.id for b in chain[k + 1 :]]
             assert holed[k].is_empty and holed[k].id == chain[k].id
             assert holed[0] == chain[0]
-        return "1000 chains reproduced exactly; k removals always leave k holes"
+
+            # the live path: the same hole through apply_received_block, as
+            # a miner meets it (blocks above the hole first, in any order),
+            # and then closed by the missing blocks, also in any order
+            state = LocalChainState(chain[0])
+            for blk in rng.sample(chain[k + 1 :], n - k):
+                apply_received_block(state, blk)
+            verify_state_invariants(state)
+            assert finalize_state(state) == k, f"live path: {k} removals left other holes"
+            assert [b.id for b in state.main_chain[k:]] == [b.id for b in chain[k:]]
+            assert state.main_chain[k].is_empty
+            for blk in rng.sample(chain[1 : k + 1], k):
+                apply_received_block(state, blk)
+            verify_state_invariants(state)
+            assert state.main_chain == chain, "live path: the missing blocks left a hole"
+            assert state.below_gap is None and finalize_state(state) == 0
+        return (
+            "1000 chains reproduced exactly; k removals always leave k holes, "
+            "on the live path too, and closing them restores the chain"
+        )
 
     checked(8, "chain reconstruction round-trip", body)
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 import random
 import socket
-import time
 
 import pytest
 
 from chainsim.admin import (
     AdminServer,
+    MinerConn,
     RegistrationLedger,
     SimulationConfig,
     create_genesis,
@@ -181,7 +181,7 @@ def admit(payload: dict) -> AdminServer:
     ours, theirs = socket.socketpair()
     try:
         ours.sendall(encode(WireMessage("REGISTER", payload)))
-        server._admit(theirs, ("127.0.0.1", 0), time.monotonic() + 5.0)
+        assert server._admit(MinerConn(theirs, "127.0.0.1"))
     finally:
         ours.close()
         server.close()

@@ -1,14 +1,17 @@
 """Harness and CLI behavior: spec parsing, aggregation, retries, fairness."""
 
 import json
+import re
 import socket
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from chainsim import cli
 from chainsim.harness import (
+    _SPEC_FIELD_TYPES,
     ExperimentFailure,
     ExperimentSpec,
     fairness_check,
@@ -47,8 +50,8 @@ def test_spec_validation(tmp_path):
 @pytest.mark.parametrize(
     "overrides, match",
     [
-        (dict(time_scale=100.0), "logical spec takes no time_scale or base_port"),
-        (dict(base_port=9000), "logical spec takes no time_scale or base_port"),
+        (dict(time_scale=100.0), "logical spec takes no time_scale"),
+        (dict(time_scale=0.5), "logical spec takes no time_scale"),
         (dict(delay_range=(2.0, 1.0)), "delay range"),
         (dict(mode="network", delay_range=(-0.1, 1.0)), "delay range"),
         (dict(mode="network", delay_range=(0.0, float("inf"))), "delay range"),
@@ -91,12 +94,31 @@ def test_load_spec_round_trip(tmp_path):
     with pytest.raises(ValueError, match="bogus"):
         load_spec(str(path))
 
+    # the harness picks no ports, so base_port is no longer a field
+    path.write_text(json.dumps({"mode": "network", "num_miners": 1, "duration": 1.0,
+                                "interval": 1.0, "seed": 1, "runs": 1, "base_port": 9000}))
+    with pytest.raises(ValueError, match="base_port"):
+        load_spec(str(path))
+
     # a bad network spec fails here, before any process starts
     path.write_text(json.dumps({"mode": "network", "num_miners": 2, "duration": 1.0,
                                 "interval": 1.0, "seed": 1, "runs": 1, "time_scale": 100.0,
                                 "delay_range": [0.3, 0.05]}))
     with pytest.raises(ValueError, match="delay range"):
         load_spec(str(path))
+
+
+def test_load_spec_checks_the_json_type_of_every_field(tmp_path):
+    assert set(_SPEC_FIELD_TYPES) == {f.name for f in fields(ExperimentSpec)}
+    base = {"mode": "logical", "num_miners": 2, "duration": 1.0, "interval": 1.0, "seed": 1,
+            "runs": 1}
+    path = tmp_path / "spec.json"
+    for field, value in [("runs", True), ("duration", "1"), ("hashpowers", [10**400, 1]),
+                         ("hashpowers", "equal"), ("delay_range", [0.1, 0.2, 0.3]),
+                         ("out_dir", 5), ("interval", float("nan"))]:
+        path.write_text(json.dumps({**base, field: value}))
+        with pytest.raises(ValueError, match=f"spec field {field} must be"):
+            load_spec(str(path))
 
 
 def test_retry_seeds_are_disjoint():
@@ -281,6 +303,12 @@ def test_cli_refuses_the_removed_fifo_delay_flag(capsys):
     assert "unrecognized arguments: --extra-delay-ms" in capsys.readouterr().err
 
 
+def spec_run(**fields) -> list:
+    """harness run argv for a valid logical spec with fields overridden."""
+    spec = dict(mode="logical", num_miners=2, duration=10.0, interval=1.0, seed=1, runs=1)
+    return ["harness", "run", "--spec", {**spec, **fields}]
+
+
 @pytest.mark.parametrize(
     "argv, failed",
     [
@@ -292,17 +320,33 @@ def test_cli_refuses_the_removed_fifo_delay_flag(capsys):
           "--seed", "1", "--delay-range", "2", "1"], "miner failed: delay range must be "),
         (["harness", "check", "--aggregate", "{missing}", "--tolerance-pp", "1"],
          "harness check failed: "),
+        (spec_run(runs="3"), "harness run failed: spec field runs must be an integer"),
+        (spec_run(num_miners="2"), "harness run failed: spec field num_miners must be an integer"),
+        (spec_run(delay_range=["a", 1]),
+         "harness run failed: spec field delay_range must be a list of two numbers"),
+        (spec_run(hashpowers=[None, 1]),
+         "harness run failed: spec field hashpowers must be a list of numbers"),
+        (["harness", "run", "--spec", [1, 2]], "harness run failed: a spec must be a JSON object"),
     ],
     ids=["no-miners", "admin-port-in-use", "negative-hashpower", "inverted-delay-range",
-         "missing-aggregate"],
+         "missing-aggregate", "spec-runs-str", "spec-num-miners-str", "spec-delay-range-str",
+         "spec-hashpowers-null", "spec-not-an-object"],
 )
 def test_cli_reports_bad_input_without_a_traceback(tmp_path, argv, failed):
     if argv[0] == "admin":
         argv = argv + ["--sim-time", "1", "--block-interval", "1", "--seed", "1"]
+    spec_path = tmp_path / "spec.json"
     with socket.create_server(("127.0.0.1", 0)) as busy:
         fill = {"{busy}": str(busy.getsockname()[1]), "{missing}": str(tmp_path / "no.json")}
+
+        def arg(a):
+            if isinstance(a, str):
+                return fill.get(a, a)
+            spec_path.write_text(json.dumps(a))  # a spec's JSON, passed as its file
+            return str(spec_path)
+
         proc = subprocess.run(
-            [sys.executable, "-m", "chainsim", *(fill.get(a, a) for a in argv)],
+            [sys.executable, "-m", "chainsim", *map(arg, argv)],
             capture_output=True,
             text=True,
             timeout=60,
@@ -364,3 +408,31 @@ def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkey
     for cmd in miners:
         at = cmd.index("--delay-range")
         assert [float(v) for v in cmd[at + 1 : at + 3]] == [0.125, 0.75]
+        assert cmd[cmd.index("--listen-port") + 1] == "0"  # the OS picks each miner's port
+    # each row's slot is the index of the stats file that holds its miner_id
+    work = tmp_path / "out" / "work" / "run_000_a0"
+    stats = [json.loads((work / f"miner_{i}.json").read_text()) for i in range(2)]
+    report = json.loads((tmp_path / "out" / "run_000.json").read_text())
+    for row in report["miners"]:
+        assert stats[row["slot"]]["miner_id"] == row["miner_id"]
+        assert stats[row["slot"]]["listen_port"] == row["port"] != 0
+        assert row["hashpower"] == (12.0, 24.0)[row["slot"]]
+
+
+def test_an_accepted_run_with_a_miner_that_wrote_no_stats_fails_naming_its_work_dir(
+    tmp_path, monkeypatch
+):
+    real_popen = subprocess.Popen
+
+    def popen(cmd, *args, **kw):
+        if any(a.endswith("miner_1.json") for a in cmd):  # miner 1 runs but keeps its stats
+            at = cmd.index("--stats-out")
+            cmd = cmd[:at] + cmd[at + 2 :]
+        return real_popen(cmd, *args, **kw)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    spec = make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
+                     runs=1, seed=80, hashpowers=(12.0, 24.0))
+    work = re.escape(str(tmp_path / "out" / "work" / "run_000_a0"))
+    with pytest.raises(ExperimentFailure, match=r"miners \[1\] wrote no stats.*see " + work):
+        run_experiment(spec)

@@ -239,6 +239,36 @@ def test_registration_timeout_when_miner_missing():
     assert scripted.error is not None  # connection died with the admin
 
 
+def test_a_silent_or_half_sent_registrant_holds_up_no_one():
+    timeout = 5.0
+    server = AdminServer(quick_config(2), port=0, registration_timeout=timeout)
+    started = time.monotonic()
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        fut = pool.submit(server.run)
+        silent = socket.create_connection(("127.0.0.1", server.port))
+        half = socket.create_connection(("127.0.0.1", server.port))
+        frame = encode(msg_register(7800, 10.0))
+        half.sendall(frame[: len(frame) // 2])
+        time.sleep(0.1)  # both are in the admin's queue before any real miner dials
+        try:
+            miners = [
+                pool.submit(MinerNode("127.0.0.1", server.port, 0, hashpower=hp, seed=i).run)
+                for i, hp in enumerate((10.0, 20.0))
+            ]
+            stats = [f.result(timeout=30) for f in miners]
+            report = fut.result(timeout=30)
+            for sock in (silent, half):  # closed once registration was over
+                sock.settimeout(5.0)
+                assert sock.recv(1) == b""
+        finally:
+            silent.close()
+            half.close()
+    assert time.monotonic() - started < timeout / 2
+    assert not report["discarded"]
+    assert sorted(s["miner_id"] for s in stats) == [1, 2]
+    assert {m["port"] for m in report["miners"]} == {s["listen_port"] for s in stats}
+
+
 def test_duplicate_registration_rejected():
     server = AdminServer(quick_config(2), port=0, registration_timeout=5.0)
     with ThreadPoolExecutor(max_workers=1) as pool:
