@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .blocks import ADMIN_ID, Block, StructuralError, Transaction, derive_block_id
 from .chain import ConsensusEntry, select_consensus_winner, validate_chain
-from .netio import BufferedConn, ConnectionClosed
+from .netio import BufferedConn, ConnectionClosed, listener
 from .protocol import (
     MinerRecord,
     ProtocolError,
@@ -42,6 +42,7 @@ from .protocol import (
 log = logging.getLogger(__name__)
 
 EXIT_DISCARDED = 3  # process status for a discarded simulation
+ANNOUNCEMENT = "admin listening on "  # then HOST:PORT: the admin's first line of output
 
 REGISTRATION_TIMEOUT = 60.0
 CONSENSUS_TIMEOUT = 30.0
@@ -180,10 +181,7 @@ class AdminServer:
         self._tx_pool_frame = encode(
             msg_tx_pool(create_tx_pool(config, random.Random(config.seed)))
         )
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(config.num_miners)
+        self._listener = listener(host, port, backlog=config.num_miners)
         self.port = self._listener.getsockname()[1]
         self._conns: list[MinerConn] = []
 

@@ -8,6 +8,7 @@ import logging
 import sys
 
 from .admin import (
+    ANNOUNCEMENT,
     EXIT_DISCARDED,
     AdminServer,
     SimulationConfig,
@@ -73,9 +74,13 @@ def cmd_admin(args: argparse.Namespace) -> int:
             time_scale=args.time_scale,
             tx_pool_size=args.tx_pool_size,
         )
-        report = AdminServer(config, port=args.port).run()
-    # a bad option or an over-cap transaction pool is a ValueError (so is a
-    # ProtocolError); a port in use or a registration timeout is an OSError
+        server = AdminServer(config, port=args.port)
+        # bound and listening: the miners may be started from here on
+        print(f"{ANNOUNCEMENT}{server.host}:{server.port}", flush=True)
+        report = server.run()
+    # a bad option, a port out of range or an over-cap transaction pool is a
+    # ValueError (so is a ProtocolError); a port in use or a registration
+    # timeout is an OSError
     except (ValueError, OSError) as exc:
         print(f"admin failed: {exc}", file=sys.stderr)
         return 1
@@ -87,7 +92,7 @@ def cmd_admin(args: argparse.Namespace) -> int:
 
 def cmd_miner(args: argparse.Namespace) -> int:
     host, sep, port = args.admin.rpartition(":")
-    if not sep or not port.isdigit():
+    if not (sep and port.isdecimal() and len(port) <= 5 and 0 < int(port) < 65536):
         print(f"--admin must be HOST:PORT, got {args.admin!r}", file=sys.stderr)
         return 2
     try:
@@ -99,10 +104,11 @@ def cmd_miner(args: argparse.Namespace) -> int:
             seed=args.seed,
             delay_range=args.delay_range,
         ).run()
-    # a ValueError is a hashpower that is not positive, a bad delay range, a
-    # mistyped admin frame (ProtocolError), a genesis or result chain that
-    # breaks the rules (StructuralError) or a roster total below this miner's
-    # own hashpower (InvalidHashpower); a timeout or a lost admin is an OSError
+    # a ValueError is a hashpower that is not positive, a listen port out of
+    # range, a bad delay range, a mistyped admin frame (ProtocolError), a
+    # genesis or result chain that breaks the rules (StructuralError) or a
+    # roster total below this miner's own hashpower (InvalidHashpower); a
+    # timeout, an admin that is not listening or a lost admin is an OSError
     except (ValueError, OSError) as exc:
         print(f"miner failed: {exc}", file=sys.stderr)
         return 1

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import json
 import os
-import socket
+import select
 import subprocess
 import sys
 from dataclasses import dataclass
 
-from .admin import EXIT_DISCARDED, SimulationConfig, write_report
+from .admin import ANNOUNCEMENT, EXIT_DISCARDED, SimulationConfig, write_report
 from .engine import run_logical, slot_seed
 from .timing import DEFAULT_DELAY_RANGE, check_delay_range
 
 MODES = ("network", "logical")
+ADMIN_START_TIMEOUT = 15.0  # wall seconds for an admin process to bind and announce
 
 
 class ExperimentFailure(RuntimeError):
@@ -158,17 +159,12 @@ def _run_once(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int) -
 
 
 def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int) -> dict:
-    # miners bind port 0 and register the port they got; only the admin's
-    # port is probed, as the miners must know it before the admin binds
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        admin_port = probe.getsockname()[1]
     work = os.path.join(spec.out_dir, "work", f"run_{run_idx:03d}_a{attempt}")
     os.makedirs(work, exist_ok=True)
     report_path = os.path.join(work, "report.json")
     admin_cmd = [
         sys.executable, "-m", "chainsim", "admin",
-        "--port", str(admin_port),
+        "--port", "0",
         "--num-miners", str(spec.num_miners),
         "--sim-time", str(spec.duration),
         "--block-interval", str(spec.interval),
@@ -177,39 +173,48 @@ def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int
         "--tx-pool-size", str(spec.tx_pool_size),
         "--report-out", report_path,
     ]
-    miner_cmds = []
-    stats_paths = []
-    for i in range(spec.num_miners):
-        stats_path = os.path.join(work, f"miner_{i}.json")
-        stats_paths.append(stats_path)
-        cmd = [
-            sys.executable, "-m", "chainsim", "miner",
-            "--admin", f"127.0.0.1:{admin_port}",
-            "--listen-port", "0",
-            "--seed", str(slot_seed(run_seed, i)),
-            "--stats-out", stats_path,
-            "--delay-range", *map(str, spec.delay_range),
-        ]
-        if spec.hashpowers is not None:
-            cmd += ["--hashpower", str(spec.hashpowers[i])]
-        else:
-            cmd += ["--hashpower-random"]
-        miner_cmds.append(cmd)
-
+    stats_paths = [os.path.join(work, f"miner_{i}.json") for i in range(spec.num_miners)]
     procs: list[subprocess.Popen] = []
-    logs = []
+    files = []
     try:
-        admin_log = open(os.path.join(work, "admin.log"), "w", encoding="utf-8")
-        logs.append(admin_log)
-        admin_proc = subprocess.Popen(admin_cmd, stdout=admin_log, stderr=subprocess.STDOUT)
+        admin_log = open(os.path.join(work, "admin.log"), "wb")
+        files.append(admin_log)
+        admin_proc = subprocess.Popen(admin_cmd, stdout=subprocess.PIPE, stderr=admin_log)
         procs.append(admin_proc)
-        for i, cmd in enumerate(miner_cmds):
+        files.append(admin_proc.stdout)
+        # the admin binds, then announces its address in one flushed write, so
+        # a readable pipe holds the whole line, or is closed; then miners start
+        ready, _, _ = select.select([admin_proc.stdout], [], [], ADMIN_START_TIMEOUT)
+        announced = admin_proc.stdout.readline() if ready else b""
+        admin_log.write(announced)
+        admin_log.flush()
+        if not announced.startswith(ANNOUNCEMENT.encode()):
+            raise ExperimentFailure(
+                f"admin exited or announced no address within {ADMIN_START_TIMEOUT}s "
+                f"for seed {run_seed}; see {work}/admin.log"
+            )
+        address = announced[len(ANNOUNCEMENT) :].decode().strip()
+        for i, stats_path in enumerate(stats_paths):
+            cmd = [
+                sys.executable, "-m", "chainsim", "miner",
+                "--admin", address,
+                "--listen-port", "0",
+                "--seed", str(slot_seed(run_seed, i)),
+                "--stats-out", stats_path,
+                "--delay-range", *map(str, spec.delay_range),
+            ]
+            if spec.hashpowers is not None:
+                cmd += ["--hashpower", str(spec.hashpowers[i])]
+            else:
+                cmd += ["--hashpower-random"]
             miner_log = open(os.path.join(work, f"miner_{i}.log"), "w", encoding="utf-8")
-            logs.append(miner_log)
+            files.append(miner_log)
             procs.append(subprocess.Popen(cmd, stdout=miner_log, stderr=subprocess.STDOUT))
         wall_budget = spec.duration / spec.time_scale + 120.0
         try:
-            admin_rc = admin_proc.wait(timeout=wall_budget)
+            table, _ = admin_proc.communicate(timeout=wall_budget)
+            admin_log.write(table)
+            admin_rc = admin_proc.returncode
             for proc in procs[1:]:
                 proc.wait(timeout=60.0)
         except subprocess.TimeoutExpired as exc:
@@ -218,7 +223,8 @@ def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int
         for proc in procs:
             if proc.poll() is None:
                 proc.kill()
-        for fh in logs:
+                proc.wait()  # reaped: no process outlives its run
+        for fh in files:
             fh.close()
     if admin_rc not in (0, EXIT_DISCARDED):
         raise ExperimentFailure(

@@ -26,7 +26,7 @@ import time
 from .blocks import Block
 from .chain import LocalChainState, finalize_state, validate_chain
 from .mining import MiningContext, step
-from .netio import BufferedConn, ConnectionClosed, connect_with_retry
+from .netio import BufferedConn, ConnectionClosed, listener
 from .protocol import (
     MinerRecord,
     ProtocolError,
@@ -144,19 +144,17 @@ class MinerNode:
             raise ValueError("hashpower must be positive")
 
     def run(self) -> dict:
-        listen_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listen_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listen_sock.bind((self.listen_host, self.listen_port))
-        listen_sock.listen()
+        listen_sock = listener(self.listen_host, self.listen_port)
         port = listen_sock.getsockname()[1]
-
-        admin = BufferedConn(
-            connect_with_retry(
-                self.admin_host, self.admin_port, time.monotonic() + CONNECT_TIMEOUT
-            )
-        )
+        admin: BufferedConn | None = None
         links: list[PeerLink] = []
         try:
+            # the admin listens before any miner is started: one dial, no retry
+            admin = BufferedConn(
+                socket.create_connection(
+                    (self.admin_host, self.admin_port), timeout=CONNECT_TIMEOUT
+                )
+            )
             admin.send(msg_register(port, self.hashpower))
             ack = expect(admin, "MINER_INFO", CONNECT_TIMEOUT)
             my_id, _, _ = miner_info_from_payload(ack.payload)
@@ -192,7 +190,8 @@ class MinerNode:
             listen_sock.close()
             for link in links:
                 link.close()
-            admin.close()
+            if admin is not None:
+                admin.close()
 
     def _mine(
         self,

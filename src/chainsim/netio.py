@@ -1,9 +1,10 @@
 """Socket helpers shared by the admin server and miner nodes.
 
-All connections speak the length-prefixed frame protocol. BufferedConn
-wraps one socket with frame reassembly and a message inbox; callers
-either wait on it for the next message (request/response phases) or
-pump it once a selector reports the socket readable (the miner loop).
+Both bind their listening socket through listener(), which checks the
+port. All connections speak the length-prefixed frame protocol.
+BufferedConn wraps one socket with frame reassembly and a message inbox;
+callers either wait on it for the next message (request/response phases)
+or pump it once a selector reports the socket readable (the miner loop).
 """
 
 from __future__ import annotations
@@ -19,27 +20,11 @@ class ConnectionClosed(ConnectionError):
     """Peer closed the connection before a full message arrived."""
 
 
-RETRY_FIRST_S = 0.005  # wait after the first refused dial, doubled after each
-RETRY_MAX_S = 0.05
-
-
-def connect_with_retry(host: str, port: int, deadline: float) -> socket.socket:
-    """Dial until success or the wall-clock deadline passes.
-
-    A refused dial is retried after RETRY_FIRST_S, doubling up to
-    RETRY_MAX_S, so a listener that starts a moment late is reached a
-    moment late, and a wait never overshoots the deadline.
-    """
-    last: Exception | None = None
-    pause = RETRY_FIRST_S
-    while time.monotonic() < deadline:
-        try:
-            return socket.create_connection((host, port), timeout=2.0)
-        except OSError as exc:
-            last = exc
-            time.sleep(max(0.0, min(pause, deadline - time.monotonic())))
-            pause = min(2 * pause, RETRY_MAX_S)
-    raise ConnectionError(f"could not reach {host}:{port}: {last}")
+def listener(host: str, port: int, backlog: int | None = None) -> socket.socket:
+    """A TCP socket listening on (host, port); port 0 lets the OS pick one."""
+    if not 0 <= port <= 65535:  # bind would raise OverflowError, not OSError
+        raise ValueError(f"port must be in 0..65535, got {port}")
+    return socket.create_server((host, port), backlog=backlog)
 
 
 class BufferedConn:

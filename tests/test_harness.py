@@ -1,10 +1,12 @@
 """Harness and CLI behavior: spec parsing, aggregation, retries, fairness."""
 
+import errno
 import json
 import re
 import socket
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import pytest
@@ -314,6 +316,16 @@ def spec_run(**fields) -> list:
     [
         (["admin", "--port", "0", "--num-miners", "0"], "admin failed: need at least one miner"),
         (["admin", "--port", "{busy}", "--num-miners", "1"], "admin failed: "),
+        (["admin", "--port", "70000", "--num-miners", "1"],
+         "admin failed: port must be in 0..65535, got 70000"),
+        (["admin", "--port", "-1", "--num-miners", "1"],
+         "admin failed: port must be in 0..65535, got -1"),
+        (["miner", "--admin", "127.0.0.1:1", "--listen-port", "70000", "--hashpower", "5",
+          "--seed", "1"], "miner failed: port must be in 0..65535, got 70000"),
+        (["miner", "--admin", "127.0.0.1:70000", "--listen-port", "0", "--hashpower", "5",
+          "--seed", "1"], "--admin must be HOST:PORT"),
+        (["miner", "--admin", "127.0.0.1:0", "--listen-port", "0", "--hashpower", "5",
+          "--seed", "1"], "--admin must be HOST:PORT"),
         (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "-1",
           "--seed", "1"], "miner failed: hashpower must be positive"),
         (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "5",
@@ -328,7 +340,9 @@ def spec_run(**fields) -> list:
          "harness run failed: spec field hashpowers must be a list of numbers"),
         (["harness", "run", "--spec", [1, 2]], "harness run failed: a spec must be a JSON object"),
     ],
-    ids=["no-miners", "admin-port-in-use", "negative-hashpower", "inverted-delay-range",
+    ids=["no-miners", "admin-port-in-use", "admin-port-too-high", "admin-port-negative",
+         "listen-port-too-high", "admin-address-port-too-high", "admin-address-port-zero",
+         "negative-hashpower", "inverted-delay-range",
          "missing-aggregate", "spec-runs-str", "spec-num-miners-str", "spec-delay-range-str",
          "spec-hashpowers-null", "spec-not-an-object"],
 )
@@ -351,7 +365,7 @@ def test_cli_reports_bad_input_without_a_traceback(tmp_path, argv, failed):
             text=True,
             timeout=60,
         )
-    assert proc.returncode == 1
+    assert proc.returncode == (2 if failed.startswith("--admin") else 1)  # 2: a usage error
     assert proc.stderr.startswith(failed), proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -383,10 +397,16 @@ def test_network_experiment_single_run(tmp_path):
 
 def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkeypatch):
     commands = []
+    listening = []  # per miner: was its --admin address bound when it started?
     real_popen = subprocess.Popen
 
     def popen(cmd, *args, **kw):
         commands.append(cmd)
+        if "miner" in cmd:
+            host, _, port = cmd[cmd.index("--admin") + 1].rpartition(":")
+            with socket.socket() as other, pytest.raises(OSError) as refused:
+                other.bind((host, int(port)))
+            listening.append(refused.value.errno == errno.EADDRINUSE)
         return real_popen(cmd, *args, **kw)
 
     monkeypatch.setattr(subprocess, "Popen", popen)
@@ -403,14 +423,19 @@ def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkey
     )
     aggregate = run_experiment(spec)
     assert aggregate["runs"] == 1
-    miners = [cmd for cmd in commands if "miner" in cmd]
-    assert len(miners) == 2
+    # the admin starts first, on a port the OS picks, and announces it in admin.log's first line
+    admin, *miners = commands
+    assert "admin" in admin and admin[admin.index("--port") + 1] == "0"
+    work = tmp_path / "out" / "work" / "run_000_a0"
+    announced = (work / "admin.log").read_text().splitlines()[0]
+    assert announced.startswith("admin listening on 127.0.0.1:")
+    assert len(miners) == 2 and listening == [True, True]
     for cmd in miners:
+        assert cmd[cmd.index("--admin") + 1] == announced.removeprefix("admin listening on ")
         at = cmd.index("--delay-range")
         assert [float(v) for v in cmd[at + 1 : at + 3]] == [0.125, 0.75]
         assert cmd[cmd.index("--listen-port") + 1] == "0"  # the OS picks each miner's port
     # each row's slot is the index of the stats file that holds its miner_id
-    work = tmp_path / "out" / "work" / "run_000_a0"
     stats = [json.loads((work / f"miner_{i}.json").read_text()) for i in range(2)]
     report = json.loads((tmp_path / "out" / "run_000.json").read_text())
     for row in report["miners"]:
@@ -436,3 +461,27 @@ def test_an_accepted_run_with_a_miner_that_wrote_no_stats_fails_naming_its_work_
     work = re.escape(str(tmp_path / "out" / "work" / "run_000_a0"))
     with pytest.raises(ExperimentFailure, match=r"miners \[1\] wrote no stats.*see " + work):
         run_experiment(spec)
+
+
+def test_an_admin_that_never_announces_fails_the_run_before_any_miner_starts(
+    tmp_path, monkeypatch
+):
+    commands = []
+    real_popen = subprocess.Popen
+
+    def popen(cmd, *args, **kw):
+        commands.append(cmd)
+        if "admin" in cmd:  # an admin that refuses its options exits before it binds
+            cmd = [*cmd]
+            cmd[cmd.index("--num-miners") + 1] = "0"
+        return real_popen(cmd, *args, **kw)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    spec = make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
+                     runs=1, seed=81, hashpowers=(12.0, 24.0))
+    log = re.escape(str(tmp_path / "out" / "work" / "run_000_a0" / "admin.log"))
+    start = time.monotonic()
+    with pytest.raises(ExperimentFailure, match="announced no address.*see " + log):
+        run_experiment(spec)
+    assert time.monotonic() - start < 5.0
+    assert len(commands) == 1  # the admin's: no miner was started

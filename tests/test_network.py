@@ -21,8 +21,7 @@ from chainsim.admin import (
 )
 from chainsim.blocks import Block, make_placeholder
 from chainsim.miner import MinerNode, PeerLink
-import chainsim.netio as netio
-from chainsim.netio import BufferedConn, connect_with_retry
+from chainsim.netio import BufferedConn
 import chainsim.protocol as protocol
 from chainsim.protocol import (
     FrameOverflow,
@@ -116,25 +115,22 @@ class ScriptedMiner(threading.Thread):
 
     def run(self) -> None:
         try:
-            self._script()
+            with socket.create_connection(("127.0.0.1", self.admin_port), timeout=5) as sock:
+                self._script(sock, BufferedConn(sock))
         except Exception as exc:  # recorded for the test to assert on
             self.error = exc
 
-    def _script(self) -> None:
-        sock = socket.create_connection(("127.0.0.1", self.admin_port), timeout=5)
-        conn = BufferedConn(sock)
+    def _script(self, sock: socket.socket, conn: BufferedConn) -> None:
         conn.send(msg_register(self.listen_port, self.hashpower))
         ack = conn.next_message(10.0)
         self.miner_id = ack.payload["miner_id"]
         if self.quit_after == "register":
-            conn.close()
             return
         roster = conn.next_message(10.0).payload["miners"]
         for want in ("SIM_START", "GENESIS", "TX_POOL"):
             msg = conn.next_message(10.0)
             assert msg.type == want, f"expected {want}, got {msg.type}"
         if self.quit_after == "bootstrap":
-            conn.close()
             return
         for peer in roster:
             if peer["miner_id"] == self.miner_id:
@@ -163,7 +159,6 @@ class ScriptedMiner(threading.Thread):
             elif msg.type in ("CONSENSUS_RESULT", "DISCARD"):
                 self.outcome = msg.type
                 break
-        conn.close()
 
 
 def quick_config(n: int, **kw) -> SimulationConfig:
@@ -662,42 +657,19 @@ def refusing_port() -> socket.socket:
     return sock
 
 
-def test_connect_reaches_a_listener_that_starts_late():
-    sock = refusing_port()
-    late = threading.Timer(0.03, sock.listen)
-    start = time.monotonic()
-    late.start()
-    try:
-        conn = connect_with_retry("127.0.0.1", sock.getsockname()[1], start + 5.0)
+def test_a_miner_whose_admin_is_not_listening_fails_at_once(capsys):
+    # an admin listens before its miners are started, so the miner dials it once
+    with refusing_port() as sock:
+        args = cli.build_parser().parse_args(
+            ["miner", "--admin", f"127.0.0.1:{sock.getsockname()[1]}", "--listen-port", "0",
+             "--hashpower", "10", "--seed", "1"]
+        )
+        start = time.monotonic()
+        status = cli.cmd_miner(args)
         waited = time.monotonic() - start
-        conn.close()
-    finally:
-        late.join()
-        sock.close()
-    assert 0.03 <= waited < 1.0
-
-
-def test_connect_backs_off_and_gives_up_at_the_deadline(monkeypatch):
-    pauses = []
-    real_sleep = time.sleep
-
-    def sleep(seconds):
-        pauses.append(seconds)
-        real_sleep(seconds)
-
-    monkeypatch.setattr(netio.time, "sleep", sleep)
-    sock = refusing_port()
-    start = time.monotonic()
-    try:
-        with pytest.raises(ConnectionError, match="could not reach"):
-            connect_with_retry("127.0.0.1", sock.getsockname()[1], start + 0.3)
-    finally:
-        sock.close()
-    assert time.monotonic() - start < 0.3 + 0.2
-    # 5 ms after the first refusal, doubling up to 50 ms; the last wait
-    # may be cut short by the deadline
-    assert pauses[:5] == pytest.approx([0.005, 0.01, 0.02, 0.04, 0.05])
-    assert all(p <= 0.05 for p in pauses) and pauses.count(0.05) >= 2
+    assert status == 1
+    assert capsys.readouterr().err.startswith("miner failed: ")
+    assert waited < 1.0
 
 
 class ScriptedAdmin(threading.Thread):
