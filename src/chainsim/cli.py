@@ -44,10 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     miner = sub.add_parser("miner", help="run one miner process")
     miner.add_argument("--admin", required=True, metavar="HOST:PORT")
     miner.add_argument("--listen-port", type=int, required=True)
-    power = miner.add_mutually_exclusive_group(required=True)
-    power.add_argument("--hashpower", type=float, default=None)
-    power.add_argument("--hashpower-random", action="store_true")
-    miner.add_argument("--seed", type=int, required=True)
+    miner.add_argument("--hashpower", type=float, required=True)
     miner.add_argument(
         "--delay-range", type=float, nargs=2, default=DEFAULT_DELAY_RANGE, metavar=("LO", "HI"),
         help="peer delay per block, U(LO, HI) sim-seconds",
@@ -100,15 +97,14 @@ def cmd_miner(args: argparse.Namespace) -> int:
             admin_host=host,
             admin_port=int(port),
             listen_port=args.listen_port,
-            hashpower=args.hashpower,  # None with --hashpower-random: sampled from seed
-            seed=args.seed,
+            hashpower=args.hashpower,
             delay_range=args.delay_range,
         ).run()
-    # a ValueError is a hashpower that is not positive, a listen port out of
-    # range, a bad delay range, a mistyped admin frame (ProtocolError), a
-    # genesis or result chain that breaks the rules (StructuralError) or a
-    # roster total below this miner's own hashpower (InvalidHashpower); a
-    # timeout, an admin that is not listening or a lost admin is an OSError
+    # a ValueError is a hashpower that is not finite and positive, a listen
+    # port out of range, a bad delay range, a mistyped admin frame
+    # (ProtocolError), a genesis or result chain that breaks the rules
+    # (StructuralError) or a roster total below this miner's own hashpower
+    # (InvalidHashpower); a timeout, an absent or a lost admin is an OSError
     except (ValueError, OSError) as exc:
         print(f"miner failed: {exc}", file=sys.stderr)
         return 1

@@ -45,7 +45,7 @@ from .mining import draw_own_block  # noqa: F401
 
 
 def slot_seed(seed: int, slot: int) -> int:
-    """Per-slot seed for things a miner draws before it has an id."""
+    """Per-slot seed for a slot's hashpower draw, made before any miner has an id."""
     return seed + 7919 * (slot + 1)
 
 
@@ -66,6 +66,8 @@ def resolve_hashpowers(
     if hashpowers is not None:
         if len(hashpowers) != config.num_miners:
             raise ValueError("hashpower list length must equal num_miners")
+        if not all(0 < hp < math.inf for hp in hashpowers):  # NaN fails too
+            raise ValueError("hashpower must be finite and positive")
         return list(hashpowers)
     return [
         sample_hashpower(random.Random(slot_seed(config.seed, i)))

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .admin import ANNOUNCEMENT, EXIT_DISCARDED, SimulationConfig, write_report
-from .engine import run_logical, slot_seed
+from .engine import resolve_hashpowers, run_logical
 from .timing import DEFAULT_DELAY_RANGE, check_delay_range
 
 MODES = ("network", "logical")
@@ -46,11 +46,11 @@ class ExperimentSpec:
             raise ValueError(f"mode must be one of {MODES}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.hashpowers is not None and len(self.hashpowers) != self.num_miners:
-            raise ValueError("hashpowers list length must equal num_miners")
         if self.mode == "logical" and self.time_scale != 1.0:
             raise ValueError("a logical spec takes no time_scale")
         check_delay_range(self.delay_range)
+        # the run config's and the hashpowers' own checks, before any run starts
+        resolve_hashpowers(self.config(self.seed), self.hashpowers)
 
     def config(self, run_seed: int) -> SimulationConfig:
         return SimulationConfig(
@@ -149,28 +149,33 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
 
 def _run_once(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int) -> dict:
+    config = spec.config(run_seed)
+    # the one hashpower draw of a run, whichever mode then runs it
+    powers = resolve_hashpowers(config, spec.hashpowers)
     if spec.mode == "logical":
-        powers = list(spec.hashpowers) if spec.hashpowers is not None else None
-        report = run_logical(spec.config(run_seed), powers, spec.delay_range).report
+        report = run_logical(config, powers, spec.delay_range).report
         for row in report["miners"]:
             row["slot"] = row["port"]  # logical roster ports are slot numbers
         return report
-    return _run_network(spec, run_seed, run_idx, attempt)
+    return _run_network(spec, config, powers, run_idx, attempt)
 
 
-def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int) -> dict:
+def _run_network(
+    spec: ExperimentSpec, config: SimulationConfig, powers: list[float], run_idx: int, attempt: int
+) -> dict:
+    run_seed = config.seed
     work = os.path.join(spec.out_dir, "work", f"run_{run_idx:03d}_a{attempt}")
     os.makedirs(work, exist_ok=True)
     report_path = os.path.join(work, "report.json")
     admin_cmd = [
         sys.executable, "-m", "chainsim", "admin",
         "--port", "0",
-        "--num-miners", str(spec.num_miners),
-        "--sim-time", str(spec.duration),
-        "--block-interval", str(spec.interval),
+        "--num-miners", str(config.num_miners),
+        "--sim-time", str(config.duration),
+        "--block-interval", str(config.interval),
         "--seed", str(run_seed),
-        "--time-scale", str(spec.time_scale),
-        "--tx-pool-size", str(spec.tx_pool_size),
+        "--time-scale", str(config.time_scale),
+        "--tx-pool-size", str(config.tx_pool_size),
         "--report-out", report_path,
     ]
     stats_paths = [os.path.join(work, f"miner_{i}.json") for i in range(spec.num_miners)]
@@ -199,14 +204,10 @@ def _run_network(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int
                 sys.executable, "-m", "chainsim", "miner",
                 "--admin", address,
                 "--listen-port", "0",
-                "--seed", str(slot_seed(run_seed, i)),
+                "--hashpower", str(powers[i]),
                 "--stats-out", stats_path,
                 "--delay-range", *map(str, spec.delay_range),
             ]
-            if spec.hashpowers is not None:
-                cmd += ["--hashpower", str(spec.hashpowers[i])]
-            else:
-                cmd += ["--hashpower-random"]
             miner_log = open(os.path.join(work, f"miner_{i}.log"), "w", encoding="utf-8")
             files.append(miner_log)
             procs.append(subprocess.Popen(cmd, stdout=miner_log, stderr=subprocess.STDOUT))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 import random
 import selectors
 import socket
@@ -42,9 +43,7 @@ from .protocol import (
     sim_start_from_payload,
     tx_ids_from_payload,
 )
-from .timing import (
-    DEFAULT_DELAY_RANGE, HashpowerProfile, SimulationClock, check_delay_range, sample_hashpower
-)
+from .timing import DEFAULT_DELAY_RANGE, HashpowerProfile, SimulationClock, check_delay_range
 
 log = logging.getLogger(__name__)
 
@@ -126,8 +125,7 @@ class MinerNode:
         admin_host: str,
         admin_port: int,
         listen_port: int,
-        hashpower: float | None,
-        seed: int,
+        hashpower: float,
         delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE,
         listen_host: str = "127.0.0.1",
     ):
@@ -135,13 +133,11 @@ class MinerNode:
         self.admin_port = admin_port
         self.listen_host = listen_host
         self.listen_port = listen_port
-        self.seed = seed
         check_delay_range(delay_range)
         self.delay_range = delay_range
-        rng = random.Random(seed)
-        self.hashpower = hashpower if hashpower is not None else sample_hashpower(rng)
-        if self.hashpower <= 0:
-            raise ValueError("hashpower must be positive")
+        if not 0 < hashpower < math.inf:  # NaN fails too
+            raise ValueError("hashpower must be finite and positive")
+        self.hashpower = hashpower
 
     def run(self) -> dict:
         listen_sock = listener(self.listen_host, self.listen_port)

@@ -12,6 +12,7 @@ from dataclasses import fields
 import pytest
 
 from chainsim import cli
+from chainsim.engine import resolve_hashpowers
 from chainsim.harness import (
     _SPEC_FIELD_TYPES,
     ExperimentFailure,
@@ -102,12 +103,22 @@ def test_load_spec_round_trip(tmp_path):
     with pytest.raises(ValueError, match="base_port"):
         load_spec(str(path))
 
-    # a bad network spec fails here, before any process starts
-    path.write_text(json.dumps({"mode": "network", "num_miners": 2, "duration": 1.0,
-                                "interval": 1.0, "seed": 1, "runs": 1, "time_scale": 100.0,
-                                "delay_range": [0.3, 0.05]}))
-    with pytest.raises(ValueError, match="delay range"):
-        load_spec(str(path))
+    # a bad network spec fails here, before any directory or process is made
+    network = {"mode": "network", "num_miners": 2, "duration": 1.0, "interval": 1.0, "seed": 1,
+               "runs": 1, "time_scale": 100.0, "out_dir": str(tmp_path / "net")}
+    for field, value, match in [
+        ("delay_range", [0.3, 0.05], "delay range"),
+        ("duration", -5, "duration must be positive"),
+        ("interval", 0, "interval must be positive"),
+        ("tx_pool_size", -1, "tx_pool_size cannot be negative"),
+        ("num_miners", 0, "need at least one miner"),
+        ("hashpowers", [0, 5], "hashpower must be finite and positive"),
+        ("hashpowers", [-1.0, 5], "hashpower must be finite and positive"),
+    ]:
+        path.write_text(json.dumps({**network, field: value}))
+        with pytest.raises(ValueError, match=match):
+            load_spec(str(path))
+    assert not (tmp_path / "net").exists()
 
 
 def test_load_spec_checks_the_json_type_of_every_field(tmp_path):
@@ -286,8 +297,6 @@ def test_cli_rejects_bad_miner_address():
             "19000",
             "--hashpower",
             "5",
-            "--seed",
-            "1",
         ],
         capture_output=True,
         text=True,
@@ -297,12 +306,18 @@ def test_cli_rejects_bad_miner_address():
     assert "HOST:PORT" in proc.stderr
 
 
-def test_cli_refuses_the_removed_fifo_delay_flag(capsys):
+@pytest.mark.parametrize(
+    "flag",
+    [["--extra-delay-ms", "5"], ["--hashpower-random"], ["--seed", "1"]],
+    ids=["fifo-delay", "hashpower-random", "seed"],
+)
+def test_cli_refuses_a_removed_miner_flag(capsys, flag):
+    # the harness hands every miner its hashpower: a miner draws none and takes no seed
     with pytest.raises(SystemExit) as exit_:
         cli.main(["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "5",
-                  "--seed", "1", "--extra-delay-ms", "5"])
+                  *flag])
     assert exit_.value.code == 2
-    assert "unrecognized arguments: --extra-delay-ms" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def spec_run(**fields) -> list:
@@ -320,16 +335,20 @@ def spec_run(**fields) -> list:
          "admin failed: port must be in 0..65535, got 70000"),
         (["admin", "--port", "-1", "--num-miners", "1"],
          "admin failed: port must be in 0..65535, got -1"),
-        (["miner", "--admin", "127.0.0.1:1", "--listen-port", "70000", "--hashpower", "5",
-          "--seed", "1"], "miner failed: port must be in 0..65535, got 70000"),
-        (["miner", "--admin", "127.0.0.1:70000", "--listen-port", "0", "--hashpower", "5",
-          "--seed", "1"], "--admin must be HOST:PORT"),
-        (["miner", "--admin", "127.0.0.1:0", "--listen-port", "0", "--hashpower", "5",
-          "--seed", "1"], "--admin must be HOST:PORT"),
-        (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "-1",
-          "--seed", "1"], "miner failed: hashpower must be positive"),
+        (["miner", "--admin", "127.0.0.1:1", "--listen-port", "70000", "--hashpower", "5"],
+         "miner failed: port must be in 0..65535, got 70000"),
+        (["miner", "--admin", "127.0.0.1:70000", "--listen-port", "0", "--hashpower", "5"],
+         "--admin must be HOST:PORT"),
+        (["miner", "--admin", "127.0.0.1:0", "--listen-port", "0", "--hashpower", "5"],
+         "--admin must be HOST:PORT"),
+        (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "-1"],
+         "miner failed: hashpower must be finite and positive"),
+        (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "nan"],
+         "miner failed: hashpower must be finite and positive"),
+        (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "inf"],
+         "miner failed: hashpower must be finite and positive"),
         (["miner", "--admin", "127.0.0.1:1", "--listen-port", "0", "--hashpower", "5",
-          "--seed", "1", "--delay-range", "2", "1"], "miner failed: delay range must be "),
+          "--delay-range", "2", "1"], "miner failed: delay range must be "),
         (["harness", "check", "--aggregate", "{missing}", "--tolerance-pp", "1"],
          "harness check failed: "),
         (spec_run(runs="3"), "harness run failed: spec field runs must be an integer"),
@@ -339,23 +358,32 @@ def spec_run(**fields) -> list:
         (spec_run(hashpowers=[None, 1]),
          "harness run failed: spec field hashpowers must be a list of numbers"),
         (["harness", "run", "--spec", [1, 2]], "harness run failed: a spec must be a JSON object"),
+        # a bad network spec fails as it loads: no work dir, no admin, no miner
+        (spec_run(mode="network", time_scale=100.0, duration=-5, out_dir="{out}"),
+         "harness run failed: duration must be positive"),
+        (spec_run(mode="network", time_scale=100.0, hashpowers=[0, 5], out_dir="{out}"),
+         "harness run failed: hashpower must be finite and positive"),
     ],
     ids=["no-miners", "admin-port-in-use", "admin-port-too-high", "admin-port-negative",
          "listen-port-too-high", "admin-address-port-too-high", "admin-address-port-zero",
-         "negative-hashpower", "inverted-delay-range",
+         "negative-hashpower", "nan-hashpower", "infinite-hashpower", "inverted-delay-range",
          "missing-aggregate", "spec-runs-str", "spec-num-miners-str", "spec-delay-range-str",
-         "spec-hashpowers-null", "spec-not-an-object"],
+         "spec-hashpowers-null", "spec-not-an-object", "network-spec-negative-duration",
+         "network-spec-zero-hashpower"],
 )
 def test_cli_reports_bad_input_without_a_traceback(tmp_path, argv, failed):
     if argv[0] == "admin":
         argv = argv + ["--sim-time", "1", "--block-interval", "1", "--seed", "1"]
     spec_path = tmp_path / "spec.json"
     with socket.create_server(("127.0.0.1", 0)) as busy:
-        fill = {"{busy}": str(busy.getsockname()[1]), "{missing}": str(tmp_path / "no.json")}
+        fill = {"{busy}": str(busy.getsockname()[1]), "{missing}": str(tmp_path / "no.json"),
+                "{out}": str(tmp_path / "out")}
 
         def arg(a):
             if isinstance(a, str):
                 return fill.get(a, a)
+            if isinstance(a, dict):
+                a = {k: fill.get(v, v) if isinstance(v, str) else v for k, v in a.items()}
             spec_path.write_text(json.dumps(a))  # a spec's JSON, passed as its file
             return str(spec_path)
 
@@ -368,6 +396,7 @@ def test_cli_reports_bad_input_without_a_traceback(tmp_path, argv, failed):
     assert proc.returncode == (2 if failed.startswith("--admin") else 1)  # 2: a usage error
     assert proc.stderr.startswith(failed), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_network_experiment_single_run(tmp_path):
@@ -395,9 +424,10 @@ def test_network_experiment_single_run(tmp_path):
     assert stats["discarded"] is False
 
 
-def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkeypatch):
+def record_popen(monkeypatch) -> tuple[list, list]:
+    """Each command the harness starts, and per miner whether its --admin address was bound."""
     commands = []
-    listening = []  # per miner: was its --admin address bound when it started?
+    listening = []
     real_popen = subprocess.Popen
 
     def popen(cmd, *args, **kw):
@@ -410,6 +440,11 @@ def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkey
         return real_popen(cmd, *args, **kw)
 
     monkeypatch.setattr(subprocess, "Popen", popen)
+    return commands, listening
+
+
+def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkeypatch):
+    commands, listening = record_popen(monkeypatch)
     spec = make_spec(
         tmp_path,
         mode="network",
@@ -442,6 +477,25 @@ def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkey
         assert stats[row["slot"]]["miner_id"] == row["miner_id"]
         assert stats[row["slot"]]["listen_port"] == row["port"] != 0
         assert row["hashpower"] == (12.0, 24.0)[row["slot"]]
+
+
+def test_network_run_hands_every_miner_the_harness_draw_of_a_random_hashpower(
+    tmp_path, monkeypatch
+):
+    commands, _ = record_popen(monkeypatch)
+    spec = make_spec(tmp_path, mode="network", num_miners=3, duration=30.0, time_scale=100.0,
+                     runs=1, seed=79, hashpowers=None)
+    aggregate = run_experiment(spec)
+    assert aggregate["hashpowers"] == "random"
+    report = json.loads((tmp_path / "out" / "run_000.json").read_text())
+    # the draw logical mode makes for this run seed: one draw, both modes
+    powers = resolve_hashpowers(spec.config(report["seed"]), None)
+    miners = commands[-3:]  # the accepted attempt's
+    assert all("miner" in cmd for cmd in miners)
+    assert [float(cmd[cmd.index("--hashpower") + 1]) for cmd in miners] == powers
+    assert not any("--seed" in cmd or "--hashpower-random" in cmd for cmd in miners)
+    for row in report["miners"]:
+        assert row["hashpower"] == powers[row["slot"]]
 
 
 def test_an_accepted_run_with_a_miner_that_wrote_no_stats_fails_naming_its_work_dir(

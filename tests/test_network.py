@@ -49,7 +49,6 @@ GENESIS = create_genesis()
 def run_network(
     config: SimulationConfig,
     hashpowers: list[float],
-    seed_offset: int = 0,
     delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE,
     **admin_kw,
 ) -> tuple[dict, list[dict]]:
@@ -64,11 +63,10 @@ def run_network(
                     server.port,
                     listen_port=0,
                     hashpower=hp,
-                    seed=seed_offset + i,
                     delay_range=delay_range,
                 ).run
             )
-            for i, hp in enumerate(hashpowers)
+            for hp in hashpowers
         ]
         report = admin_fut.result(timeout=60)
         stats = [f.result(timeout=60) for f in miner_futs]
@@ -205,7 +203,7 @@ def test_single_miner_throughput_across_seeds():
         config = SimulationConfig(
             num_miners=1, duration=100.0, interval=12.42, seed=seed, time_scale=500.0
         )
-        report, stats = run_network(config, [15.0], seed_offset=seed * 100)
+        report, stats = run_network(config, [15.0])
         assert not report["discarded"]
         assert report["miners"][0]["block_share_pct"] in (0.0, pytest.approx(100.0))
         assert stats[0]["tally"]["uncled"] == 0
@@ -213,13 +211,6 @@ def test_single_miner_throughput_across_seeds():
     mean = sum(totals) / len(totals)
     expectation = 100.0 / 12.42
     assert expectation * 0.8 <= mean <= expectation * 1.2
-
-
-def test_random_hashpower_flag_samples_in_range():
-    node = MinerNode("127.0.0.1", 1, listen_port=0, hashpower=None, seed=5)
-    assert 0.0 < node.hashpower <= 30.0
-    again = MinerNode("127.0.0.1", 1, listen_port=0, hashpower=None, seed=5)
-    assert again.hashpower == node.hashpower
 
 
 def test_registration_timeout_when_miner_missing():
@@ -247,8 +238,8 @@ def test_a_silent_or_half_sent_registrant_holds_up_no_one():
         time.sleep(0.1)  # both are in the admin's queue before any real miner dials
         try:
             miners = [
-                pool.submit(MinerNode("127.0.0.1", server.port, 0, hashpower=hp, seed=i).run)
-                for i, hp in enumerate((10.0, 20.0))
+                pool.submit(MinerNode("127.0.0.1", server.port, 0, hashpower=hp).run)
+                for hp in (10.0, 20.0)
             ]
             stats = [f.result(timeout=30) for f in miners]
             report = fut.result(timeout=30)
@@ -424,7 +415,7 @@ def test_dead_or_silent_miner_costs_only_its_run(fault):
         bad = ScriptedMiner(server.port, listen_port=7710, **fault)
         bad.start()
         honest = pool.submit(
-            MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=10.0, seed=1).run
+            MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=10.0).run
         )
         report = fut.result(timeout=30)
         stats = honest.result(timeout=30)
@@ -489,10 +480,8 @@ def test_junk_on_peer_ports_costs_only_that_connection(caplog):
         )
         junk.start()
         miner_futs = [
-            pool.submit(
-                MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=hp, seed=i).run
-            )
-            for i, hp in enumerate((10.0, 20.0))
+            pool.submit(MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=hp).run)
+            for hp in (10.0, 20.0)
         ]
         report = admin_fut.result(timeout=60)
         stats = [f.result(timeout=60) for f in miner_futs]
@@ -536,10 +525,8 @@ def test_rule_breaking_blocks_cost_only_their_connection(caplog):
         )
         forger.start()
         miner_futs = [
-            pool.submit(
-                MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=hp, seed=i).run
-            )
-            for i, hp in enumerate((10.0, 20.0))
+            pool.submit(MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=hp).run)
+            for hp in (10.0, 20.0)
         ]
         report = admin_fut.result(timeout=60)
         stats = [f.result(timeout=60) for f in miner_futs]
@@ -662,7 +649,7 @@ def test_a_miner_whose_admin_is_not_listening_fails_at_once(capsys):
     with refusing_port() as sock:
         args = cli.build_parser().parse_args(
             ["miner", "--admin", f"127.0.0.1:{sock.getsockname()[1]}", "--listen-port", "0",
-             "--hashpower", "10", "--seed", "1"]
+             "--hashpower", "10"]
         )
         start = time.monotonic()
         status = cli.cmd_miner(args)
@@ -728,7 +715,7 @@ def run_miner_cli(capsys, **replace: dict) -> tuple[int, str, ScriptedAdmin]:
     admin.start()
     args = cli.build_parser().parse_args(
         ["miner", "--admin", f"127.0.0.1:{admin.port}", "--listen-port", "0",
-         "--hashpower", "10", "--seed", "1"]
+         "--hashpower", "10"]
     )
     status = cli.cmd_miner(args)
     admin.join(timeout=15)
