@@ -1,9 +1,9 @@
 """Admin server: registration rendezvous, bootstrap, and final consensus.
 
-The admin never mines and never relays blocks. It brings the network up
-(ids, roster, genesis, transaction pool), waits out the simulation,
-then runs the cheap consensus: one tip block per miner in, one full
-chain out, one result broadcast.
+The admin never mines, never relays blocks and never times the run. It
+brings the network up (ids, roster, genesis, transaction pool), collects
+the tip each miner sends when its own clock ends the run, then runs the
+cheap consensus: one full chain out of the winner, one result broadcast.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .protocol import (
     msg_discard,
     msg_genesis,
     msg_miner_info,
-    msg_sim_end,
     msg_sim_start,
     msg_tx_pool,
     register_from_payload,
@@ -46,7 +45,6 @@ ANNOUNCEMENT = "admin listening on "  # then HOST:PORT: the admin's first line o
 
 REGISTRATION_TIMEOUT = 60.0
 CONSENSUS_TIMEOUT = 30.0
-SIM_END_GRACE = 0.25  # wall seconds past the scaled duration before SIM_END
 
 
 class RegistrationTimeout(TimeoutError):
@@ -65,12 +63,9 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.num_miners < 1:
             raise ValueError("need at least one miner")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        for name in ("duration", "interval", "time_scale"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if self.tx_pool_size < 0:
             raise ValueError("tx_pool_size cannot be negative")
 
@@ -190,8 +185,7 @@ class AdminServer:
         try:
             self._run_registration()
             self._bootstrap()
-            self._mining_wait()
-            return self._run_consensus()
+            return self._run_consensus(self._mining_wait())
         finally:
             self.close()
 
@@ -288,47 +282,52 @@ class AdminServer:
             except OSError as exc:
                 self._drop(conn, exc)
 
-    # phase 3: sit out the simulation, watching for stray frames
+    # phase 3: the miners mine; each sends LAST_BLOCK when its own clock ends
 
-    def _mining_wait(self) -> None:
-        wall = self.config.duration / self.config.time_scale + SIM_END_GRACE
+    def _mining_wait(self) -> dict[MinerConn, WireMessage]:
+        """Each live miner's LAST_BLOCK, waited for only in select until all are in
+        or the duration and consensus timeout pass; later frames stay queued."""
+        wall = self.config.duration / self.config.time_scale + self.consensus_timeout
         end = time.monotonic() + wall
-        socks = {conn.sock: conn for conn in self._conns if conn.sock.fileno() >= 0}
-        while (remaining := end - time.monotonic()) > 0:
-            readable, _, _ = select.select(list(socks), [], [], remaining)
+        waiting = {conn.sock: conn for conn in self._conns if conn.sock.fileno() >= 0}
+        last_blocks: dict[MinerConn, WireMessage] = {}
+        while waiting and (remaining := end - time.monotonic()) > 0:
+            readable, _, _ = select.select(list(waiting), [], [], remaining)
             for sock in readable:
-                conn = socks[sock]
+                conn = waiting[sock]
                 try:
                     conn.pump(0.0)
                 except (OSError, ProtocolError) as exc:
-                    del socks[sock]
+                    del waiting[sock]
                     self._drop(conn, exc)
-                # no message is legitimate before SIM_END; count and drop
-                while conn.inbox:
+                    continue
+                while conn.inbox and sock in waiting:
                     msg = conn.inbox.popleft()
-                    self.accounting.mining[msg.type] += 1
-                    log.warning(
-                        "unexpected %s frame from %s during mining", msg.type, conn.label
-                    )
-        self._broadcast(msg_sim_end())
+                    if msg.type == "LAST_BLOCK":
+                        self.accounting.consensus[msg.type] += 1
+                        last_blocks[conn] = msg
+                        del waiting[sock]
+                    else:  # no other message is legitimate while mining
+                        self.accounting.mining[msg.type] += 1
+                        log.warning(
+                            "unexpected %s frame from %s during mining", msg.type, conn.label
+                        )
+        return last_blocks
 
     # phase 4: last-block consensus
 
-    def _run_consensus(self) -> dict:
-        deadline = time.monotonic() + self.consensus_timeout
+    def _run_consensus(self, last_blocks: dict[MinerConn, WireMessage]) -> dict:
         entries: list[ConsensusEntry] = []
         for conn in self._conns:
             try:
                 if conn.sock.fileno() < 0:
                     raise ConnectionClosed("its connection was dropped")
-                msg = conn.next_message(deadline - time.monotonic())
-                self.accounting.consensus[msg.type] += 1
-                if msg.type != "LAST_BLOCK":
-                    raise ProtocolError(f"got {msg.type} instead")
-                last_block = block_from_payload(msg.payload["block"])
+                if conn not in last_blocks:
+                    raise TimeoutError("none arrived within the consensus timeout")
+                last_block = block_from_payload(last_blocks[conn].payload["block"])
                 # keyed by the connection: a payload cannot claim another id
                 entries.append(ConsensusEntry(conn.record.miner_id, last_block))
-            except (OSError, ValueError, KeyError) as exc:  # OSError covers timeouts
+            except (OSError, ValueError, KeyError) as exc:
                 return self._discard(f"missing or invalid LAST_BLOCK from {conn.label}: {exc}")
         winner_id = select_consensus_winner(entries)
         winner = next(c for c in self._conns if c.record.miner_id == winner_id)
@@ -360,7 +359,7 @@ class AdminServer:
         )
 
     def _drop(self, conn: MinerConn, exc: Exception) -> None:
-        # the run is lost, but the others still mine until SIM_END
+        # the run is lost, but the others still mine to the end of their own clocks
         log.warning("dropping %s: %s", conn.label, exc)
         conn.close()
 

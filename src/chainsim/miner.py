@@ -2,16 +2,17 @@
 
 A miner runs on one thread. It dials every peer once, after bootstrap
 and before mining. During mining a single selectors loop waits only in
-select, until the next own blocktime, the next delayed outbound frame or
-a readable socket. It accepts peer connections, reads BLOCK frames off
-them into mining.step, and writes its own blocks to every peer without
-blocking: a peer that cannot be dialed, or cannot take a whole frame,
-loses its link for the rest of the run, never the miner's time. Each
-outbound frame waits U(lo, hi) sim-seconds of the delay range, drawn per
-(frame, peer) as the logical engine draws per (block, receiver), and
-scaled to the wall clock; loopback transport adds its own delay on top.
-A peer whose frame is corrupt, or whose block breaks the chain rules,
-loses its connection; the miner mines on.
+select, until the next own blocktime, the next delayed outbound frame,
+the end of the run on its own clock, or a readable socket. It accepts
+peer connections, reads BLOCK frames off them into mining.step, and
+writes its own blocks to every peer without blocking: a peer that cannot
+be dialed, or cannot take a whole frame, loses its link for the rest of
+the run, never the miner's time. Each outbound frame waits U(lo, hi)
+sim-seconds of the delay range, drawn per (frame, peer) as the logical
+engine draws per (block, receiver), and scaled to the wall clock;
+loopback transport adds its own delay on top. A peer whose frame is
+corrupt, or whose block breaks the chain rules, loses its connection;
+the miner mines on.
 """
 
 from __future__ import annotations
@@ -199,9 +200,16 @@ class MinerNode:
         listen_sock: socket.socket,
         links: list[PeerLink],
     ) -> None:
-        """Mining loop: runs until the admin calls time with SIM_END."""
+        """Mining loop: runs until the miner's own clock reaches the duration.
+
+        As in the logical engine, arrivals after the duration are dropped:
+        the last step applies the blocks read so far and builds every own
+        block due by the duration, and frames still in the outboxes stay unsent.
+        """
+        end = clock.start_instant + duration / clock.time_scale
         sel = selectors.DefaultSelector()
         sel.register(listen_sock, selectors.EVENT_READ)
+        # a dead admin still ends the miner at once; its frames wait for _consensus
         sel.register(admin.sock, selectors.EVENT_READ, admin)
         received: list[tuple[BufferedConn, Block]] = []
 
@@ -213,7 +221,7 @@ class MinerNode:
                 )
                 _drop_peer(sel, conn)
 
-        timeout: float | None = 0.0
+        timeout = 0.0
         try:
             while True:
                 received.clear()
@@ -225,15 +233,13 @@ class MinerNode:
                         admin.pump(0.0)
                     else:
                         _read_peer(sel, key.data, received)
-                # read outside the select: frames that came in one read with
-                # the bootstrap wait here and never make the socket readable
-                while admin.inbox:
-                    msg = admin.inbox.popleft()
-                    if msg.type == "SIM_END":
-                        return
-                    log.warning("unexpected %s from admin during mining", msg.type)
                 blocks = [b for _, b in received]
-                _, broadcast = step(ctx, state, blocks, clock.now(), duration, reject)
+                now = clock.now()
+                _, broadcast = step(ctx, state, blocks, now, duration, reject)
+                if now >= duration:
+                    while step(ctx, state, (), now, duration)[1] is not None:
+                        pass  # an own block the loop fell behind on, still due by the duration
+                    return
                 wall = time.monotonic()
                 if broadcast is not None:
                     frame = encode(msg_block(broadcast))
@@ -241,10 +247,10 @@ class MinerNode:
                         link.submit(frame, wall)
                 for link in links:
                     link.flush(wall)
-                wakes = [link.outbox[0][0] for link in links if link.outbox]
+                wakes = [end, *(link.outbox[0][0] for link in links if link.outbox)]
                 if ctx.next_time is not None and ctx.next_time <= duration:
                     wakes.append(clock.start_instant + ctx.next_time / clock.time_scale)
-                timeout = max(0.0, min(wakes) - time.monotonic()) if wakes else None
+                timeout = max(0.0, min(wakes) - time.monotonic())
         finally:
             for key in list(sel.get_map().values()):
                 if key.data is not None and key.data is not admin:

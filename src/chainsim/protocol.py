@@ -23,7 +23,6 @@ MESSAGE_TYPES = frozenset(
         "GENESIS",
         "TX_POOL",
         "BLOCK",
-        "SIM_END",
         "LAST_BLOCK",
         "CHAIN_REQUEST",
         "CHAIN",
@@ -338,10 +337,6 @@ def msg_tx_pool(txs: list[Transaction]) -> WireMessage:
 
 def msg_block(block: Block) -> WireMessage:
     return WireMessage("BLOCK", {"block": block_to_payload(block)})
-
-
-def msg_sim_end() -> WireMessage:
-    return WireMessage("SIM_END", {})
 
 
 def msg_last_block(miner_id: int, block: Block) -> WireMessage:

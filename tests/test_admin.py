@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import socket
 
@@ -44,6 +45,13 @@ def test_config_validation():
         config(time_scale=0.0)
     with pytest.raises(ValueError):
         config(tx_pool_size=-1)
+
+
+@pytest.mark.parametrize("field", ["duration", "interval", "time_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_refuses_non_finite_run_settings(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        config(**{field: value})
 
 
 def test_ledger_assigns_consecutive_ids():

@@ -399,6 +399,23 @@ def test_cli_reports_bad_input_without_a_traceback(tmp_path, argv, failed):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sim_time", ["nan", "inf"])
+def test_admin_refuses_a_non_finite_sim_time_at_once(sim_time):
+    # an infinite run would have the admin wait for ever, a NaN one end at once
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainsim", "admin", "--port", "0", "--num-miners", "1",
+         "--sim-time", sim_time, "--block-interval", "1", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("admin failed: duration must be positive and finite")
+    assert "Traceback" not in proc.stderr
+
+
 def test_network_experiment_single_run(tmp_path):
     spec = make_spec(
         tmp_path,

@@ -32,12 +32,12 @@ from chainsim.protocol import (
     encode,
     msg_block,
     msg_chain,
+    msg_chain_request,
     msg_consensus_result,
     msg_genesis,
     msg_last_block,
     msg_miner_info,
     msg_register,
-    msg_sim_end,
     msg_sim_start,
     msg_tx_pool,
 )
@@ -140,8 +140,7 @@ class ScriptedMiner(threading.Thread):
             conn.send(msg_block(blk))
         for raw in self.admin_frames:
             sock.sendall(raw)
-        msg = conn.next_message(30.0)
-        assert msg.type == "SIM_END", f"expected SIM_END, got {msg.type}"
+        # no run to sit out: the tip goes to the admin at once
         if self.last_block_payload is not None:
             conn.send(WireMessage("LAST_BLOCK", self.last_block_payload))
         elif self.send_last_block:
@@ -274,6 +273,25 @@ def test_duplicate_registration_rejected():
     assert not report["discarded"]
     assert second.miner_id == 2
     assert report["total_blocks"] == 0  # nobody mined anything
+
+
+def test_admin_ends_the_run_once_every_last_block_is_in():
+    # a 30 wall-s run whose miners report their tips right after bootstrap
+    config = quick_config(2, duration=3000.0)
+    server = AdminServer(config, port=0)
+    started = time.monotonic()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fut = pool.submit(server.run)
+        miners = [ScriptedMiner(server.port, listen_port=port) for port in (7150, 7151)]
+        for miner in miners:
+            miner.start()
+        report = fut.result(timeout=40)
+        for miner in miners:
+            miner.join(timeout=5)
+    assert time.monotonic() - started < 5.0
+    assert not report["discarded"]
+    assert report["frame_accounting"]["last_block_frames"] == 2
+    assert all(m.error is None and m.outcome == "CONSENSUS_RESULT" for m in miners)
 
 
 def test_block_frames_to_admin_are_counted_as_violations():
@@ -476,7 +494,7 @@ def test_junk_on_peer_ports_costs_only_that_connection(caplog):
         junk = ScriptedMiner(
             server.port,
             listen_port=unlistened.getsockname()[1],
-            peer_frames=(encode(msg_sim_end()), malformed),
+            peer_frames=(encode(msg_chain_request()), malformed),
         )
         junk.start()
         miner_futs = [
@@ -492,7 +510,7 @@ def test_junk_on_peer_ports_costs_only_that_connection(caplog):
     for s in stats:
         assert s["final_chain_ids"] == report["final_chain_ids"]
     warnings = [r.getMessage() for r in caplog.records]
-    assert any("SIM_END frame on a peer connection" in w for w in warnings)
+    assert any("CHAIN_REQUEST frame on a peer connection" in w for w in warnings)
     assert any("dropping peer connection" in w for w in warnings)
     # the dial to the junk miner fails once per honest miner, before mining;
     # the honest miners' blocks then skip it without a warning per frame
@@ -662,18 +680,19 @@ def test_a_miner_whose_admin_is_not_listening_fails_at_once(capsys):
 class ScriptedAdmin(threading.Thread):
     """Protocol-level fake admin for one miner: sends every frame of a run at once.
 
-    The bootstrap frames and SIM_END go out in one write as soon as the
-    miner registers, so the miner reads SIM_END from the same buffer as
-    its bootstrap; the result goes out once the miner's LAST_BLOCK arrives.
+    The bootstrap frames go out in one write as soon as the miner
+    registers; the result goes out once the miner's LAST_BLOCK arrives.
+    With no result, the admin hangs up right after the bootstrap.
     """
 
-    def __init__(self, bootstrap: list[WireMessage], result: WireMessage):
+    def __init__(self, bootstrap: list[WireMessage], result: WireMessage | None):
         super().__init__(daemon=True)
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
-        self.frames = b"".join(encode(m) for m in [*bootstrap, msg_sim_end()])
+        self.frames = b"".join(encode(m) for m in bootstrap)
         self.result = result
         self.last_block: WireMessage | None = None
+        self.sent_at = self.last_block_at = 0.0  # monotonic: bootstrap sent, LAST_BLOCK in
 
     def run(self) -> None:
         self.listener.settimeout(10.0)
@@ -684,8 +703,12 @@ class ScriptedAdmin(threading.Thread):
         conn = BufferedConn(sock)
         try:
             conn.next_message(10.0)  # REGISTER
+            self.sent_at = time.monotonic()
             sock.sendall(self.frames)
+            if self.result is None:
+                return
             self.last_block = conn.next_message(10.0)
+            self.last_block_at = time.monotonic()
             conn.send(self.result)
         except (OSError, ProtocolError):
             pass  # the miner gave up first
@@ -703,15 +726,18 @@ ADMIN_RUN = {
 }
 
 
-def run_miner_cli(capsys, **replace: dict) -> tuple[int, str, ScriptedAdmin]:
+def run_miner_cli(
+    capsys, hang_up: bool = False, **replace: dict
+) -> tuple[int, str, ScriptedAdmin]:
     """cli's miner command against a fake admin; replace maps an ADMIN_RUN
-    frame's name to payload fields that overwrite its own."""
+    frame's name to payload fields that overwrite its own, and hang_up has
+    the admin close its connection right after the bootstrap."""
     frames = {
         name: WireMessage(msg.type, {**msg.payload, **replace.get(name, {})})
         for name, msg in ADMIN_RUN.items()
     }
     result = frames.pop("result")
-    admin = ScriptedAdmin(list(frames.values()), result)
+    admin = ScriptedAdmin(list(frames.values()), None if hang_up else result)
     admin.start()
     args = cli.build_parser().parse_args(
         ["miner", "--admin", f"127.0.0.1:{admin.port}", "--listen-port", "0",
@@ -727,6 +753,23 @@ def test_miner_runs_to_consensus_against_the_scripted_admin(capsys):
     status, err, admin = run_miner_cli(capsys)
     assert status == 0, err
     assert admin.last_block.type == "LAST_BLOCK"
+
+
+def test_miner_ends_the_run_on_its_own_clock(capsys):
+    # a 0.5 wall-s run, and an admin that never calls time
+    status, err, admin = run_miner_cli(capsys, start={"duration": 50.0})
+    assert status == 0, err
+    assert admin.last_block.type == "LAST_BLOCK"
+    assert 0.5 <= admin.last_block_at - admin.sent_at <= 0.7
+
+
+def test_a_dead_admin_ends_a_mining_miner_at_once(capsys):
+    # the admin hangs up 30 wall-s before the run would end
+    start = time.monotonic()
+    status, err, _ = run_miner_cli(capsys, hang_up=True, start={"duration": 3000.0})
+    assert time.monotonic() - start < 5.0
+    assert status == 1
+    assert err.startswith("miner failed: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -34,8 +34,9 @@ from chainsim.protocol import (
     miner_info_from_payload,
     miner_record_from_payload,
     msg_chain,
+    msg_chain_request,
+    msg_discard,
     msg_miner_info,
-    msg_sim_end,
     register_from_payload,
     sim_start_from_payload,
     tx_ids_from_payload,
@@ -44,11 +45,11 @@ from wiregen import rand_block, random_message
 
 
 def test_frame_layout_matches_definition():
-    frame = encode(msg_sim_end())
+    frame = encode(msg_chain_request())
     length = struct.unpack(">I", frame[:4])[0]
     body = frame[4:]
     assert length == len(body)
-    assert json.loads(body) == {"type": "SIM_END", "payload": {}}
+    assert json.loads(body) == {"type": "CHAIN_REQUEST", "payload": {}}
 
 
 def test_round_trip_identity_randomized():
@@ -89,7 +90,7 @@ def test_malformed_json_rejected():
 @pytest.mark.parametrize(
     "body",
     [
-        b'{"type":"SIM_END","payload":{"n":1' + b"0" * 5000 + b"}}",
+        b'{"type":"CHAIN_REQUEST","payload":{"n":1' + b"0" * 5000 + b"}}",
         b"[" * 100_000 + b"]" * 100_000,
     ],
     ids=["integer-too-long-to-convert", "nested-too-deep"],
@@ -106,7 +107,7 @@ def test_non_object_body_rejected():
 
 
 def test_missing_payload_rejected():
-    body = json.dumps({"type": "SIM_END"}).encode()
+    body = json.dumps({"type": "CHAIN_REQUEST"}).encode()
     with pytest.raises(ParseError):
         decode(struct.pack(">I", len(body)) + body)
 
@@ -119,14 +120,21 @@ def test_unknown_type_rejected():
         WireMessage("GOSSIP", {})
 
 
+def test_sim_end_is_not_a_message_type():
+    # each miner ends its run on its own clock; the admin never calls time
+    body = json.dumps({"type": "SIM_END", "payload": {}}).encode()
+    with pytest.raises(UnknownMessage):
+        decode(struct.pack(">I", len(body)) + body)
+
+
 def test_trailing_bytes_left_for_next_frame():
-    first = encode(msg_sim_end())
-    second = encode(protocol.msg_chain_request())
+    first = encode(msg_chain_request())
+    second = encode(msg_discard("late"))
     buf = first + second
     msg1, used1 = decode(buf)
     msg2, used2 = decode(buf[used1:])
-    assert msg1.type == "SIM_END"
-    assert msg2.type == "CHAIN_REQUEST"
+    assert msg1.type == "CHAIN_REQUEST"
+    assert msg2.type == "DISCARD"
     assert used1 + used2 == len(buf)
 
 
@@ -140,7 +148,7 @@ def test_empty_roster_miner_info_decodes_to_empty_list():
 def test_frame_overflow_guard(monkeypatch):
     monkeypatch.setattr(protocol, "MAX_FRAME", 8)
     with pytest.raises(FrameOverflow):
-        encode(msg_sim_end())
+        encode(msg_chain_request())
 
 
 def test_over_cap_length_prefix_fails_before_the_body_arrives():
@@ -193,10 +201,10 @@ def test_reader_reassembles_arbitrary_chunking():
 
 def test_reader_single_and_double_frames():
     reader = FrameReader()
-    one = encode(msg_sim_end())
-    assert [m.type for m in reader.feed(one)] == ["SIM_END"]
-    two = encode(msg_sim_end()) + encode(protocol.msg_chain_request())
-    assert [m.type for m in reader.feed(two)] == ["SIM_END", "CHAIN_REQUEST"]
+    one = encode(msg_chain_request())
+    assert [m.type for m in reader.feed(one)] == ["CHAIN_REQUEST"]
+    two = encode(msg_chain_request()) + encode(msg_discard("late"))
+    assert [m.type for m in reader.feed(two)] == ["CHAIN_REQUEST", "DISCARD"]
 
 
 def decode_whole(stream: bytes) -> list[WireMessage]:
@@ -233,7 +241,7 @@ def test_reader_takes_thousands_of_coalesced_frames_in_one_chunk():
 
 
 def test_reader_error_leaves_the_bad_frame_at_the_head():
-    good = encode(msg_sim_end())
+    good = encode(msg_chain_request())
     bad = struct.pack(">I", 3) + b"{x}"
     reader = FrameReader()
     with pytest.raises(ParseError):

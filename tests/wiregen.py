@@ -17,7 +17,6 @@ from chainsim.protocol import (
     msg_last_block,
     msg_miner_info,
     msg_register,
-    msg_sim_end,
     msg_sim_start,
     msg_tx_pool,
 )
@@ -94,7 +93,6 @@ def random_message(rng: random.Random) -> WireMessage:
         ),
         lambda: msg_tx_pool([rand_tx(rng) for _ in range(rng.randint(0, 20))]),
         lambda: msg_block(rand_block(rng, allow_empty=False)),
-        msg_sim_end,
         lambda: msg_last_block(rng.randint(1, 20), rand_block(rng, allow_empty=False)),
         msg_chain_request,
         lambda: msg_chain(rng.randint(1, 20), [rand_block(rng) for _ in range(rng.randint(1, 10))]),
