@@ -1,28 +1,25 @@
 """In-process simulation on a logical clock, for deterministic runs.
 
-Same rules as the live network: every event goes through mining.step.
-One priority queue holds each miner's next own blocktime, drawn once and
-never moved by a received block, and time jumps from one to the next.
-A broadcast block waits in each receiver's inbox, a plain list it is
-appended to in broadcast order. Mining is memoryless, so a miner's
-state matters only when its own block falls due and when the run ends:
-there the inbox is sorted once, and one step applies every arrival that
-comes before, in (time, queue order), sliced off as the sorted prefix;
-arrivals after the duration are dropped. Every random draw comes from a
-seeded generator, so a given configuration replays bit-identically.
-Peer delivery delay is drawn from U(lo, hi) sim-seconds per (block,
-receiver) pair, so blocks may overtake each other: the same model the
-live miner's peer links use, there on the scaled wall clock.
+Same rules as the live network: every event goes through mining.step,
+and every inbox through mining.take_due. One priority queue holds each
+miner's next own blocktime, drawn once and never moved by a received
+block, and time jumps from one to the next. A broadcast block joins each
+receiver's inbox, due U(lo, hi) sim-seconds after its blocktime, drawn
+per (block, receiver) pair, so blocks may overtake each other; the live
+miner draws the same delay from its receipt. Mining is memoryless, so a
+miner's state matters only when its own block falls due and when the run
+ends: there one step applies every held block due before, in (time,
+queue order); blocks due after the duration are dropped. Every random
+draw comes from a seeded generator, so a given configuration replays
+bit-identically.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -36,7 +33,7 @@ from .admin import (
 )
 from .blocks import Block
 from .chain import ConsensusEntry, LocalChainState, finalize_state, select_consensus_winner
-from .mining import MiningContext, MinerTally, step
+from .mining import MiningContext, MinerTally, step, take_due
 from .timing import DEFAULT_DELAY_RANGE, HashpowerProfile, check_delay_range, sample_hashpower
 
 # Bound here though unused: the benchmark's tracer patches these names on this module.
@@ -93,22 +90,13 @@ def run_events(
     # (time, seq, miner index): a miner's own blocktime coming due
     heap: list[tuple[float, int, int]] = []
     # per miner, (arrival time, seq, block) for each block still on its
-    # way, unsorted until drained; seq is unique, so no Block is compared
+    # way, unsorted until take_due drains it
     inboxes: list[list[tuple[float, int, Block]]] = [[] for _ in range(n)]
     block_of = itemgetter(2)
 
     def queue_own(i: int) -> None:
         if ctxs[i].next_time is not None:
             heapq.heappush(heap, (ctxs[i].next_time, next_seq(), i))
-
-    def arrived(i: int, until: tuple[float, float]) -> Iterator[Block]:
-        """Take every block in miner i's inbox that sorts before until, in order."""
-        inbox = inboxes[i]
-        inbox.sort()
-        k = bisect.bisect_left(inbox, until)
-        due = inbox[:k]
-        del inbox[:k]
-        return map(block_of, due)
 
     for i in range(n):
         step(ctxs[i], states[i], (), 0.0, duration)  # first draw
@@ -118,7 +106,8 @@ def run_events(
         t, s, i = heapq.heappop(heap)
         if t > duration:
             break
-        _, broadcast = step(ctxs[i], states[i], arrived(i, (t, s)), t, duration)
+        due = map(block_of, take_due(inboxes[i], (t, s)))
+        _, broadcast = step(ctxs[i], states[i], due, t, duration)
         if broadcast is not None:
             # the own block came due, and its successor was drawn
             for j in range(n):
@@ -128,7 +117,8 @@ def run_events(
             queue_own(i)
     end = (duration, math.inf)
     for i in range(n):
-        step(ctxs[i], states[i], arrived(i, end), duration, duration)
+        due = map(block_of, take_due(inboxes[i], end))
+        step(ctxs[i], states[i], due, duration, duration)
 
 
 def run_logical(

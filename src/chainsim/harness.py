@@ -259,6 +259,7 @@ def _aggregate(spec: ExperimentSpec, reports: list[dict], retries: int) -> dict:
     hash_sums = [0.0] * n
     per_run = []
     for report in reports:
+        created = sum(stats["tally"]["created"] for stats in report["miner_stats"])
         by_slot = {row["slot"]: row for row in report["miners"]}
         shares = [by_slot[i]["block_share_pct"] for i in range(n)]
         hashes = [by_slot[i]["hash_share_pct"] for i in range(n)]
@@ -270,12 +271,17 @@ def _aggregate(spec: ExperimentSpec, reports: list[dict], retries: int) -> dict:
                 "run_idx": report["run_idx"],
                 "seed": report["seed"],
                 "total_blocks": report["total_blocks"],
+                "created_blocks": created,
+                # own blocks that missed the final chain, over all own blocks
+                "stale_rate": (created - report["total_blocks"]) / created if created else 0.0,
                 "winner_id": report["winner_id"],
                 "block_share_pct": shares,
                 "hash_share_pct": hashes,
                 "final_chain_ids": report["final_chain_ids"],
             }
         )
+    final_blocks = sum(r["total_blocks"] for r in per_run)
+    created = sum(r["created_blocks"] for r in per_run)
     mean_share = [s / runs for s in share_sums]
     mean_hash = [h / runs for h in hash_sums]
     deviations = [mean_share[i] - mean_hash[i] for i in range(n)]
@@ -288,7 +294,8 @@ def _aggregate(spec: ExperimentSpec, reports: list[dict], retries: int) -> dict:
         "runs": runs,
         "retries": retries,
         "hashpowers": list(spec.hashpowers) if spec.hashpowers is not None else "random",
-        "mean_total_blocks": sum(r["total_blocks"] for r in per_run) / runs,
+        "mean_total_blocks": final_blocks / runs,
+        "stale_rate": (created - final_blocks) / created if created else 0.0,
         "mean_block_share_pct": mean_share,
         "mean_hash_share_pct": mean_hash,
         "deviation_pp": deviations,
@@ -327,7 +334,8 @@ def render_experiment_table(aggregate: dict) -> str:
     lines.append(
         f"runs: {aggregate['runs']} (retries {aggregate['retries']}), "
         f"mean total blocks: {aggregate['mean_total_blocks']:.1f}, "
-        f"max |deviation|: {aggregate['max_abs_deviation_pp']:.2f} pp"
+        f"max |deviation|: {aggregate['max_abs_deviation_pp']:.2f} pp, "
+        f"stale rate: {aggregate['stale_rate']:.4f}"
     )
     return "\n".join(lines)
 

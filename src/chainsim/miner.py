@@ -2,22 +2,20 @@
 
 A miner runs on one thread. It dials every peer once, after bootstrap
 and before mining. During mining a single selectors loop waits only in
-select, until the next own blocktime, the next delayed outbound frame,
-the end of the run on its own clock, or a readable socket. It accepts
-peer connections, reads BLOCK frames off them into mining.step, and
-writes its own blocks to every peer without blocking: a peer that cannot
-be dialed, or cannot take a whole frame, loses its link for the rest of
-the run, never the miner's time. Each outbound frame waits U(lo, hi)
-sim-seconds of the delay range, drawn per (frame, peer) as the logical
-engine draws per (block, receiver), and scaled to the wall clock;
-loopback transport adds its own delay on top. A peer whose frame is
-corrupt, or whose block breaks the chain rules, loses its connection;
-the miner mines on.
+select, until the next own blocktime, the end of the run on its own
+clock, or a readable socket. Each BLOCK read off a peer joins the inbox,
+due U(lo, hi) sim-seconds after its receipt on the miner's own clock, as
+the engine draws per (block, receiver); the order is the engine's, from
+mining.take_due and mining.step. Own blocks go to every peer at once,
+without blocking: a peer that cannot be dialed, or cannot take a whole
+frame, loses its link for the rest of the run, never the miner's time. A
+peer whose frame is corrupt, or whose block breaks the chain rules, loses
+its connection; the miner mines on.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import logging
 import math
 import random
@@ -27,7 +25,7 @@ import time
 
 from .blocks import Block
 from .chain import LocalChainState, finalize_state, validate_chain
-from .mining import MiningContext, step
+from .mining import MiningContext, step, take_due
 from .netio import BufferedConn, ConnectionClosed, listener
 from .protocol import (
     MinerRecord,
@@ -54,21 +52,16 @@ CONSENSUS_PHASE_TIMEOUT = 60.0
 
 
 class PeerLink:
-    """Outbound frames to one peer, over one connection dialed before mining.
+    """Own blocks to one peer, over one connection dialed before mining.
 
-    Each frame waits until its own due time, now + U(lo, hi) wall-seconds,
-    where (lo, hi) is the run's delay range over its time_scale, so frames
-    may overtake each other. The peer is dialed once, when the link is
-    built; sends never block. A failed dial, or a send that fails or that
-    the socket cannot take whole, costs that peer every later frame of the
-    run.
+    The peer is dialed once, when the link is built; each frame is sent at
+    once and the send never blocks. A failed dial, or a send that fails or
+    that the socket cannot take whole, costs that peer every later frame of
+    the run.
     """
 
-    def __init__(self, record: MinerRecord, delays: tuple[float, float], rng: random.Random):
+    def __init__(self, record: MinerRecord):
         self.record = record
-        self.delays = delays  # (lo, hi) in wall-seconds
-        self.rng = rng
-        self.outbox: list[tuple[float, bytes]] = []  # heap of (monotonic due, frame)
         self._sock: socket.socket | None = None
         try:
             self._sock = socket.create_connection((record.ip, record.port), timeout=2.0)
@@ -79,15 +72,9 @@ class PeerLink:
                 "no link to miner %d at %s:%d: %s", record.miner_id, record.ip, record.port, exc
             )
 
-    def submit(self, frame: bytes, now: float) -> None:
-        if self._sock is not None:
-            heapq.heappush(self.outbox, (now + self.rng.uniform(*self.delays), frame))
-
-    def flush(self, now: float) -> None:
-        while self.outbox and self.outbox[0][0] <= now:
-            self._deliver(heapq.heappop(self.outbox)[1])
-
-    def _deliver(self, frame: bytes) -> None:
+    def send(self, frame: bytes) -> None:
+        if self._sock is None:
+            return
         try:
             if self._sock.send(frame) == len(frame):
                 return
@@ -102,7 +89,6 @@ class PeerLink:
         self.close()
 
     def close(self) -> None:
-        self.outbox.clear()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -177,11 +163,10 @@ class MinerNode:
                 tx_pool_ids=tx_ids,
             )
 
-            delays = (self.delay_range[0] / time_scale, self.delay_range[1] / time_scale)
-            links = [
-                PeerLink(peer, delays, random.Random(subseed ^ peer.miner_id)) for peer in peers
-            ]
-            self._mine(ctx, state, clock, duration, admin, listen_sock, links)
+            links = [PeerLink(peer) for peer in peers]
+            # delays get a stream of their own: blocktimes never depend on what is heard
+            delays = random.Random(f"delay:{subseed}")
+            self._mine(ctx, state, clock, duration, admin, listen_sock, links, delays)
             return self._consensus(ctx, state, admin, my_id, port)
         finally:
             listen_sock.close()
@@ -199,58 +184,64 @@ class MinerNode:
         admin: BufferedConn,
         listen_sock: socket.socket,
         links: list[PeerLink],
+        delays: random.Random,
     ) -> None:
         """Mining loop: runs until the miner's own clock reaches the duration.
 
-        As in the logical engine, arrivals after the duration are dropped:
-        the last step applies the blocks read so far and builds every own
-        block due by the duration, and frames still in the outboxes stay unsent.
+        Blocks due after the duration are never applied, as in the engine,
+        and own blocks built once the clock has passed it are not sent.
         """
-        end = clock.start_instant + duration / clock.time_scale
+        lo, hi = self.delay_range
+        next_seq = itertools.count().__next__
+        # (due, seq, block, sender) for each block read and not yet applied
+        inbox: list[tuple[float, int, Block, BufferedConn]] = []
         sel = selectors.DefaultSelector()
         sel.register(listen_sock, selectors.EVENT_READ)
         # a dead admin still ends the miner at once; its frames wait for _consensus
         sel.register(admin.sock, selectors.EVENT_READ, admin)
-        received: list[tuple[BufferedConn, Block]] = []
 
-        def reject(block: Block, exc: ValueError) -> None:
-            conn = next(c for c, b in received if b is block)
-            if conn.sock.fileno() >= 0:  # not dropped already
+        def step_until(now: float, until: tuple) -> Block | None:
+            """One step at now, on the held blocks that sort before until."""
+            taken = take_due(inbox, until)
+
+            def reject(block: Block, exc: ValueError) -> None:
+                # by identity: a conflicting duplicate shares its id with another peer's block
+                conn = next(c for _, _, b, c in taken if b is block)
                 log.warning(
                     "dropping peer connection: block %s breaks the chain rules: %s", block.id, exc
                 )
-                _drop_peer(sel, conn)
+                if conn.sock.fileno() >= 0:  # not closed already, by its EOF or a reject
+                    _drop_peer(sel, conn)
+
+            return step(ctx, state, [b for _, _, b, _ in taken], now, duration, reject)[1]
 
         timeout = 0.0
         try:
             while True:
-                received.clear()
-                for key, _ in sel.select(timeout):
+                events = sel.select(timeout)
+                now = clock.now()
+                for key, _ in events:
                     if key.fileobj is listen_sock:
                         sock, _addr = listen_sock.accept()
                         sel.register(sock, selectors.EVENT_READ, BufferedConn(sock))
                     elif key.data is admin:
                         admin.pump(0.0)
                     else:
-                        _read_peer(sel, key.data, received)
-                blocks = [b for _, b in received]
-                now = clock.now()
-                _, broadcast = step(ctx, state, blocks, now, duration, reject)
+                        for block in _read_peer(sel, key.data):
+                            due = now + delays.uniform(lo, hi)
+                            inbox.append((due, next_seq(), block, key.data))
+                horizon = min(now, duration)
+                while ctx.next_time is not None and ctx.next_time <= horizon:
+                    own = step_until(ctx.next_time, (ctx.next_time,))
+                    if now < duration:
+                        frame = encode(msg_block(own))
+                        for link in links:
+                            link.send(frame)
+                step_until(horizon, (horizon, math.inf))  # the first pass draws the first blocktime
                 if now >= duration:
-                    while step(ctx, state, (), now, duration)[1] is not None:
-                        pass  # an own block the loop fell behind on, still due by the duration
                     return
-                wall = time.monotonic()
-                if broadcast is not None:
-                    frame = encode(msg_block(broadcast))
-                    for link in links:
-                        link.submit(frame, wall)
-                for link in links:
-                    link.flush(wall)
-                wakes = [end, *(link.outbox[0][0] for link in links if link.outbox)]
-                if ctx.next_time is not None and ctx.next_time <= duration:
-                    wakes.append(clock.start_instant + ctx.next_time / clock.time_scale)
-                timeout = max(0.0, min(wakes) - time.monotonic())
+                wake = duration if ctx.next_time is None else min(ctx.next_time, duration)
+                timeout = max(0.0, clock.start_instant + wake / clock.time_scale - time.monotonic())
         finally:
             for key in list(sel.get_map().values()):
                 if key.data is not None and key.data is not admin:
@@ -299,24 +290,22 @@ class MinerNode:
         }
 
 
-def _read_peer(
-    sel: selectors.BaseSelector,
-    conn: BufferedConn,
-    received: list[tuple[BufferedConn, Block]],
-) -> None:
-    """Collect one peer's BLOCK frames; a closed or corrupt stream costs only that peer."""
+def _read_peer(sel: selectors.BaseSelector, conn: BufferedConn) -> list[Block]:
+    """One peer's BLOCK frames read so far; a closed or corrupt stream costs only that peer."""
+    blocks: list[Block] = []
     try:
         conn.pump(0.0)
         while conn.inbox:
             msg = conn.inbox.popleft()
             if msg.type == "BLOCK":
-                received.append((conn, block_from_payload(msg.payload.get("block"))))
+                blocks.append(block_from_payload(msg.payload.get("block")))
             else:
                 log.warning("protocol violation: %s frame on a peer connection", msg.type)
     except (OSError, ProtocolError) as exc:
         if not isinstance(exc, ConnectionClosed):
             log.warning("dropping peer connection: %s", exc)
         _drop_peer(sel, conn)
+    return blocks
 
 
 def _drop_peer(sel: selectors.BaseSelector, conn: BufferedConn) -> None:

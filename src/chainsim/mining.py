@@ -7,14 +7,14 @@ that no received block changes; when it falls due the own block is
 built on whatever the tip is then, and the next blocktime is drawn
 from it.
 
-`step` is the one place the event order lives: apply every received
-block first, then build and release the own block if it is due. Applying
-receives first means a deeper block that arrived at the same instant is
-already the tip the own block extends.
+`take_due` and `step` are the one place the event order lives, for both
+modes: a step applies the held blocks due before its instant, in (due,
+seq) order, then builds and releases the own block if it is due.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections.abc import Callable, Iterable
@@ -121,6 +121,18 @@ def depth_limit(duration: float, interval: float) -> int:
     placeholders a switch across a gap pads the chain with.
     """
     return 2 * math.ceil(duration / interval) + 64
+
+
+def take_due(inbox: list[tuple], until: tuple) -> list[tuple]:
+    """Slice off, sorted, the inbox entries (due, seq, block, ...) before until.
+
+    seq is unique, so no Block is ever compared; later entries stay behind.
+    """
+    inbox.sort()
+    k = bisect.bisect_left(inbox, until)
+    due = inbox[:k]
+    del inbox[:k]
+    return due
 
 
 def step(

@@ -163,6 +163,23 @@ def test_logical_experiment_outputs(tmp_path):
     assert len(csv.strip().splitlines()) == 4
 
 
+def test_aggregate_stale_rate_is_recomputed_from_the_run_reports(tmp_path):
+    spec = make_spec(tmp_path, duration=3000.0, delay_range=(2.0, 8.0))
+    aggregate = run_experiment(spec)
+    created = final = 0
+    for r, row in enumerate(aggregate["per_run"]):
+        report = json.loads((tmp_path / "out" / f"run_{r:03d}.json").read_text())
+        run_created = sum(s["tally"]["created"] for s in report["miner_stats"])
+        run_final = len(report["final_chain_ids"]) - 1  # genesis is nobody's block
+        assert row["created_blocks"] == run_created
+        assert row["stale_rate"] == pytest.approx((run_created - run_final) / run_created)
+        created += run_created
+        final += run_final
+    assert aggregate["stale_rate"] == pytest.approx(1 - final / created)
+    assert 0 < aggregate["stale_rate"] < 0.5  # 2-8 s of delay at a 12.42 s interval forks
+    assert f"stale rate: {aggregate['stale_rate']:.4f}" in render_experiment_table(aggregate)
+
+
 def test_logical_aggregate_is_deterministic(tmp_path):
     agg_a = run_experiment(make_spec(tmp_path, out_dir=str(tmp_path / "a")))
     agg_b = run_experiment(make_spec(tmp_path, out_dir=str(tmp_path / "b")))

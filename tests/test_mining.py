@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from chainsim.mining import (
     depth_limit,
     next_tx_ids,
     step,
+    take_due,
 )
 from chainsim.timing import HashpowerProfile
 
@@ -279,3 +281,15 @@ def test_tally_refuses_an_action_that_is_not_shared():
         "uncled": 1,
         "switches": 1,
     }
+
+
+def test_take_due_slices_off_the_prefix_before_until_in_due_seq_order():
+    a, b, c, d = (mk(x, GENESIS) for x in "abcd")  # Blocks do not order: seq must
+    # a is read first with a long delay, b later with a shorter one: b overtakes a;
+    # c ties with b on due and comes after it by seq
+    inbox = [(3.0, 0, a), (1.5, 1, b), (1.5, 2, c), (4.0, 3, d)]
+    assert [e[2] for e in take_due(inbox, (1.5, 2))] == [b]  # the entry at until stays
+    assert [e[2] for e in take_due(inbox, (3.0,))] == [c]  # due at 3.0 is not before it
+    assert [e[2] for e in take_due(inbox, (4.0, math.inf))] == [a, d]
+    assert inbox == []
+    assert take_due(inbox, (9.0, math.inf)) == []

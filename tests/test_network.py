@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import random
 import socket
 import threading
 import time
@@ -615,11 +614,9 @@ def test_a_partial_send_costs_the_link_for_the_rest_of_the_run(caplog):
     caplog.set_level(logging.WARNING, logger="chainsim.miner")
     with socket.create_server(("127.0.0.1", 0)) as peer:
         record = MinerRecord(2, 1.0, "127.0.0.1", peer.getsockname()[1])
-        link = PeerLink(record, (0.0, 0.0), random.Random(1))
-        link.submit(bytes(2**24), 0.0)  # more than the unread socket buffers hold
-        link.flush(0.0)
-        link.submit(b"later", 0.0)
-        link.flush(0.0)
+        link = PeerLink(record)
+        link.send(bytes(2**24))  # more than the unread socket buffers hold
+        link.send(b"later")
         link.close()
         peer.setblocking(False)
         peer.accept()[0].close()  # the dial made before mining
@@ -628,31 +625,45 @@ def test_a_partial_send_costs_the_link_for_the_rest_of_the_run(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "dropping frame and link to miner 2 for the rest of the run: send buffer full"
     ]
-    assert not link.outbox
 
 
-def test_peer_link_frames_wait_their_own_delay_and_may_overtake():
-    with socket.create_server(("127.0.0.1", 0)) as peer:
-        record = MinerRecord(2, 1.0, "127.0.0.1", peer.getsockname()[1])
-        # a delay range of (1, 3) sim-s at time_scale 100: 10 to 30 wall-ms
-        link = PeerLink(record, (1.0 / 100, 3.0 / 100), random.Random(7))
-        frames = [i.to_bytes(2, "big") for i in range(50)]
-        for frame in frames:
-            link.submit(frame, 0.0)
-        conn, _ = peer.accept()
-        with conn:
-            link.flush(0.0099)
-            assert len(link.outbox) == 50
-            link.flush(0.03)
-            assert not link.outbox
-            link.close()
-            received = b""
-            conn.settimeout(5.0)
-            while chunk := conn.recv(4096):
-                received += chunk
-    got = [received[i : i + 2] for i in range(0, len(received), 2)]
-    assert sorted(got) == frames
-    assert got != frames  # later frames overtook earlier ones
+def test_a_block_is_not_applied_before_its_delay_has_passed():
+    # The scripted peer sends a valid depth-1 block just after bootstrap, at
+    # receipt r of well under 1 sim-s (a few wall-ms at time_scale 20). The
+    # receiver holds it until r + 30 and mines alone meanwhile: 29 of 30
+    # hashpower at interval 2, one own block per 2.07 sim-s on average. So
+    # its chain is deeper when the block comes due, which then can only be
+    # an uncle: P(no own block in 30 sim-s) = exp(-30 / 2.07) < 1e-6.
+    # Applied on receipt instead, it would be appended unless an own block
+    # came first, inside r: P < 1 - exp(-1 / 2.07) = 0.38, and far lower
+    # for the usual r.
+    early = Block(id="early", parent_id=GENESIS.id, depth=1, miner_id=1, blocktime=0.01)
+    config = SimulationConfig(num_miners=2, duration=40.0, interval=2.0, seed=8, time_scale=20.0)
+    server = AdminServer(config, port=0)
+    unlistened = refusing_port()
+    with unlistened, ThreadPoolExecutor(max_workers=2) as pool:
+        admin_fut = pool.submit(server.run)
+        sender = ScriptedMiner(
+            server.port,
+            listen_port=unlistened.getsockname()[1],
+            hashpower=1.0,
+            peer_frames=(encode(msg_block(early)),),
+        )
+        sender.start()
+        honest = pool.submit(
+            MinerNode(
+                "127.0.0.1", server.port, listen_port=0, hashpower=29.0, delay_range=(30.0, 30.0)
+            ).run
+        )
+        report = admin_fut.result(timeout=60)
+        stats = honest.result(timeout=60)
+        sender.join(timeout=5)
+    assert sender.error is None
+    assert not report["discarded"]
+    assert stats["tally"]["appended_received"] == 0
+    assert stats["tally"]["uncled"] == 1
+    assert "early" not in stats["final_chain_ids"]
+    assert stats["final_chain_len"] > 1
 
 
 def refusing_port() -> socket.socket:
