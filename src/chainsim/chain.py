@@ -65,20 +65,22 @@ class LocalChainState:
 
     main_chain goes genesis to tip with depth equal to list index; any
     placeholders sit at depths 1..h, below every real block but genesis.
-    A switch, and so a fill of the topmost placeholder, assigns a new
-    list, spliced at the fork point, and never mutates the old one.
+    A switch, and so a fill of the topmost placeholder, splices the list
+    in place at the fork point: it cuts the list above the fork and puts
+    the branch on top. Only a switch that opens a gap builds a new list.
     block_store remembers every real block ever created or received, so
     a chain switch can be rebuilt locally instead of shipped over the
     wire; the uncles are the stored blocks that are not on the main
     chain.
 
     below_gap is the last main chain without placeholders, kept while
-    the current one has any: the list a switch across a gap replaced,
-    held by reference (nothing appends to a replaced list). A walk that
-    would otherwise pass the placeholders down to genesis splices onto
-    it at its fork point instead, so closing a gap costs the branch
-    above the old chain, not the chain. It is None whenever main_chain
-    has no placeholders, so a state holds at most one stale list.
+    the current one has any: the list a switch that opened a gap
+    replaced, held by reference and never mutated while held. A walk
+    that would otherwise pass the placeholders down to genesis splices
+    onto it at its fork point instead, and it becomes the main chain, so
+    closing a gap costs the branch above the old chain, not the chain.
+    It is None whenever main_chain has no placeholders, and it is never
+    main_chain itself, so a state holds at most one stale list.
     """
 
     def __init__(self, genesis: Block):
@@ -183,12 +185,13 @@ def _switch(state: LocalChainState, block: Block) -> None:
 
     Walks parent links back through the store only until a parent is the
     block at its depth on the main chain or, while a gap is open, on
-    below_gap (the fork point), then keeps that chain up to there and
-    puts the branch on top: the Python work grows with the fork, not the
-    chain. If an ancestor is missing first, the chain below the gap is
-    padded with placeholders exactly as reconstruct_chain pads it, and a
-    main chain without placeholders is kept as below_gap. Raises before
-    anything changes if the branch breaks the chain rules.
+    below_gap (the fork point). That list is cut above the fork in place,
+    the branch goes on top, and it is the main chain: the work grows with
+    the fork, not the chain. If an ancestor is missing first, a new list
+    pads the chain below the gap with placeholders exactly as
+    reconstruct_chain pads it, and a replaced main chain without
+    placeholders is kept as below_gap. Raises before anything changes if
+    the branch breaks the chain rules.
     """
     chain = state.main_chain
     kept = state.below_gap
@@ -203,27 +206,29 @@ def _switch(state: LocalChainState, block: Block) -> None:
             while len(_UNKNOWN_RUN) < depth - 1:
                 _UNKNOWN_RUN.append(make_placeholder(UNKNOWN_ID, len(_UNKNOWN_RUN) + 1))
             gap = make_placeholder(cur.parent_id, depth)
-            head = [state.genesis, *_UNKNOWN_RUN[: depth - 1], gap]
             if kept is None:  # no gap was open, so chain has no placeholders
                 kept = chain
+            chain = [state.genesis, *_UNKNOWN_RUN[: depth - 1], gap]
             break
         if parent.depth != depth:
             raise StructuralError(
                 f"parent {parent.id} at depth {parent.depth}, expected {depth}"
             )
         if depth < len(chain) and chain[depth].id == parent.id:
-            head = chain[: depth + 1]
+            del chain[depth + 1 :]
             break
         if kept is not None and depth < len(kept) and kept[depth].id == parent.id:
-            head = kept[: depth + 1]
+            chain = kept
+            del chain[depth + 1 :]
             break
         branch.append(parent)
         cur = parent
     branch.reverse()
     state.block_store[block.id] = block
-    state.main_chain = head + branch
-    # placeholders sit at depths 1..h, so head[1] says whether a gap is open
-    state.below_gap = kept if len(head) > 1 and head[1].is_empty else None
+    chain += branch
+    state.main_chain = chain
+    # placeholders sit at depths 1..h, so chain[1] says whether a gap is open
+    state.below_gap = kept if chain[1].is_empty else None
 
 
 def reconstruct_chain(store: dict[str, Block], tip: Block) -> list[Block]:
@@ -349,6 +354,8 @@ def validate_chain(chain: list[Block], allow_empty: bool = True) -> None:
 
 def verify_state_invariants(state: LocalChainState) -> None:
     """Assert LocalChainState invariants; used by tests and debug runs."""
+    if state.below_gap is state.main_chain:
+        raise StructuralError("below_gap must be a list apart from the main chain")
     validate_chain(state.main_chain, allow_empty=True)
     holes = [b.depth for b in state.main_chain if b.is_empty]
     if holes != list(range(1, len(holes) + 1)):

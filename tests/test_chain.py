@@ -247,7 +247,7 @@ def test_rejected_block_leaves_state_unchanged(bad):
     verify_state_invariants(state)
 
 
-def test_switch_assigns_a_new_list_and_keeps_the_shared_prefix():
+def test_switch_splices_in_place_and_keeps_the_shared_prefix():
     ours = build_line(6, prefix="a", miner=1)
     state = fresh_state(ours)
     fork = [ours[3]]
@@ -255,14 +255,21 @@ def test_switch_assigns_a_new_list_and_keeps_the_shared_prefix():
         fork.append(mk(f"f{i}", fork[-1], miner=2))
     for blk in fork[1:-1]:
         apply_received_block(state, blk)
-    old = state.main_chain
+    chain = state.main_chain
     action = apply_received_block(state, fork[-1])
     assert action.kind is ActionKind.SWITCHED_CHAIN
-    assert state.main_chain is not old
-    assert old == ours  # the old list is left as it was
-    assert state.main_chain == ours[:4] + fork[1:]
+    assert state.main_chain is chain  # no gap opened: the same list, cut and extended
+    assert all(a is b for a, b in zip(state.main_chain[:4], ours[:4]))
+    assert state.main_chain[4:] == fork[1:]
     assert set(state.block_store) == {b.id for b in ours + fork}
     verify_state_invariants(state)
+
+
+def test_invariants_refuse_below_gap_aliasing_the_main_chain():
+    state = fresh_state(build_line(3))
+    state.below_gap = state.main_chain
+    with pytest.raises(StructuralError, match="apart from the main chain"):
+        verify_state_invariants(state)
 
 
 def test_received_block_fills_main_chain_placeholder():
@@ -539,17 +546,21 @@ def checked_delivery(
     Returns the action kind and whether the block closed a gap by splicing
     onto below_gap: the gap was open, the new main chain has none, and
     the walk took fewer parent links than a walk down to genesis would.
+    A delivery that leaves the gap open must leave the held list as it was.
     """
     kept, lookups = state.below_gap, state.block_store.lookups
+    held = None if kept is None else list(kept)
     action = apply_received_block(state, blk)
     walked = state.block_store.lookups - lookups - 1  # less _known's lookup
     assert action.kind is oracle_receive(oracle, blk)
     assert snapshot(state) == snapshot(oracle)
     verify_state_invariants(state)
+    if kept is not None and state.below_gap is not None:
+        assert state.below_gap is kept and kept == held
     spliced = kept is not None and state.below_gap is None and walked < blk.depth
     if spliced:
         fork = blk.depth - walked
-        assert state.main_chain[: fork + 1] == kept[: fork + 1]
+        assert state.main_chain[: fork + 1] == held[: fork + 1]
     return action.kind, spliced
 
 
@@ -631,3 +642,53 @@ def test_chained_gaps_close_at_the_chain_the_first_gap_replaced(second_on_first,
     assert state.main_chain == brute_force_deepest(state.block_store)
     assert state.below_gap is None
     assert spliced.count(True) == 1  # the gap closed onto kept, not by a walk to genesis
+
+
+class NoCopyList(list):
+    """A main chain that fails the test if anything copies it."""
+
+    def __getitem__(self, index):
+        assert not isinstance(index, slice), "the main chain was copied"
+        return super().__getitem__(index)
+
+    def __add__(self, other):
+        raise AssertionError("the main chain was copied")
+
+
+def deep_counted_state(n: int) -> tuple[LocalChainState, list[Block]]:
+    """A counted state on an n-block line whose main chain may not be copied."""
+    line = build_line(n)
+    state = counted_state()
+    for blk in line[1:]:
+        apply_created_block(state, blk)
+    state.main_chain = NoCopyList(state.main_chain)
+    state.block_store.lookups = 0
+    return state, line
+
+
+def test_switch_and_gap_fill_cost_the_fork_not_the_chain_depth():
+    n, k = 20_000, 10
+    state, line = deep_counted_state(n)
+    branch = [line[n - k + 1]]  # the fork point: the branch sits one deeper than the tip
+    for _ in range(k):
+        branch.append(mk(f"f{branch[-1].depth + 1}", branch[-1], miner=2))
+    branch = branch[1:]
+    for blk in branch[:-1]:  # no deeper than the tip: uncles
+        apply_received_block(state, blk)
+    chain, lookups = state.main_chain, state.block_store.lookups
+    assert apply_received_block(state, branch[-1]).kind is ActionKind.SWITCHED_CHAIN
+    assert state.block_store.lookups - lookups == k + 1  # the id check, then k parent links
+    assert state.main_chain is chain
+    assert state.main_chain == line[: n - k + 2] + branch
+
+    state, line = deep_counted_state(n)
+    missing = mk("m", line[n - 1], miner=2)
+    top = mk("x", missing, miner=2)
+    kept = state.main_chain
+    assert apply_received_block(state, top).kind is ActionKind.SWITCHED_CHAIN  # opens a gap
+    assert state.below_gap is kept and state.main_chain[n] == make_placeholder("m", n)
+    lookups = state.block_store.lookups
+    apply_received_block(state, missing)  # fills the gap at its fork on below_gap
+    assert state.block_store.lookups - lookups == 2  # the id check, then one parent link
+    assert state.main_chain is kept and state.below_gap is None
+    assert state.main_chain == line[:n] + [missing, top]
