@@ -151,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
         stream=sys.stderr,
+        force=True,  # main's config, even where a forked child's parent or a wrapper made one
     )
     if args.command == "admin":
         return cmd_admin(args)

@@ -1,18 +1,26 @@
 """Experiment driver: repeated runs, aggregation, fairness checking.
 
-Network mode launches one admin process and one process per miner and
-collects their report files; logical mode calls the in-process engine.
-Discarded runs are retried on a fresh seed, within a global attempt
-budget of three times the requested run count.
+Network mode forks one admin process and one process per miner from
+this one, each running ``chainsim.cli.main`` with the argv that follows
+``python -m chainsim`` in a hand run, and collects their report files.
+The children skip only the interpreter start: they are still separate
+processes that talk over TCP and write the same logs, stats files and
+exit statuses. Logical mode calls the in-process engine. Discarded runs
+are retried on a fresh seed, within a global attempt budget of three
+times the requested run count.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import select
-import subprocess
+import signal
+import subprocess  # noqa: F401 -- unused here; perfbench's traced mode swaps harness.subprocess
 import sys
+import time
+import traceback
 from dataclasses import dataclass
 
 from .admin import ANNOUNCEMENT, EXIT_DISCARDED, SimulationConfig, write_report
@@ -167,8 +175,8 @@ def _run_network(
     work = os.path.join(spec.out_dir, "work", f"run_{run_idx:03d}_a{attempt}")
     os.makedirs(work, exist_ok=True)
     report_path = os.path.join(work, "report.json")
-    admin_cmd = [
-        sys.executable, "-m", "chainsim", "admin",
+    admin_argv = [
+        "admin",
         "--port", "0",
         "--num-miners", str(config.num_miners),
         "--sim-time", str(config.duration),
@@ -179,18 +187,23 @@ def _run_network(
         "--report-out", report_path,
     ]
     stats_paths = [os.path.join(work, f"miner_{i}.json") for i in range(spec.num_miners)]
-    procs: list[subprocess.Popen] = []
+    pids: list[int] = []  # admin first
+    codes: dict[int, int] = {}  # exit status of each reaped child
     files = []
     try:
         admin_log = open(os.path.join(work, "admin.log"), "wb")
         files.append(admin_log)
-        admin_proc = subprocess.Popen(admin_cmd, stdout=subprocess.PIPE, stderr=admin_log)
-        procs.append(admin_proc)
-        files.append(admin_proc.stdout)
+        read_end, write_end = os.pipe()
+        admin_out = open(read_end, "rb", buffering=0)  # unbuffered: select sees every byte
+        files.append(admin_out)
+        try:
+            pids.append(_spawn(admin_argv, write_end, admin_log.fileno()))
+        finally:
+            os.close(write_end)  # the admin holds the only other end: EOF when it exits
         # the admin binds, then announces its address in one flushed write, so
         # a readable pipe holds the whole line, or is closed; then miners start
-        ready, _, _ = select.select([admin_proc.stdout], [], [], ADMIN_START_TIMEOUT)
-        announced = admin_proc.stdout.readline() if ready else b""
+        ready, _, _ = select.select([admin_out], [], [], ADMIN_START_TIMEOUT)
+        announced = admin_out.readline() if ready else b""
         admin_log.write(announced)
         admin_log.flush()
         if not announced.startswith(ANNOUNCEMENT.encode()):
@@ -200,36 +213,38 @@ def _run_network(
             )
         address = announced[len(ANNOUNCEMENT) :].decode().strip()
         for i, stats_path in enumerate(stats_paths):
-            cmd = [
-                sys.executable, "-m", "chainsim", "miner",
+            argv = [
+                "miner",
                 "--admin", address,
                 "--listen-port", "0",
                 "--hashpower", str(powers[i]),
                 "--stats-out", stats_path,
                 "--delay-range", *map(str, spec.delay_range),
             ]
-            miner_log = open(os.path.join(work, f"miner_{i}.log"), "w", encoding="utf-8")
+            miner_log = open(os.path.join(work, f"miner_{i}.log"), "wb")
             files.append(miner_log)
-            procs.append(subprocess.Popen(cmd, stdout=miner_log, stderr=subprocess.STDOUT))
-        wall_budget = spec.duration / spec.time_scale + 120.0
+            pids.append(_spawn(argv, miner_log.fileno(), miner_log.fileno()))
         try:
-            table, _ = admin_proc.communicate(timeout=wall_budget)
-            admin_log.write(table)
-            admin_rc = admin_proc.returncode
-            for proc in procs[1:]:
-                proc.wait(timeout=60.0)
-        except subprocess.TimeoutExpired as exc:
-            raise ExperimentFailure(f"run with seed {run_seed} hung: {exc}") from exc
+            deadline = time.monotonic() + spec.duration / spec.time_scale + 120.0
+            _copy_until_eof(admin_out, admin_log, deadline)  # the admin's table
+            codes[pids[0]] = _wait(pids[0], deadline)
+            deadline = time.monotonic() + 60.0
+            for pid in pids[1:]:
+                codes[pid] = _wait(pid, deadline)
+        except TimeoutError as exc:
+            raise ExperimentFailure(f"run with seed {run_seed} hung: {exc}; see {work}") from exc
     finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()  # reaped: no process outlives its run
+        for pid in pids:
+            if pid not in codes:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)  # reaped: no process outlives its run
         for fh in files:
             fh.close()
+    admin_rc, *miner_rcs = (codes[pid] for pid in pids)
     if admin_rc not in (0, EXIT_DISCARDED):
         raise ExperimentFailure(
-            f"admin exited with status {admin_rc} for seed {run_seed}; see {work}/admin.log"
+            f"admin exited with status {admin_rc} for seed {run_seed} (miners: {miner_rcs}); "
+            f"see {work}/admin.log"
         )
     report = _read_json(report_path)
     if report["discarded"]:
@@ -245,6 +260,75 @@ def _run_network(
     for row in report["miners"]:
         row["slot"] = slots[row["miner_id"]]
     return report
+
+
+def _spawn(argv: list[str], stdout: int, stderr: int) -> int:
+    """Fork a child that runs ``python -m chainsim <argv>`` with its stdout
+    and stderr on the given fds; returns its pid.
+
+    The child is this process with chainsim already imported (the parent
+    imports the CLI once, so no child pays for it), and it calls
+    ``cli.main`` as that name holds at call time. It writes only to its
+    own fds, through fresh streams, and its records go to its own stderr.
+    It never returns into the caller's stack: it ends in ``os._exit`` with
+    main's status, or with 1 after a traceback if main raised. Like any
+    fork, it is for callers that run no other threads, as the CLI and the
+    benchmark do not.
+    """
+    from . import cli
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        os.dup2(stdout, 1)
+        os.dup2(stderr, 2)
+        # fresh streams: the caller's (a test runner's capture, say) are
+        # never written or flushed here
+        sys.stderr = open(2, "w", buffering=1, encoding="utf-8", errors="backslashreplace",
+                          closefd=False)
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+        # the caller's log handlers are detached, not closed, so none is flushed here
+        for handler in logging.root.handlers[:]:
+            logging.root.removeHandler(handler)
+        status = cli.main(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        status = exc.code if isinstance(exc.code, int) else 1
+    except BaseException:  # the child's last frame: report, then exit below, never re-raise
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _copy_until_eof(pipe, sink, deadline: float) -> None:
+    """Copy what the pipe's writer sends into sink until it closes (exits)."""
+    while select.select([pipe], [], [], max(0.0, deadline - time.monotonic()))[0]:
+        chunk = pipe.read(65536)
+        if not chunk:
+            return
+        sink.write(chunk)
+    raise TimeoutError("the admin was still running at its deadline")
+
+
+def _wait(pid: int, deadline: float) -> int:
+    """Reap child pid; its exit status, or minus the signal that killed it."""
+    delay = 0.0005
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError(f"process {pid} was still running at its deadline")
+        delay = min(2 * delay, remaining, 0.05)
+        time.sleep(delay)
 
 
 def _read_json(path: str):

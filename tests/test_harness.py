@@ -1,7 +1,10 @@
 """Harness and CLI behavior: spec parsing, aggregation, retries, fairness."""
 
 import errno
+import functools
 import json
+import logging
+import os
 import re
 import socket
 import subprocess
@@ -11,7 +14,8 @@ from dataclasses import fields
 
 import pytest
 
-from chainsim import cli
+from chainsim import cli, harness
+from chainsim.admin import AdminServer
 from chainsim.engine import resolve_hashpowers
 from chainsim.harness import (
     _SPEC_FIELD_TYPES,
@@ -458,27 +462,27 @@ def test_network_experiment_single_run(tmp_path):
     assert stats["discarded"] is False
 
 
-def record_popen(monkeypatch) -> tuple[list, list]:
-    """Each command the harness starts, and per miner whether its --admin address was bound."""
+def record_spawn(monkeypatch) -> tuple[list, list]:
+    """Each argv the harness forks a child with, and per miner whether its admin was bound."""
     commands = []
     listening = []
-    real_popen = subprocess.Popen
+    real_spawn = harness._spawn
 
-    def popen(cmd, *args, **kw):
-        commands.append(cmd)
-        if "miner" in cmd:
-            host, _, port = cmd[cmd.index("--admin") + 1].rpartition(":")
+    def spawn(argv, *fds):
+        commands.append(argv)
+        if "miner" in argv:
+            host, _, port = argv[argv.index("--admin") + 1].rpartition(":")
             with socket.socket() as other, pytest.raises(OSError) as refused:
                 other.bind((host, int(port)))
             listening.append(refused.value.errno == errno.EADDRINUSE)
-        return real_popen(cmd, *args, **kw)
+        return real_spawn(argv, *fds)
 
-    monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(harness, "_spawn", spawn)
     return commands, listening
 
 
 def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkeypatch):
-    commands, listening = record_popen(monkeypatch)
+    commands, listening = record_spawn(monkeypatch)
     spec = make_spec(
         tmp_path,
         mode="network",
@@ -516,7 +520,7 @@ def test_network_run_passes_the_spec_delay_range_to_every_miner(tmp_path, monkey
 def test_network_run_hands_every_miner_the_harness_draw_of_a_random_hashpower(
     tmp_path, monkeypatch
 ):
-    commands, _ = record_popen(monkeypatch)
+    commands, _ = record_spawn(monkeypatch)
     spec = make_spec(tmp_path, mode="network", num_miners=3, duration=30.0, time_scale=100.0,
                      runs=1, seed=79, hashpowers=None)
     aggregate = run_experiment(spec)
@@ -535,15 +539,15 @@ def test_network_run_hands_every_miner_the_harness_draw_of_a_random_hashpower(
 def test_an_accepted_run_with_a_miner_that_wrote_no_stats_fails_naming_its_work_dir(
     tmp_path, monkeypatch
 ):
-    real_popen = subprocess.Popen
+    real_spawn = harness._spawn
 
-    def popen(cmd, *args, **kw):
-        if any(a.endswith("miner_1.json") for a in cmd):  # miner 1 runs but keeps its stats
-            at = cmd.index("--stats-out")
-            cmd = cmd[:at] + cmd[at + 2 :]
-        return real_popen(cmd, *args, **kw)
+    def spawn(argv, *fds):
+        if any(a.endswith("miner_1.json") for a in argv):  # miner 1 runs but keeps its stats
+            at = argv.index("--stats-out")
+            argv = argv[:at] + argv[at + 2 :]
+        return real_spawn(argv, *fds)
 
-    monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(harness, "_spawn", spawn)
     spec = make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
                      runs=1, seed=80, hashpowers=(12.0, 24.0))
     work = re.escape(str(tmp_path / "out" / "work" / "run_000_a0"))
@@ -555,16 +559,16 @@ def test_an_admin_that_never_announces_fails_the_run_before_any_miner_starts(
     tmp_path, monkeypatch
 ):
     commands = []
-    real_popen = subprocess.Popen
+    real_spawn = harness._spawn
 
-    def popen(cmd, *args, **kw):
-        commands.append(cmd)
-        if "admin" in cmd:  # an admin that refuses its options exits before it binds
-            cmd = [*cmd]
-            cmd[cmd.index("--num-miners") + 1] = "0"
-        return real_popen(cmd, *args, **kw)
+    def spawn(argv, *fds):
+        commands.append(argv)
+        if "admin" in argv:  # an admin that refuses its options exits before it binds
+            argv = [*argv]
+            argv[argv.index("--num-miners") + 1] = "0"
+        return real_spawn(argv, *fds)
 
-    monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(harness, "_spawn", spawn)
     spec = make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
                      runs=1, seed=81, hashpowers=(12.0, 24.0))
     log = re.escape(str(tmp_path / "out" / "work" / "run_000_a0" / "admin.log"))
@@ -573,3 +577,63 @@ def test_an_admin_that_never_announces_fails_the_run_before_any_miner_starts(
         run_experiment(spec)
     assert time.monotonic() - start < 5.0
     assert len(commands) == 1  # the admin's: no miner was started
+
+
+def test_no_forked_child_outlives_its_run_or_runs_the_callers_code(tmp_path, monkeypatch):
+    def network_spec(out: str, seed: int) -> ExperimentSpec:
+        return make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
+                         runs=1, seed=seed, hashpowers=(12.0, 24.0), out_dir=str(tmp_path / out))
+
+    run_experiment(network_spec("ok", 82))
+    with pytest.raises(ChildProcessError):  # every child of this process was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+    real_main = cli.main
+
+    def main(argv):
+        if argv[0] == "miner":
+            raise RuntimeError("a miner's main raised")
+        return real_main(argv)
+
+    monkeypatch.setattr(cli, "main", main)
+    # the admin gives up on miners that never register after a second, not a minute
+    admin_server = functools.partial(AdminServer, registration_timeout=1.0)
+    monkeypatch.setattr(cli, "AdminServer", admin_server)
+    work = tmp_path / "failing" / "work" / "run_000_a0"
+    with pytest.raises(ExperimentFailure,
+                       match=r"status 1 .*\(miners: \[1, 1\]\); see " + re.escape(str(work))):
+        run_experiment(network_spec("failing", 83))
+    # a child that returned into this test instead of exiting would append here too
+    after = tmp_path / "after-the-call"
+    with open(after, "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert after.read_text() == f"{os.getpid()}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    for i in range(2):
+        log = (work / f"miner_{i}.log").read_text()
+        assert "Traceback" in log and "RuntimeError: a miner's main raised" in log
+
+
+def test_a_forked_childs_output_lands_in_its_own_log_while_pytest_captures(
+    tmp_path, monkeypatch, capfd
+):
+    real_main = cli.main
+
+    def main(argv):
+        if argv[0] == "miner":  # the admin's stdout is the harness's pipe: its first line announces
+            print("marker printed by a miner")
+            logging.getLogger("chainsim.miner").warning("marker logged by a miner")
+        return real_main(argv)
+
+    monkeypatch.setattr(cli, "main", main)  # the children look cli.main up when they call it
+    spec = make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
+                     runs=1, seed=84, hashpowers=(12.0, 24.0))
+    run_experiment(spec)
+    work = tmp_path / "out" / "work" / "run_000_a0"
+    log = (work / "miner_0.log").read_text()
+    assert "marker printed by a miner" in log and "marker logged by a miner" in log
+    announced = (work / "admin.log").read_text().splitlines()[0]
+    assert announced.startswith("admin listening on 127.0.0.1:")
+    captured = capfd.readouterr()
+    assert "marker" not in captured.out + captured.err
