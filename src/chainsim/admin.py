@@ -8,17 +8,15 @@ cheap consensus: one full chain out of the winner, one result broadcast.
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 import random
 import select
 import socket
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .blocks import ADMIN_ID, Block, StructuralError, Transaction, derive_block_id
+from .blocks import Block, StructuralError
 from .chain import ConsensusEntry, select_consensus_winner, validate_chain
 from .netio import BufferedConn, ConnectionClosed, listener
 from .protocol import (
@@ -37,6 +35,8 @@ from .protocol import (
     msg_tx_pool,
     register_from_payload,
 )
+from .simulation import SimulationConfig, create_genesis, create_tx_pool, emit_report, subseed_for
+from .timing import check_hashpower
 
 log = logging.getLogger(__name__)
 
@@ -51,25 +51,6 @@ class RegistrationTimeout(TimeoutError):
     """Not every expected miner registered in time."""
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    num_miners: int
-    duration: float
-    interval: float
-    seed: int
-    time_scale: float = 1.0
-    tx_pool_size: int = 100
-
-    def __post_init__(self) -> None:
-        if self.num_miners < 1:
-            raise ValueError("need at least one miner")
-        for name in ("duration", "interval", "time_scale"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite")
-        if self.tx_pool_size < 0:
-            raise ValueError("tx_pool_size cannot be negative")
-
-
 class RegistrationLedger:
     """Miner roster in registration order; ids are 1, 2, 3, ..."""
 
@@ -77,8 +58,7 @@ class RegistrationLedger:
         self.entries: list[MinerRecord] = []
 
     def register(self, hashpower: float, ip: str, port: int) -> MinerRecord:
-        if not 0 < hashpower < math.inf:
-            raise ValueError("hashpower must be finite and positive")
+        check_hashpower(hashpower)
         if any(e.ip == ip and e.port == port for e in self.entries):
             raise ValueError(f"duplicate registration from {ip}:{port}")
         record = MinerRecord(
@@ -90,37 +70,6 @@ class RegistrationLedger:
     @property
     def total_hashpower(self) -> float:
         return sum(e.hashpower for e in self.entries)
-
-
-def create_genesis() -> Block:
-    """The common root block; same on every invocation."""
-    return Block(
-        id=derive_block_id(ADMIN_ID, 0, 0.0, 0),
-        parent_id=None,
-        depth=0,
-        miner_id=ADMIN_ID,
-        blocktime=0.0,
-    )
-
-
-def create_tx_pool(config: SimulationConfig, rng: random.Random) -> list[Transaction]:
-    """Common transaction pool every miner draws from, unique ids."""
-    pool: list[Transaction] = []
-    seen: set[str] = set()
-    while len(pool) < config.tx_pool_size:
-        tx_id = f"{rng.getrandbits(128):032x}"
-        if tx_id in seen:
-            continue
-        seen.add(tx_id)
-        pool.append(
-            Transaction(id=tx_id, size_bytes=rng.randint(250, 1000), fee=rng.random())
-        )
-    return pool
-
-
-def subseed_for(seed: int, miner_id: int) -> int:
-    """Per-miner mining seed handed out in SIM_START."""
-    return seed ^ miner_id
 
 
 class MinerConn(BufferedConn):
@@ -349,14 +298,7 @@ class AdminServer:
         if any(b.is_empty for b in chain):
             return self._discard("winning chain still contains placeholder blocks")
         self._broadcast(msg_consensus_result(winner_id, chain))
-        return emit_report(
-            chain,
-            self.ledger,
-            config=self.config,
-            winner_id=winner_id,
-            discarded=False,
-            accounting=self.accounting,
-        )
+        return self._report(chain, winner_id, None)
 
     def _drop(self, conn: MinerConn, exc: Exception) -> None:
         # the run is lost, but the others still mine to the end of their own clocks
@@ -374,88 +316,8 @@ class AdminServer:
     def _discard(self, reason: str) -> dict:
         log.warning("simulation discarded: %s", reason)
         self._broadcast(msg_discard(reason))
-        return emit_report(
-            None,
-            self.ledger,
-            config=self.config,
-            winner_id=None,
-            discarded=True,
-            accounting=self.accounting,
-            reason=reason,
-        )
+        return self._report(None, None, reason)
 
-
-def emit_report(
-    final_chain: list[Block] | None,
-    ledger: RegistrationLedger,
-    config: SimulationConfig,
-    winner_id: int | None,
-    discarded: bool,
-    accounting: FrameAccounting | None = None,
-    reason: str | None = None,
-) -> dict:
-    """Machine-readable run record; render_table turns it into text."""
-    total = ledger.total_hashpower
-    mined = Counter()
-    total_blocks = 0
-    if final_chain is not None:
-        mined = Counter(b.miner_id for b in final_chain[1:])
-        total_blocks = len(final_chain) - 1
-        unknown = set(mined) - {e.miner_id for e in ledger.entries}
-        if unknown:
-            raise StructuralError(f"chain contains blocks from unknown miners {unknown}")
-    miners = []
-    for entry in ledger.entries:
-        blocks = mined.get(entry.miner_id, 0)
-        miners.append(
-            {
-                "miner_id": entry.miner_id,
-                "ip": entry.ip,
-                "port": entry.port,
-                "hashpower": entry.hashpower,
-                "hash_share_pct": 100.0 * entry.hashpower / total if total else 0.0,
-                "blocks": blocks,
-                "block_share_pct": 100.0 * blocks / total_blocks if total_blocks else 0.0,
-            }
-        )
-    report = {
-        "discarded": discarded,
-        "reason": reason,
-        "winner_id": winner_id,
-        "seed": config.seed,
-        "duration": config.duration,
-        "interval": config.interval,
-        "time_scale": config.time_scale,
-        "num_miners": config.num_miners,
-        "total_hashpower": total,
-        "total_blocks": total_blocks,
-        "miners": miners,
-        "final_chain_ids": [b.id for b in final_chain] if final_chain else None,
-    }
-    if accounting is not None:
-        report["frame_accounting"] = accounting.as_dict()
-    return report
-
-
-def render_table(report: dict) -> str:
-    """Aligned text table of hash share vs block share per miner."""
-    lines = [
-        f"{'miner':>5}  {'hashpower':>9}  {'hash %':>7}  {'blocks':>6}  {'block %':>7}",
-    ]
-    for m in report["miners"]:
-        lines.append(
-            f"{m['miner_id']:>5}  {m['hashpower']:>9.2f}  {m['hash_share_pct']:>7.2f}"
-            f"  {m['blocks']:>6}  {m['block_share_pct']:>7.2f}"
-        )
-    status = "DISCARDED" if report["discarded"] else f"winner: miner {report['winner_id']}"
-    lines.append(
-        f"total blocks mined: {report['total_blocks']} ({status}, seed {report['seed']})"
-    )
-    return "\n".join(lines)
-
-
-def write_report(report: dict, path: str) -> None:
-    """Write a JSON record (a report, a miner's stats, an aggregate) to path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def _report(self, chain: list[Block] | None, winner_id: int | None, reason: str | None) -> dict:
+        miners = [asdict(e) for e in self.ledger.entries]  # miner_id, hashpower, ip, port
+        return emit_report(chain, miners, self.config, winner_id, reason, self.accounting.as_dict())

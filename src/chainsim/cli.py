@@ -7,14 +7,7 @@ import json
 import logging
 import sys
 
-from .admin import (
-    ANNOUNCEMENT,
-    EXIT_DISCARDED,
-    AdminServer,
-    SimulationConfig,
-    render_table,
-    write_report,
-)
+from .admin import ANNOUNCEMENT, EXIT_DISCARDED, AdminServer
 from .harness import (
     ExperimentFailure,
     fairness_check,
@@ -23,6 +16,7 @@ from .harness import (
     run_experiment,
 )
 from .miner import MinerNode
+from .simulation import SimulationConfig, render_table, write_report
 from .timing import DEFAULT_DELAY_RANGE
 
 

@@ -23,27 +23,22 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .admin import (
-    RegistrationLedger,
+from .blocks import Block
+from .chain import ConsensusEntry, LocalChainState, finalize_state, select_consensus_winner
+from .mining import MiningContext, MinerTally, step, take_due
+from .simulation import (
     SimulationConfig,
     create_genesis,
     create_tx_pool,
     emit_report,
+    resolve_hashpowers,
     subseed_for,
 )
-from .blocks import Block
-from .chain import ConsensusEntry, LocalChainState, finalize_state, select_consensus_winner
-from .mining import MiningContext, MinerTally, step, take_due
-from .timing import DEFAULT_DELAY_RANGE, HashpowerProfile, check_delay_range, sample_hashpower
+from .timing import DEFAULT_DELAY_RANGE, HashpowerProfile, check_delay_range
 
 # Bound here though unused: the benchmark's tracer patches these names on this module.
 from .chain import apply_created_block, apply_received_block  # noqa: F401
 from .mining import draw_own_block  # noqa: F401
-
-
-def slot_seed(seed: int, slot: int) -> int:
-    """Per-slot seed for a slot's hashpower draw, made before any miner has an id."""
-    return seed + 7919 * (slot + 1)
 
 
 @dataclass
@@ -54,22 +49,6 @@ class RunResult:
     final_chain: list[Block] | None
     states: list[LocalChainState]
     tallies: list[MinerTally]
-
-
-def resolve_hashpowers(
-    config: SimulationConfig, hashpowers: list[float] | None
-) -> list[float]:
-    """Explicit list, or one uniform draw per slot from its slot seed."""
-    if hashpowers is not None:
-        if len(hashpowers) != config.num_miners:
-            raise ValueError("hashpower list length must equal num_miners")
-        if not all(0 < hp < math.inf for hp in hashpowers):  # NaN fails too
-            raise ValueError("hashpower must be finite and positive")
-        return list(hashpowers)
-    return [
-        sample_hashpower(random.Random(slot_seed(config.seed, i)))
-        for i in range(config.num_miners)
-    ]
 
 
 def run_events(
@@ -134,10 +113,6 @@ def run_logical(
     pool = create_tx_pool(config, random.Random(config.seed))
     tx_ids = tuple(t.id for t in pool)
 
-    ledger = RegistrationLedger()
-    for i, hp in enumerate(powers):
-        ledger.register(hp, ip="logical", port=i)
-
     n = config.num_miners
     states = [LocalChainState(genesis) for _ in range(n)]
     ctxs = [
@@ -164,10 +139,9 @@ def run_logical(
 
     report = emit_report(
         final_chain,
-        ledger,
+        [{"miner_id": i + 1, "slot": i, "hashpower": powers[i]} for i in range(n)],
         config=config,
         winner_id=None if discarded else winner_id,
-        discarded=discarded,
         reason="winning chain still contains placeholder blocks" if discarded else None,
     )
     report["mode"] = "logical"

@@ -23,8 +23,9 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from .admin import ANNOUNCEMENT, EXIT_DISCARDED, SimulationConfig, write_report
-from .engine import resolve_hashpowers, run_logical
+from .admin import ANNOUNCEMENT, EXIT_DISCARDED
+from .engine import run_logical
+from .simulation import SimulationConfig, resolve_hashpowers, write_report
 from .timing import DEFAULT_DELAY_RANGE, check_delay_range
 
 MODES = ("network", "logical")
@@ -161,10 +162,7 @@ def _run_once(spec: ExperimentSpec, run_seed: int, run_idx: int, attempt: int) -
     # the one hashpower draw of a run, whichever mode then runs it
     powers = resolve_hashpowers(config, spec.hashpowers)
     if spec.mode == "logical":
-        report = run_logical(config, powers, spec.delay_range).report
-        for row in report["miners"]:
-            row["slot"] = row["port"]  # logical roster ports are slot numbers
-        return report
+        return run_logical(config, powers, spec.delay_range).report
     return _run_network(spec, config, powers, run_idx, attempt)
 
 

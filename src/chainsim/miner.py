@@ -42,7 +42,13 @@ from .protocol import (
     sim_start_from_payload,
     tx_ids_from_payload,
 )
-from .timing import DEFAULT_DELAY_RANGE, HashpowerProfile, SimulationClock, check_delay_range
+from .timing import (
+    DEFAULT_DELAY_RANGE,
+    HashpowerProfile,
+    SimulationClock,
+    check_delay_range,
+    check_hashpower,
+)
 
 log = logging.getLogger(__name__)
 
@@ -122,8 +128,7 @@ class MinerNode:
         self.listen_port = listen_port
         check_delay_range(delay_range)
         self.delay_range = delay_range
-        if not 0 < hashpower < math.inf:  # NaN fails too
-            raise ValueError("hashpower must be finite and positive")
+        check_hashpower(hashpower)
         self.hashpower = hashpower
 
     def run(self) -> dict:

@@ -55,6 +55,12 @@ def check_delay_range(delay_range: tuple[float, float]) -> None:
         raise ValueError(f"delay range must be finite with 0 <= lo <= hi, got {delay_range}")
 
 
+def check_hashpower(value: float) -> None:
+    """A miner's hashpower is finite and positive."""
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError("hashpower must be finite and positive")
+
+
 def sample_hashpower(rng: random.Random) -> float:
     """Uniform hashpower in (0, 30]; zero excluded so every miner mines."""
     return HASHPOWER_MAX * (1.0 - rng.random())

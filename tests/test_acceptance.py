@@ -33,7 +33,7 @@ import test_chain
 import wiregen
 from conftest import record_criterion
 
-from chainsim.admin import SimulationConfig
+from chainsim.simulation import SimulationConfig
 from chainsim.chain import (
     LocalChainState,
     apply_received_block,

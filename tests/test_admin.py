@@ -1,4 +1,4 @@
-"""Unit tests for admin-side bookkeeping: ledger, genesis, pool, report."""
+"""Unit tests for the admin's ledger and admission, and for a run's inputs and report."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ import socket
 
 import pytest
 
-from chainsim.admin import (
-    AdminServer,
-    MinerConn,
-    RegistrationLedger,
+from chainsim.admin import AdminServer, MinerConn, RegistrationLedger
+from chainsim.blocks import Block, StructuralError
+from chainsim.protocol import WireMessage, encode
+from chainsim.simulation import (
     SimulationConfig,
     create_genesis,
     create_tx_pool,
@@ -21,8 +21,6 @@ from chainsim.admin import (
     subseed_for,
     write_report,
 )
-from chainsim.blocks import Block, StructuralError
-from chainsim.protocol import WireMessage, encode
 
 TABLE_POWERS = [17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4]
 
@@ -120,12 +118,13 @@ def chain_of(miner_ids: list[int]) -> list[Block]:
     return chain
 
 
+def heads(powers: list[float]) -> list[dict]:
+    """Report row heads as the logical engine makes them."""
+    return [{"miner_id": i + 1, "slot": i, "hashpower": hp} for i, hp in enumerate(powers)]
+
+
 def test_report_single_miner_is_all_shares():
-    ledger = RegistrationLedger()
-    ledger.register(30.0, ip="x", port=1)
-    report = emit_report(
-        chain_of([1] * 10), ledger, config=config(num_miners=1), winner_id=1, discarded=False
-    )
+    report = emit_report(chain_of([1] * 10), heads([30.0]), config(num_miners=1), winner_id=1)
     row = report["miners"][0]
     assert row["hash_share_pct"] == pytest.approx(100.0)
     assert row["block_share_pct"] == pytest.approx(100.0)
@@ -133,29 +132,22 @@ def test_report_single_miner_is_all_shares():
 
 
 def test_report_shares_sum_to_100():
-    ledger = RegistrationLedger()
-    for i, hp in enumerate(TABLE_POWERS):
-        ledger.register(hp, ip="x", port=i)
     rng = random.Random(0)
     chain = chain_of([rng.randint(1, 7) for _ in range(117)])
-    report = emit_report(chain, ledger, config=config(), winner_id=3, discarded=False)
+    report = emit_report(chain, heads(TABLE_POWERS), config=config(), winner_id=3)
     assert sum(m["block_share_pct"] for m in report["miners"]) == pytest.approx(100.0, abs=0.1)
     assert sum(m["hash_share_pct"] for m in report["miners"]) == pytest.approx(100.0, abs=0.1)
     assert report["total_blocks"] == 117
 
 
 def test_report_rejects_unknown_miners():
-    ledger = RegistrationLedger()
-    ledger.register(10.0, ip="x", port=1)
     with pytest.raises(StructuralError):
-        emit_report(chain_of([1, 9]), ledger, config=config(num_miners=1), winner_id=1, discarded=False)
+        emit_report(chain_of([1, 9]), heads([10.0]), config=config(num_miners=1), winner_id=1)
 
 
 def test_discarded_report_shape():
-    ledger = RegistrationLedger()
-    ledger.register(10.0, ip="x", port=1)
     report = emit_report(
-        None, ledger, config=config(num_miners=1), winner_id=None, discarded=True, reason="placeholders"
+        None, heads([10.0]), config=config(num_miners=1), winner_id=None, reason="placeholders"
     )
     assert report["discarded"] is True
     assert report["total_blocks"] == 0
@@ -164,20 +156,15 @@ def test_discarded_report_shape():
 
 
 def test_render_table_lists_every_miner():
-    ledger = RegistrationLedger()
-    for i, hp in enumerate(TABLE_POWERS):
-        ledger.register(hp, ip="x", port=i)
     chain = chain_of([1 + i % 7 for i in range(75)])
-    table = render_table(emit_report(chain, ledger, config=config(), winner_id=1, discarded=False))
+    table = render_table(emit_report(chain, heads(TABLE_POWERS), config=config(), winner_id=1))
     lines = table.splitlines()
     assert len(lines) == 1 + 7 + 1  # header, rows, totals
     assert "total blocks mined: 75" in lines[-1]
 
 
 def test_write_report_round_trips(tmp_path):
-    ledger = RegistrationLedger()
-    ledger.register(10.0, ip="x", port=1)
-    report = emit_report(chain_of([1, 1]), ledger, config=config(num_miners=1), winner_id=1, discarded=False)
+    report = emit_report(chain_of([1, 1]), heads([10.0]), config=config(num_miners=1), winner_id=1)
     path = tmp_path / "report.json"
     write_report(report, str(path))
     assert json.loads(path.read_text()) == report

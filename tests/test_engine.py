@@ -9,16 +9,18 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainsim.engine as engine
-from chainsim.admin import SimulationConfig
 from chainsim.chain import verify_state_invariants
-from chainsim.engine import resolve_hashpowers, run_logical, slot_seed
+from chainsim.engine import run_logical
 from chainsim.mining import step
+from chainsim.simulation import SimulationConfig, resolve_hashpowers, slot_seed
 from chainsim.timing import DEFAULT_DELAY_RANGE
 
 TABLE_POWERS = [17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4]
@@ -31,55 +33,58 @@ TABLE_POWERS = [17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4]
 # placeholder cases moved to seeds that still show their outcome under
 # the new stream. A lone miner's stream is unchanged:
 # test_single_miner_draws_exactly_as_before pins it to the older digest.
+# Re-recorded, with that pin, when each logical report row traded its
+# placeholder ip and port for its slot: renaming slot back to port, with
+# the old ip, gives every previous digest.
 # (miners, duration, seed, hashpowers, delay_range, digest)
 GOLDEN_REPORTS = {
     "table-default": (
         7, 1500.0, 1, TABLE_POWERS, (0.05, 0.3),
-        "91294223ca0f7d8f0ae34d0013f9c8436e963e16adc40889593fd01e9d86f758",
+        "c9e53f4d95a8ae06a394e17f822afd83d86d8fbcbfc064ab59c13a93ef561cf3",
     ),
     "table-zero-delay": (
         7, 1500.0, 2, TABLE_POWERS, (0.0, 0.0),
-        "2adbece91ee5a024dc449e7ae82fd71b47de4ef88f116947ed766e8497897f5f",
+        "0463e968f546915b032fd3a9e7764fd4ee1a83b55d17dcc85f2480b05d6a2008",
     ),
     "table-heavy-delay": (
         7, 1500.0, 3, TABLE_POWERS, (1.0, 20.0),
-        "3f2da3996b48d6a634d210be3ca0155e49ec12ef33b4b7b80d230ac92e097e57",
+        "9bb04a536dbde43c98f1ad492c44d43a5242790c772d647bd39414e4de512bf5",
     ),
     "fifty-seeded": (
         50, 1500.0, 4, None, (0.05, 0.3),
-        "5424d1323b43040cf14756f6cc9ee59ac1c46959700907aa125c8eccfc2bc8f9",
+        "b77156a932b2c1106636567a9c350f78dd578c6481be66649cee85cc7daab76d",
     ),
     "fifty-heavy": (
         50, 600.0, 9, None, (1.0, 20.0),
-        "ecf71afb7481ff9153bec8674c5ce0980f534f546a91f63189a4e36a62fb5d30",
+        "3d806bcaa27bf16ee3d1a737ab270a351fbea1175d768c9f152194322aeb7852",
     ),
     "single-miner": (
         1, 1500.0, 5, [30.0], (0.05, 0.3),
-        "6d1a6490b3bb6d0289c1a2652300cfe1614573a01f51ac9e3153d7da63e0301a",
+        "99e0854585b2968e4404b293c051aa456b680151650a8d6f4401f5853a92ad3b",
     ),
     "five-heavy": (
         5, 3000.0, 6, None, (1.0, 20.0),
-        "e473044287fd74385fbf9388f29d20a315e4c2021b0fbc44c0ea4f7501126434",
+        "3f8980df0cfa5da2333db80c8a65f7a6adb6b2535f3158b5cbddd2c9576b2d9a",
     ),
     # placeholders remain at the winner: a discarded run
     "five-heavy-discarded": (
         5, 300.0, 44, None, (1.0, 20.0),
-        "1594406d8e4fe2aad8dce734323cd4f5392e642241fb048e832695d172b1e776",
+        "f923611c9c3520586bc1a7ec047273f6538e24b0ae9a1f3fe099585a33d2d149",
     ),
     # placeholders remain at losing miners only
     "five-heavy-placeholders": (
         5, 300.0, 47, None, (1.0, 20.0),
-        "3e430c589c815cd0daaf5eb806f5d1fe546c3920804a7cee6dcdc988e71cdb63",
+        "ec5257e01a0a4f7e975aeee7bc61094159e16dc093372d1bcd586d7b5bbb67e3",
     ),
     # a chain some 1600 blocks deep, switching at depth
     "table-deep": (
         7, 20000.0, 21, TABLE_POWERS, (0.05, 0.3),
-        "5dc95c009f8920425a4b698e534e634add147d237868550e8f134f40c23b1287",
+        "c922b521b54dc6304c3c211ca0fa5ea252723cc9daa9ad98ec4a408fd95b1aa8",
     ),
     # hundreds of switches, many of them across a gap of missing ancestors
     "table-deep-heavy": (
         7, 5000.0, 22, TABLE_POWERS, (1.0, 20.0),
-        "cf5816e899ea64bb9323066c46d91ed40031ef2688cb2d35a8d6cc58537872f2",
+        "208218a798dcd56d7a0c8c6823c0ac665863fd4b943f2fb95b7660360afbf692",
     ),
 }
 
@@ -114,13 +119,14 @@ def test_report_bytes_match_golden_digest(case):
 
 def test_single_miner_draws_exactly_as_before():
     # The report recorded before mining became memoryless, less the tally
-    # key that no longer exists: a miner whose tip never moves under it
-    # draws the same blocktimes as when every tip move drew afresh.
+    # key that no longer exists, and with its row keyed by slot: a miner
+    # whose tip never moves under it draws the same blocktimes as when
+    # every tip move drew afresh.
     report = golden_run("single-miner").report
     for stats in report["miner_stats"]:
         stats["tally"]["dropped_stale"] = 0
     assert report_digest(report) == (
-        "85ce049297ef1389c3e3c837489f1fb7217124ff2bcd78c2302b3c8338a1d355"
+        "632b4132d0e04fb2f1de1d871d688bcf7c321bb09e2973b90cec3e6144e2398c"
     )
 
 
@@ -228,6 +234,28 @@ def test_hashpower_resolution():
 def test_slot_seeds_are_distinct():
     seeds = [slot_seed(123, i) for i in range(20)]
     assert len(set(seeds)) == 20
+
+
+def test_logical_mode_loads_no_network_code():
+    # a fresh interpreter: this one has the admin and sockets loaded by other tests
+    probe = (
+        "import sys, chainsim.engine, chainsim.simulation; "
+        "network = {'chainsim.admin', 'chainsim.netio', 'socket', 'selectors'}; "
+        "print(sorted(network & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_logical_rows_name_each_miner_by_its_slot():
+    report = run_logical(config(3, n=4), TABLE_POWERS[:4]).report
+    for row in report["miners"]:
+        assert set(row) == {
+            "miner_id", "slot", "hashpower", "hash_share_pct", "blocks", "block_share_pct"
+        }
+        assert row["slot"] == row["miner_id"] - 1
+        assert row["hashpower"] == TABLE_POWERS[row["slot"]]
 
 
 def test_delay_range_validated():

@@ -16,7 +16,6 @@ import pytest
 
 from chainsim import cli, harness
 from chainsim.admin import AdminServer
-from chainsim.engine import resolve_hashpowers
 from chainsim.harness import (
     _SPEC_FIELD_TYPES,
     ExperimentFailure,
@@ -28,6 +27,7 @@ from chainsim.harness import (
     run_experiment,
     run_seed_for,
 )
+from chainsim.simulation import resolve_hashpowers
 
 
 def make_spec(tmp_path, **overrides) -> ExperimentSpec:
@@ -205,6 +205,15 @@ def test_attempt_budget_exhaustion(tmp_path, monkeypatch):
     assert len(set(calls)) == len(calls)  # every retry used a fresh seed
 
 
+def test_the_harness_writes_logical_rows_as_the_engine_made_them(tmp_path):
+    spec = make_spec(tmp_path, runs=1)
+    run_experiment(spec)
+    report = json.loads((tmp_path / "out" / "run_000.json").read_text())
+    made = harness.run_logical(spec.config(report["seed"]), list(spec.hashpowers)).report
+    assert report["miners"] == made["miners"]
+    assert [row["slot"] for row in report["miners"]] == [0, 1, 2]
+
+
 def test_retry_then_success(tmp_path, monkeypatch):
     spec = make_spec(tmp_path, runs=2)
     real_run = ExperimentSpec.config  # build real reports via the engine
@@ -215,10 +224,7 @@ def test_retry_then_success(tmp_path, monkeypatch):
     def flaky(spec_, run_seed, run_idx, attempt):
         if attempt < fails[run_idx]:
             return {"discarded": True, "seed": run_seed}
-        report = run_logical(spec_.config(run_seed), list(spec_.hashpowers)).report
-        for row in report["miners"]:
-            row["slot"] = row["port"]
-        return report
+        return run_logical(spec_.config(run_seed), list(spec_.hashpowers)).report
 
     monkeypatch.setattr("chainsim.harness._run_once", flaky)
     aggregate = run_experiment(spec)

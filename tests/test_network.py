@@ -12,12 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from chainsim import cli
-from chainsim.admin import (
-    AdminServer,
-    RegistrationTimeout,
-    SimulationConfig,
-    create_genesis,
-)
+from chainsim.admin import AdminServer, RegistrationTimeout
 from chainsim.blocks import Block, make_placeholder
 from chainsim.miner import MinerNode, PeerLink
 from chainsim.netio import BufferedConn
@@ -40,6 +35,7 @@ from chainsim.protocol import (
     msg_sim_start,
     msg_tx_pool,
 )
+from chainsim.simulation import SimulationConfig, create_genesis
 from chainsim.timing import DEFAULT_DELAY_RANGE
 
 GENESIS = create_genesis()
