@@ -14,6 +14,7 @@ import select
 import socket
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from .blocks import Block, StructuralError
@@ -42,6 +43,7 @@ log = logging.getLogger(__name__)
 
 EXIT_DISCARDED = 3  # process status for a discarded simulation
 ANNOUNCEMENT = "admin listening on "  # then HOST:PORT: the admin's first line of output
+REGISTERED = "admin registered every miner"  # its second line, before the bootstrap
 
 REGISTRATION_TIMEOUT = 60.0
 CONSENSUS_TIMEOUT = 30.0
@@ -129,10 +131,15 @@ class AdminServer:
         self.port = self._listener.getsockname()[1]
         self._conns: list[MinerConn] = []
 
-    def run(self) -> dict:
-        """Full lifecycle; returns the report record (see emit_report)."""
+    def run(self, registered: Callable[[], object] = lambda: None) -> dict:
+        """Full lifecycle; returns the report record (see emit_report).
+
+        registered is called once, when every miner is in and before any
+        of them is sent the roster.
+        """
         try:
             self._run_registration()
+            registered()
             self._bootstrap()
             return self._run_consensus(self._mining_wait())
         finally:
@@ -306,10 +313,11 @@ class AdminServer:
         conn.close()
 
     def _broadcast(self, msg: WireMessage) -> None:
-        """Send msg to every miner; a dropped or dead connection misses it."""
+        """Send msg, encoded once, to every miner; a dropped or dead connection misses it."""
+        frame = encode(msg)
         for conn in self._conns:
             try:
-                conn.send(msg)
+                conn.sock.sendall(frame)
             except OSError:
                 pass
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
 
-from .admin import ANNOUNCEMENT, EXIT_DISCARDED, AdminServer
+from .admin import ANNOUNCEMENT, EXIT_DISCARDED, REGISTERED, AdminServer
 from .harness import (
     ExperimentFailure,
     fairness_check,
@@ -20,7 +21,10 @@ from .simulation import SimulationConfig, render_table, write_report
 from .timing import DEFAULT_DELAY_RANGE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and kept: parsing leaves it
+    as it was, and a forked child reuses the one its parent built."""
     parser = argparse.ArgumentParser(prog="chainsim", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -68,7 +72,8 @@ def cmd_admin(args: argparse.Namespace) -> int:
         server = AdminServer(config, port=args.port)
         # bound and listening: the miners may be started from here on
         print(f"{ANNOUNCEMENT}{server.host}:{server.port}", flush=True)
-        report = server.run()
+        # every miner is in: from here a miner that dies costs only this run
+        report = server.run(registered=lambda: print(REGISTERED, flush=True))
     # a bad option, a port out of range or an over-cap transaction pool is a
     # ValueError (so is a ProtocolError); a port in use or a registration
     # timeout is an OSError

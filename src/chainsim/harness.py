@@ -5,15 +5,23 @@ this one, each running ``chainsim.cli.main`` with the argv that follows
 ``python -m chainsim`` in a hand run, and collects their report files.
 The children skip only the interpreter start: they are still separate
 processes that talk over TCP and write the same logs, stats files and
-exit statuses. Logical mode calls the in-process engine. Discarded runs
-are retried on a fresh seed, within a global attempt budget of three
-times the requested run count.
+exit statuses. Before its first fork the parent builds the CLI parser
+and loads the idna codec, which every child would otherwise redo. One
+poll over the admin's stdout pipe and a pidfd per child (Linux 5.3 or
+later) copies the admin's output and reaps each child the moment it
+exits. A miner that exits before the admin's second line (every miner
+registered) fails the run at once, naming its log; one that dies later
+costs the run, which the admin discards. Logical mode calls the
+in-process engine. Discarded runs are retried on a fresh seed, within a
+global attempt budget of three times the requested run count.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
+import math
 import os
 import select
 import signal
@@ -23,7 +31,7 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from .admin import ANNOUNCEMENT, EXIT_DISCARDED
+from .admin import ANNOUNCEMENT, EXIT_DISCARDED, REGISTERED
 from .engine import run_logical
 from .simulation import SimulationConfig, resolve_hashpowers, write_report
 from .timing import DEFAULT_DELAY_RANGE, check_delay_range
@@ -185,25 +193,25 @@ def _run_network(
         "--report-out", report_path,
     ]
     stats_paths = [os.path.join(work, f"miner_{i}.json") for i in range(spec.num_miners)]
-    pids: list[int] = []  # admin first
-    codes: dict[int, int] = {}  # exit status of each reaped child
+    _warm()
     files = []
+    children = None
     try:
         admin_log = open(os.path.join(work, "admin.log"), "wb")
         files.append(admin_log)
         read_end, write_end = os.pipe()
-        admin_out = open(read_end, "rb", buffering=0)  # unbuffered: select sees every byte
+        admin_out = open(read_end, "rb", buffering=0)  # unbuffered: poll sees every byte
         files.append(admin_out)
+        children = _Children(admin_out, admin_log)
         try:
-            pids.append(_spawn(admin_argv, write_end, admin_log.fileno()))
+            children.spawn(admin_argv, write_end, admin_log.fileno())
         finally:
             os.close(write_end)  # the admin holds the only other end: EOF when it exits
-        # the admin binds, then announces its address in one flushed write, so
-        # a readable pipe holds the whole line, or is closed; then miners start
-        ready, _, _ = select.select([admin_out], [], [], ADMIN_START_TIMEOUT)
-        announced = admin_out.readline() if ready else b""
-        admin_log.write(announced)
-        admin_log.flush()
+        # the admin binds, then announces its address in one flushed line;
+        # the miners start only once it has
+        children.wait(lambda: children.lines or children.eof,
+                      time.monotonic() + ADMIN_START_TIMEOUT)
+        announced = children.lines[0] if children.lines else b""
         if not announced.startswith(ANNOUNCEMENT.encode()):
             raise ExperimentFailure(
                 f"admin exited or announced no address within {ADMIN_START_TIMEOUT}s "
@@ -221,24 +229,38 @@ def _run_network(
             ]
             miner_log = open(os.path.join(work, f"miner_{i}.log"), "wb")
             files.append(miner_log)
-            pids.append(_spawn(argv, miner_log.fileno(), miner_log.fileno()))
-        try:
-            deadline = time.monotonic() + spec.duration / spec.time_scale + 120.0
-            _copy_until_eof(admin_out, admin_log, deadline)  # the admin's table
-            codes[pids[0]] = _wait(pids[0], deadline)
-            deadline = time.monotonic() + 60.0
-            for pid in pids[1:]:
-                codes[pid] = _wait(pid, deadline)
-        except TimeoutError as exc:
-            raise ExperimentFailure(f"run with seed {run_seed} hung: {exc}; see {work}") from exc
+            children.spawn(argv, miner_log.fileno(), miner_log.fileno())
+        deadline = time.monotonic() + spec.duration / spec.time_scale + 120.0
+        # until the admin's second line, a miner that exits failed at start-up,
+        # which no other seed would mend; after it, the admin discards the run
+        # and the run is retried
+        registered = REGISTERED.encode()
+        children.wait(lambda: registered in children.lines or children.eof or children.codes,
+                      deadline)
+        if registered not in children.lines and not children.eof and children.codes:
+            i = min(children.codes) - 1  # the admin is still up: only miners were reaped
+            raise ExperimentFailure(
+                f"miner {i} exited with status {children.codes[i + 1]} before every miner "
+                f"registered, for seed {run_seed}; see {work}/miner_{i}.log"
+            )
+        # the admin's table, then its exit; then the miners have a minute more
+        if not (
+            children.wait(lambda: children.eof and 0 in children.codes, deadline)
+            and children.wait(lambda: len(children.codes) == len(children.pids),
+                              time.monotonic() + 60.0)
+        ):
+            running = ["admin" if i == 0 else f"miner {i - 1}"
+                       for i in range(len(children.pids)) if i not in children.codes]
+            raise ExperimentFailure(
+                f"run with seed {run_seed} hung: {', '.join(running)} still running at the "
+                f"deadline; see {work}"
+            )
     finally:
-        for pid in pids:
-            if pid not in codes:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)  # reaped: no process outlives its run
+        if children is not None:
+            children.close()  # every child is reaped: no process outlives its run
         for fh in files:
             fh.close()
-    admin_rc, *miner_rcs = (codes[pid] for pid in pids)
+    admin_rc, *miner_rcs = (children.codes[i] for i in range(len(children.pids)))
     if admin_rc not in (0, EXIT_DISCARDED):
         raise ExperimentFailure(
             f"admin exited with status {admin_rc} for seed {run_seed} (miners: {miner_rcs}); "
@@ -260,13 +282,98 @@ def _run_network(
     return report
 
 
+def _warm() -> None:
+    """Do, in this process before it forks, what each child would redo.
+
+    Every child parses its argv with the CLI's parser, which is built once
+    per process; every miner's first dial resolves a host name, which loads
+    the idna codec (getaddrinfo encodes the name with it). Both are done
+    here, so each child inherits them; after the first call this costs
+    next to nothing.
+    """
+    from . import cli
+
+    cli.build_parser()
+    codecs.lookup("idna")
+
+
+class _Children:
+    """The admin and miner processes of one network run, watched in one poll.
+
+    The poll covers the admin's stdout pipe and a pidfd per child: the
+    admin's output is copied into its log as it comes, and each child is
+    reaped the moment it exits.
+    """
+
+    def __init__(self, admin_out, admin_log):
+        self.admin_out = admin_out
+        self.admin_log = admin_log
+        self.eof = False  # the admin's stdout is closed: it has exited
+        self._head = b""  # the admin's output, kept up to its second line
+        self.pids: list[int] = []  # the admin first, then miner i at i + 1
+        self.codes: dict[int, int] = {}  # index -> exit status, or minus the signal
+        self._pidfds: dict[int, int] = {}  # index -> pidfd, for each child not reaped
+        self._poll = select.poll()
+        self._poll.register(admin_out, select.POLLIN)
+
+    @property
+    def lines(self) -> list[bytes]:
+        """The admin's first complete output lines, up to two."""
+        return self._head.split(b"\n")[:-1][:2]
+
+    def spawn(self, argv: list[str], stdout: int, stderr: int) -> None:
+        self.pids.append(_spawn(argv, stdout, stderr))
+        pidfd = self._pidfds[len(self.pids) - 1] = os.pidfd_open(self.pids[-1])
+        self._poll.register(pidfd, select.POLLIN)
+
+    def wait(self, done, deadline: float) -> bool:
+        """Copy and reap until done() holds, or False at the deadline."""
+        while not done():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            ready = {fd for fd, _ in self._poll.poll(math.ceil(remaining * 1000))}
+            if self.admin_out.fileno() in ready:  # the admin's lines before any exit
+                self._copy()
+            for index in [i for i, pidfd in self._pidfds.items() if pidfd in ready]:
+                self._reap(index)
+        return True
+
+    def _copy(self) -> None:
+        chunk = self.admin_out.read(65536)
+        if not chunk:
+            self.eof = True
+            self._poll.unregister(self.admin_out)
+            return
+        self.admin_log.write(chunk)
+        self.admin_log.flush()
+        if self._head.count(b"\n") < 2:
+            self._head += chunk
+
+    def _reap(self, index: int) -> None:
+        pidfd = self._pidfds.pop(index, None)
+        if pidfd is not None:  # None: the fork succeeded but pidfd_open failed
+            self._poll.unregister(pidfd)
+            os.close(pidfd)
+        _, status = os.waitpid(self.pids[index], 0)
+        self.codes[index] = os.waitstatus_to_exitcode(status)
+
+    def close(self) -> None:
+        """Kill and reap every child still running."""
+        for index, pid in enumerate(self.pids):
+            if index not in self.codes:
+                os.kill(pid, signal.SIGKILL)
+                self._reap(index)
+
+
 def _spawn(argv: list[str], stdout: int, stderr: int) -> int:
     """Fork a child that runs ``python -m chainsim <argv>`` with its stdout
     and stderr on the given fds; returns its pid.
 
-    The child is this process with chainsim already imported (the parent
-    imports the CLI once, so no child pays for it), and it calls
-    ``cli.main`` as that name holds at call time. It writes only to its
+    The child is this process with chainsim already imported, the CLI's
+    parser built and the idna codec loaded (see _warm), so it imports and
+    builds nothing of its own; it calls ``cli.main`` as that name holds
+    at call time. It writes only to its
     own fds, through fresh streams, and its records go to its own stderr.
     It never returns into the caller's stack: it ends in ``os._exit`` with
     main's status, or with 1 after a traceback if main raised. Like any
@@ -303,30 +410,6 @@ def _spawn(argv: list[str], stdout: int, stderr: int) -> int:
             sys.stderr.flush()
         finally:
             os._exit(status)
-
-
-def _copy_until_eof(pipe, sink, deadline: float) -> None:
-    """Copy what the pipe's writer sends into sink until it closes (exits)."""
-    while select.select([pipe], [], [], max(0.0, deadline - time.monotonic()))[0]:
-        chunk = pipe.read(65536)
-        if not chunk:
-            return
-        sink.write(chunk)
-    raise TimeoutError("the admin was still running at its deadline")
-
-
-def _wait(pid: int, deadline: float) -> int:
-    """Reap child pid; its exit status, or minus the signal that killed it."""
-    delay = 0.0005
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError(f"process {pid} was still running at its deadline")
-        delay = min(2 * delay, remaining, 0.05)
-        time.sleep(delay)
 
 
 def _read_json(path: str):

@@ -1,11 +1,11 @@
 """Harness and CLI behavior: spec parsing, aggregation, retries, fairness."""
 
 import errno
-import functools
 import json
 import logging
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -15,7 +15,6 @@ from dataclasses import fields
 import pytest
 
 from chainsim import cli, harness
-from chainsim.admin import AdminServer
 from chainsim.harness import (
     _SPEC_FIELD_TYPES,
     ExperimentFailure,
@@ -602,12 +601,9 @@ def test_no_forked_child_outlives_its_run_or_runs_the_callers_code(tmp_path, mon
         return real_main(argv)
 
     monkeypatch.setattr(cli, "main", main)
-    # the admin gives up on miners that never register after a second, not a minute
-    admin_server = functools.partial(AdminServer, registration_timeout=1.0)
-    monkeypatch.setattr(cli, "AdminServer", admin_server)
-    work = tmp_path / "failing" / "work" / "run_000_a0"
+    work = re.escape(str(tmp_path / "failing" / "work" / "run_000_a0"))
     with pytest.raises(ExperimentFailure,
-                       match=r"status 1 .*\(miners: \[1, 1\]\); see " + re.escape(str(work))):
+                       match=rf"miner ([01]) exited with status 1 .*; see {work}/miner_\1\.log"):
         run_experiment(network_spec("failing", 83))
     # a child that returned into this test instead of exiting would append here too
     after = tmp_path / "after-the-call"
@@ -616,9 +612,97 @@ def test_no_forked_child_outlives_its_run_or_runs_the_callers_code(tmp_path, mon
     assert after.read_text() == f"{os.getpid()}\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    for i in range(2):
-        log = (work / f"miner_{i}.log").read_text()
-        assert "Traceback" in log and "RuntimeError: a miner's main raised" in log
+
+
+def stats_path_of(argv) -> str:
+    return argv[argv.index("--stats-out") + 1] if "--stats-out" in argv else ""
+
+
+def test_a_miner_that_exits_at_start_up_fails_the_run_at_once_naming_its_log(
+    tmp_path, monkeypatch
+):
+    real_main = cli.main
+
+    def main(argv):
+        if argv[0] == "miner":  # miner 0 raises at once, miner 1 a little later
+            if stats_path_of(argv).endswith("miner_1.json"):
+                time.sleep(1.0)
+            raise RuntimeError("a miner's main raised")
+        return real_main(argv)
+
+    monkeypatch.setattr(cli, "main", main)
+    spec = make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
+                     runs=1, seed=85, hashpowers=(12.0, 24.0))
+    work = tmp_path / "out" / "work" / "run_000_a0"
+    start = time.monotonic()
+    # not the admin's 60 s registration timeout, and no retry: another seed would fail alike
+    with pytest.raises(
+        ExperimentFailure,
+        match=r"miner 0 exited with status 1 before every miner registered, for seed "
+        + rf"{run_seed_for(85, 0, 0)}; see {re.escape(str(work / 'miner_0.log'))}$",
+    ):
+        run_experiment(spec)
+    assert time.monotonic() - start < 5.0
+    log = (work / "miner_0.log").read_text()
+    assert "Traceback" in log and "RuntimeError: a miner's main raised" in log
+    assert not (tmp_path / "out" / "work" / "run_000_a1").exists()
+    with pytest.raises(ChildProcessError):  # the admin and miner 1 were killed and reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_miner_killed_mid_run_costs_its_run_one_retry(tmp_path, monkeypatch):
+    real_main = cli.main
+
+    def main(argv):
+        if stats_path_of(argv).endswith(os.path.join("run_000_a0", "miner_0.json")):
+            import chainsim.miner
+
+            real_sim_start = chainsim.miner.sim_start_from_payload
+
+            def killed_on_sim_start(payload):
+                real_sim_start(payload)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            chainsim.miner.sim_start_from_payload = killed_on_sim_start  # this child's only
+        return real_main(argv)
+
+    monkeypatch.setattr(cli, "main", main)
+    spec = make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
+                     runs=1, seed=86, hashpowers=(12.0, 24.0))
+    aggregate = run_experiment(spec)
+    assert aggregate["runs"] == 1 and aggregate["retries"] == 1
+    work = tmp_path / "out" / "work"
+    first = json.loads((work / "run_000_a0" / "report.json").read_text())
+    assert first["discarded"] and "miner" in first["reason"]
+    assert aggregate["per_run"][0]["seed"] == run_seed_for(86, 0, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_forked_child_imports_a_module_or_builds_a_parser(tmp_path, monkeypatch):
+    real_main = cli.main
+
+    def main(argv):
+        before = set(sys.modules)
+        misses = cli.build_parser.cache_info().misses
+        try:
+            return real_main(argv)
+        finally:
+            new = {"modules": sorted(set(sys.modules) - before),
+                   "parsers": cli.build_parser.cache_info().misses - misses}
+            with open(tmp_path / f"{argv[0]}-{os.getpid()}.json", "w", encoding="utf-8") as fh:
+                json.dump(new, fh)
+
+    monkeypatch.setattr(cli, "main", main)
+    spec = make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
+                     runs=1, seed=87, hashpowers=(12.0, 24.0))
+    run_experiment(spec)
+    assert sorted(path.name.split("-")[0] for path in tmp_path.glob("*-*.json")) == [
+        "admin", "miner", "miner"
+    ]
+    for path in tmp_path.glob("*-*.json"):
+        assert json.loads(path.read_text()) == {"modules": [], "parsers": 0}, path.name
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_a_forked_childs_output_lands_in_its_own_log_while_pytest_captures(

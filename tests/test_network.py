@@ -176,6 +176,26 @@ def test_two_miners_agree_end_to_end():
     assert sum(m["block_share_pct"] for m in report["miners"]) == pytest.approx(100.0, abs=0.1)
 
 
+def test_the_consensus_result_is_encoded_once_for_every_miner(monkeypatch):
+    encoded = Counter()
+
+    def counting(msg):
+        encoded[msg.type] += 1
+        return encode(msg)
+
+    import chainsim.admin as admin
+    import chainsim.netio as netio
+
+    # every name the admin's frames are encoded through, in the admin and its connections
+    monkeypatch.setattr(admin, "encode", counting)
+    monkeypatch.setattr(netio, "encode", counting)
+    config = SimulationConfig(num_miners=3, duration=30.0, interval=2.0, seed=8, time_scale=200.0)
+    report, stats = run_network(config, [10.0, 20.0, 30.0])
+    assert not report["discarded"]
+    assert [s["discarded"] for s in stats] == [False] * 3  # each miner got the result
+    assert encoded["CONSENSUS_RESULT"] == 1
+
+
 def test_seven_miners_with_table_powers():
     powers = [17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4]
     config = SimulationConfig(
