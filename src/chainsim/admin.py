@@ -53,27 +53,6 @@ class RegistrationTimeout(TimeoutError):
     """Not every expected miner registered in time."""
 
 
-class RegistrationLedger:
-    """Miner roster in registration order; ids are 1, 2, 3, ..."""
-
-    def __init__(self) -> None:
-        self.entries: list[MinerRecord] = []
-
-    def register(self, hashpower: float, ip: str, port: int) -> MinerRecord:
-        check_hashpower(hashpower)
-        if any(e.ip == ip and e.port == port for e in self.entries):
-            raise ValueError(f"duplicate registration from {ip}:{port}")
-        record = MinerRecord(
-            miner_id=len(self.entries) + 1, hashpower=hashpower, ip=ip, port=port
-        )
-        self.entries.append(record)
-        return record
-
-    @property
-    def total_hashpower(self) -> float:
-        return sum(e.hashpower for e in self.entries)
-
-
 class MinerConn(BufferedConn):
     """One miner's admin-side connection; record is set once it registers."""
 
@@ -107,19 +86,9 @@ class FrameAccounting:
 class AdminServer:
     """Runs one complete simulation from registration to report."""
 
-    def __init__(
-        self,
-        config: SimulationConfig,
-        port: int,
-        host: str = "127.0.0.1",
-        registration_timeout: float = REGISTRATION_TIMEOUT,
-        consensus_timeout: float = CONSENSUS_TIMEOUT,
-    ):
+    def __init__(self, config: SimulationConfig, port: int, host: str = "127.0.0.1"):
         self.config = config
         self.host = host
-        self.registration_timeout = registration_timeout
-        self.consensus_timeout = consensus_timeout
-        self.ledger = RegistrationLedger()
         self.accounting = FrameAccounting()
         self.genesis = create_genesis()
         # one frame for every miner, encoded before the port binds: a pool
@@ -129,7 +98,7 @@ class AdminServer:
         )
         self._listener = listener(host, port, backlog=config.num_miners)
         self.port = self._listener.getsockname()[1]
-        self._conns: list[MinerConn] = []
+        self._conns: list[MinerConn] = []  # every admitted miner in id order; a dropped one stays
 
     def run(self, registered: Callable[[], object] = lambda: None) -> dict:
         """Full lifecycle; returns the report record (see emit_report).
@@ -162,8 +131,8 @@ class AdminServer:
         REGISTER frame is not in yet, so a registrant that sends nothing,
         or half a frame, holds up no one; it is closed at the end.
         """
-        deadline = time.monotonic() + self.registration_timeout
-        pending: dict[socket.socket, MinerConn] = {}
+        deadline = time.monotonic() + REGISTRATION_TIMEOUT
+        pending: list[MinerConn] = []  # in accept order
         try:
             while len(self._conns) < self.config.num_miners:
                 remaining = deadline - time.monotonic()
@@ -172,42 +141,46 @@ class AdminServer:
                         f"{len(self._conns)}/{self.config.num_miners} miners registered"
                     )
                 readable, _, _ = select.select([self._listener, *pending], [], [], remaining)
-                for sock in readable:
-                    if sock is self._listener:
-                        conn_sock, addr = sock.accept()
-                        pending[conn_sock] = MinerConn(conn_sock, addr[0])
-                    elif self._admit(pending[sock]):
-                        del pending[sock]
+                for ready in readable:
+                    if ready is self._listener:
+                        sock, addr = ready.accept()
+                        pending.append(MinerConn(sock, addr[0]))
+                    elif self._admit(ready):
+                        pending.remove(ready)
         finally:
-            for conn in pending.values():
+            for conn in pending:
                 conn.close()
         log.info(
             "registration complete: %d miners, total hashpower %.3f",
             len(self._conns),
-            self.ledger.total_hashpower,
+            sum(conn.record.hashpower for conn in self._conns),
         )
 
     def _admit(self, conn: MinerConn) -> bool:
-        """Read a readable registrant; register it once its REGISTER frame is in.
+        """Read a readable registrant; admit it once its REGISTER frame is in.
 
-        Returns False while the frame is incomplete. A registrant that
-        closes, sends a corrupt or other frame, or is refused by the ledger
-        is closed. The read's timeout stays on the socket and bounds the
-        blocking bootstrap sends.
+        Returns False while the frame is incomplete. Admission checks that
+        the hashpower is finite and positive and that no admitted miner has
+        the same (ip, port), then sets conn.record with the next id: 1, 2,
+        3, ... in admission order. A registrant that closes, sends a corrupt
+        or other frame, or is refused is closed.
         """
         try:
-            conn.pump(self.registration_timeout)
+            conn.pump()
             if not conn.inbox:
                 return False
             msg = conn.inbox.popleft()
             if msg.type != "REGISTER":
                 raise ProtocolError(f"expected REGISTER, got {msg.type}")
             hashpower, port = register_from_payload(msg.payload)
-            conn.record = self.ledger.register(hashpower=hashpower, ip=conn.ip, port=port)
+            check_hashpower(hashpower)
+            if any(c.record.ip == conn.ip and c.record.port == port for c in self._conns):
+                raise ValueError(f"duplicate registration from {conn.ip}:{port}")
         except (OSError, ValueError) as exc:  # ProtocolError is a ValueError
             log.warning("rejected %s: %s", conn.label, exc)
             conn.close()
             return True
+        conn.record = MinerRecord(len(self._conns) + 1, hashpower, conn.ip, port)
         self._conns.append(conn)
         try:
             # immediate ack: your id, roster to follow once everyone is in
@@ -219,8 +192,8 @@ class AdminServer:
     # phase 2: roster, clock parameters, genesis, transaction pool
 
     def _bootstrap(self) -> None:
-        roster = list(self.ledger.entries)
-        total = self.ledger.total_hashpower
+        roster = [conn.record for conn in self._conns]
+        total = sum(record.hashpower for record in roster)
         for conn in self._conns:
             mid = conn.record.miner_id
             try:
@@ -243,26 +216,25 @@ class AdminServer:
     def _mining_wait(self) -> dict[MinerConn, WireMessage]:
         """Each live miner's LAST_BLOCK, waited for only in select until all are in
         or the duration and consensus timeout pass; later frames stay queued."""
-        wall = self.config.duration / self.config.time_scale + self.consensus_timeout
+        wall = self.config.duration / self.config.time_scale + CONSENSUS_TIMEOUT
         end = time.monotonic() + wall
-        waiting = {conn.sock: conn for conn in self._conns if conn.sock.fileno() >= 0}
+        waiting = [conn for conn in self._conns if conn.fileno() >= 0]
         last_blocks: dict[MinerConn, WireMessage] = {}
         while waiting and (remaining := end - time.monotonic()) > 0:
-            readable, _, _ = select.select(list(waiting), [], [], remaining)
-            for sock in readable:
-                conn = waiting[sock]
+            readable, _, _ = select.select(waiting, [], [], remaining)
+            for conn in readable:
                 try:
-                    conn.pump(0.0)
+                    conn.pump()
                 except (OSError, ProtocolError) as exc:
-                    del waiting[sock]
+                    waiting.remove(conn)
                     self._drop(conn, exc)
                     continue
-                while conn.inbox and sock in waiting:
+                while conn.inbox and conn in waiting:
                     msg = conn.inbox.popleft()
                     if msg.type == "LAST_BLOCK":
                         self.accounting.consensus[msg.type] += 1
                         last_blocks[conn] = msg
-                        del waiting[sock]
+                        waiting.remove(conn)
                     else:  # no other message is legitimate while mining
                         self.accounting.mining[msg.type] += 1
                         log.warning(
@@ -276,7 +248,7 @@ class AdminServer:
         entries: list[ConsensusEntry] = []
         for conn in self._conns:
             try:
-                if conn.sock.fileno() < 0:
+                if conn.fileno() < 0:
                     raise ConnectionClosed("its connection was dropped")
                 if conn not in last_blocks:
                     raise TimeoutError("none arrived within the consensus timeout")
@@ -289,7 +261,7 @@ class AdminServer:
         winner = next(c for c in self._conns if c.record.miner_id == winner_id)
         try:
             winner.send(msg_chain_request())
-            msg = winner.next_message(self.consensus_timeout)
+            msg = winner.next_message(CONSENSUS_TIMEOUT)
             self.accounting.consensus[msg.type] += 1
             if msg.type != "CHAIN":
                 raise ProtocolError(f"got {msg.type} instead")
@@ -327,5 +299,5 @@ class AdminServer:
         return self._report(None, None, reason)
 
     def _report(self, chain: list[Block] | None, winner_id: int | None, reason: str | None) -> dict:
-        miners = [asdict(e) for e in self.ledger.entries]  # miner_id, hashpower, ip, port
+        miners = [asdict(conn.record) for conn in self._conns]  # miner_id, hashpower, ip, port
         return emit_report(chain, miners, self.config, winner_id, reason, self.accounting.as_dict())

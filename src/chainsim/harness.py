@@ -10,8 +10,9 @@ and loads the idna codec, which every child would otherwise redo. One
 poll over the admin's stdout pipe and a pidfd per child (Linux 5.3 or
 later) copies the admin's output and reaps each child the moment it
 exits. A miner that exits before the admin's second line (every miner
-registered) fails the run at once, naming its log; one that dies later
-costs the run, which the admin discards. Logical mode calls the
+registered) fails the run at once, naming its log, or the admin's if
+the admin exits within a grace second; one that dies later costs the
+run, which the admin discards. Logical mode calls the
 in-process engine. Discarded runs are retried on a fresh seed, within a
 global attempt budget of three times the requested run count.
 """
@@ -38,6 +39,7 @@ from .timing import DEFAULT_DELAY_RANGE, check_delay_range
 
 MODES = ("network", "logical")
 ADMIN_START_TIMEOUT = 15.0  # wall seconds for an admin process to bind and announce
+ADMIN_EXIT_GRACE = 1.0  # wall seconds for the admin to exit after a miner's start-up death
 
 
 class ExperimentFailure(RuntimeError):
@@ -238,11 +240,15 @@ def _run_network(
         children.wait(lambda: registered in children.lines or children.eof or children.codes,
                       deadline)
         if registered not in children.lines and not children.eof and children.codes:
-            i = min(children.codes) - 1  # the admin is still up: only miners were reaped
-            raise ExperimentFailure(
-                f"miner {i} exited with status {children.codes[i + 1]} before every miner "
-                f"registered, for seed {run_seed}; see {work}/miner_{i}.log"
-            )
+            # a miner that the admin closed on can be reaped before the admin:
+            # an admin that exits within the grace fails the run on its own status
+            children.wait(lambda: children.eof, time.monotonic() + ADMIN_EXIT_GRACE)
+            if not children.eof:
+                i = min(children.codes) - 1  # the admin is still up: only miners were reaped
+                raise ExperimentFailure(
+                    f"miner {i} exited with status {children.codes[i + 1]} before every miner "
+                    f"registered, for seed {run_seed}; see {work}/miner_{i}.log"
+                )
         # the admin's table, then its exit; then the miners have a minute more
         if not (
             children.wait(lambda: children.eof and 0 in children.codes, deadline)

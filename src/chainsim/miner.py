@@ -230,7 +230,7 @@ class MinerNode:
                         sock, _addr = listen_sock.accept()
                         sel.register(sock, selectors.EVENT_READ, BufferedConn(sock))
                     elif key.data is admin:
-                        admin.pump(0.0)
+                        admin.pump()
                     else:
                         for block in _read_peer(sel, key.data):
                             due = now + delays.uniform(lo, hi)
@@ -299,7 +299,7 @@ def _read_peer(sel: selectors.BaseSelector, conn: BufferedConn) -> list[Block]:
     """One peer's BLOCK frames read so far; a closed or corrupt stream costs only that peer."""
     blocks: list[Block] = []
     try:
-        conn.pump(0.0)
+        conn.pump()
         while conn.inbox:
             msg = conn.inbox.popleft()
             if msg.type == "BLOCK":

@@ -2,18 +2,24 @@
 
 Both bind their listening socket through listener(), which checks the
 port. All connections speak the length-prefixed frame protocol.
-BufferedConn wraps one socket with frame reassembly and a message inbox;
-callers either wait on it for the next message (request/response phases)
-or pump it once a selector reports the socket readable (the miner loop).
+BufferedConn wraps one socket with frame reassembly and a message inbox,
+and it alone sets the socket's mode: blocking, with IO_TIMEOUT bounding
+each send. It reads only once select has reported the socket readable:
+callers either wait on it for the next message (request/response
+phases), or select over connections themselves and pump each readable
+one (the admin's registration and mining phases, the miner loop).
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import time
 from collections import deque
 
 from .protocol import FrameReader, WireMessage, encode
+
+IO_TIMEOUT = 30.0  # wall seconds that any one send, or one read, may block
 
 
 class ConnectionClosed(ConnectionError):
@@ -35,6 +41,7 @@ class BufferedConn:
     """
 
     def __init__(self, sock: socket.socket):
+        sock.settimeout(IO_TIMEOUT)
         self.sock = sock
         self.reader = FrameReader()
         self.inbox: deque[WireMessage] = deque()
@@ -43,13 +50,12 @@ class BufferedConn:
     def label(self) -> str:
         return "peer"
 
-    def pump(self, timeout: float) -> None:
-        """Read once with a timeout; decoded messages land in the inbox."""
-        self.sock.settimeout(timeout)
-        try:
-            chunk = self.sock.recv(65536)
-        except (socket.timeout, BlockingIOError):
-            return
+    def fileno(self) -> int:
+        return self.sock.fileno()
+
+    def pump(self) -> None:
+        """Read once select reports the socket readable; decoded messages land in the inbox."""
+        chunk = self.sock.recv(65536)
         if not chunk:
             raise ConnectionClosed(f"{self.label} closed its connection")
         self.inbox.extend(self.reader.feed(chunk))
@@ -58,9 +64,9 @@ class BufferedConn:
         deadline = time.monotonic() + timeout
         while not self.inbox:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if remaining <= 0 or not select.select([self], [], [], remaining)[0]:
                 raise TimeoutError(f"{self.label} sent nothing within {timeout}s")
-            self.pump(remaining)
+            self.pump()
         return self.inbox.popleft()
 
     def send(self, msg: WireMessage) -> None:

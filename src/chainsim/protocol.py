@@ -288,7 +288,7 @@ def miner_record_from_payload(obj: dict) -> MinerRecord:
 
 
 def register_from_payload(obj: dict) -> tuple[float, int]:
-    """Type-checked (hashpower, port) of a REGISTER; the ledger checks the hashpower."""
+    """Type-checked (hashpower, port) of a REGISTER; the admin's admission checks the hashpower."""
     _checked(obj, "REGISTER", {"hashpower": _is_number, "port": _is_port})
     return _as_float(obj["hashpower"], "REGISTER"), obj["port"]
 

@@ -1,7 +1,8 @@
-"""Unit tests for the admin's ledger and admission, and for a run's inputs and report."""
+"""Unit tests for the admin's admission, and for a run's inputs and report."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -9,9 +10,10 @@ import socket
 
 import pytest
 
-from chainsim.admin import AdminServer, MinerConn, RegistrationLedger
+from chainsim.admin import AdminServer, MinerConn
 from chainsim.blocks import Block, StructuralError
-from chainsim.protocol import WireMessage, encode
+from chainsim.netio import BufferedConn
+from chainsim.protocol import MinerRecord, WireMessage, encode, miner_info_from_payload
 from chainsim.simulation import (
     SimulationConfig,
     create_genesis,
@@ -52,30 +54,70 @@ def test_config_refuses_non_finite_run_settings(field, value):
         config(**{field: value})
 
 
-def test_ledger_assigns_consecutive_ids():
-    ledger = RegistrationLedger()
-    for i, hp in enumerate(TABLE_POWERS):
-        record = ledger.register(hp, ip="127.0.0.1", port=9000 + i)
-        assert record.miner_id == i + 1
-    assert [e.miner_id for e in ledger.entries] == list(range(1, 8))
-    assert ledger.total_hashpower == pytest.approx(100.0)
+@contextlib.contextmanager
+def registrants(*payloads: dict):
+    """An admin that has read one REGISTER frame per payload through its
+    admission, each from its own socket pair; yields it and the pairs' other ends."""
+    server = AdminServer(config(num_miners=len(payloads)), port=0)
+    ends: list[BufferedConn] = []
+    try:
+        for payload in payloads:
+            ours, theirs = socket.socketpair()
+            ends.append(BufferedConn(ours))
+            ours.sendall(encode(WireMessage("REGISTER", payload)))
+            assert server._admit(MinerConn(theirs, "127.0.0.1"))
+        yield server, ends
+    finally:
+        for end in ends:
+            end.close()
+        server.close()
 
 
-def test_ledger_single_registrant():
-    ledger = RegistrationLedger()
-    ledger.register(30.0, ip="127.0.0.1", port=9000)
-    assert ledger.total_hashpower == pytest.approx(30.0)
-    assert ledger.entries[0].miner_id == 1
+def admitted(server: AdminServer) -> list[MinerRecord]:
+    return [conn.record for conn in server._conns]
 
 
-def test_ledger_rejects_duplicates_and_bad_hashpower():
-    ledger = RegistrationLedger()
-    ledger.register(5.0, ip="127.0.0.1", port=9000)
-    with pytest.raises(ValueError):
-        ledger.register(6.0, ip="127.0.0.1", port=9000)
-    ledger.register(6.0, ip="127.0.0.1", port=9001)  # same ip, new port is fine
-    with pytest.raises(ValueError):
-        ledger.register(0.0, ip="127.0.0.1", port=9002)
+def roster_sent_to(end: BufferedConn) -> tuple[int, list[MinerRecord], float]:
+    """The (id, roster, total hashpower) the admin's bootstrap sent after the ack."""
+    ack_id, _, _ = miner_info_from_payload(end.next_message(5.0).payload)
+    my_id, records, total = miner_info_from_payload(end.next_message(5.0).payload)
+    assert ack_id == my_id
+    return my_id, records, total
+
+
+def test_admit_assigns_consecutive_ids():
+    payloads = [{"hashpower": hp, "port": 9000 + i} for i, hp in enumerate(TABLE_POWERS)]
+    with registrants(*payloads) as (server, ends):
+        assert [r.miner_id for r in admitted(server)] == list(range(1, 8))
+        server._bootstrap()
+        for i, end in enumerate(ends):
+            my_id, records, total = roster_sent_to(end)
+            assert my_id == i + 1
+            assert records == admitted(server)
+            assert total == pytest.approx(100.0)
+
+
+def test_admit_single_registrant():
+    with registrants({"hashpower": 30.0, "port": 9000}) as (server, [end]):
+        server._bootstrap()
+        my_id, records, total = roster_sent_to(end)
+    assert my_id == 1
+    assert records == [MinerRecord(miner_id=1, hashpower=30.0, ip="127.0.0.1", port=9000)]
+    assert total == pytest.approx(30.0)
+
+
+def test_admit_rejects_duplicates_and_bad_hashpower():
+    with registrants(
+        {"hashpower": 5.0, "port": 9000},
+        {"hashpower": 6.0, "port": 9000},  # the same (ip, port) again
+        {"hashpower": 6.0, "port": 9001},  # same ip, new port is fine
+        {"hashpower": 0.0, "port": 9002},
+        {"hashpower": -1.0, "port": 9003},
+    ) as (server, _):
+        assert [(r.miner_id, r.hashpower, r.port) for r in admitted(server)] == [
+            (1, 5.0, 9000),
+            (2, 6.0, 9001),
+        ]
 
 
 def test_genesis_shape_and_stability():
@@ -170,22 +212,9 @@ def test_write_report_round_trips(tmp_path):
     assert json.loads(path.read_text()) == report
 
 
-def admit(payload: dict) -> AdminServer:
-    """Feed one REGISTER frame through the admin's admission over a socket pair."""
-    server = AdminServer(config(num_miners=1), port=0)
-    ours, theirs = socket.socketpair()
-    try:
-        ours.sendall(encode(WireMessage("REGISTER", payload)))
-        assert server._admit(MinerConn(theirs, "127.0.0.1"))
-    finally:
-        ours.close()
-        server.close()
-    return server
-
-
 def test_admit_takes_an_integral_hashpower():
-    server = admit({"hashpower": 10, "port": 7000})
-    assert [(e.hashpower, e.port) for e in server.ledger.entries] == [(10.0, 7000)]
+    with registrants({"hashpower": 10, "port": 7000}) as (server, _):
+        assert [(r.hashpower, r.port) for r in admitted(server)] == [(10.0, 7000)]
 
 
 @pytest.mark.parametrize(
@@ -204,4 +233,5 @@ def test_admit_takes_an_integral_hashpower():
     ids=["nan", "inf", "list", "bool", "str", "huge-int", "port-str", "port-float", "port-range"],
 )
 def test_admit_rejects_mistyped_registrations(payload):
-    assert admit(payload).ledger.entries == []
+    with registrants(payload) as (server, _):
+        assert admitted(server) == []

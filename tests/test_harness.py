@@ -15,6 +15,7 @@ from dataclasses import fields
 import pytest
 
 from chainsim import cli, harness
+from chainsim.admin import AdminServer, RegistrationTimeout
 from chainsim.harness import (
     _SPEC_FIELD_TYPES,
     ExperimentFailure,
@@ -647,6 +648,32 @@ def test_a_miner_that_exits_at_start_up_fails_the_run_at_once_naming_its_log(
     assert "Traceback" in log and "RuntimeError: a miner's main raised" in log
     assert not (tmp_path / "out" / "work" / "run_000_a1").exists()
     with pytest.raises(ChildProcessError):  # the admin and miner 1 were killed and reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_admin_that_fails_at_start_up_fails_the_run_naming_its_log(tmp_path, monkeypatch):
+    real_registration = AdminServer._run_registration
+
+    def registration_then_failure(self):
+        real_registration(self)
+        self.close()  # every miner's connection closes while the admin is still up,
+        time.sleep(0.3)  # so the miners exit, and are reaped, before the admin
+        raise RegistrationTimeout("the admin gave up")
+
+    monkeypatch.setattr(AdminServer, "_run_registration", registration_then_failure)
+    spec = make_spec(tmp_path, mode="network", num_miners=2, duration=30.0, time_scale=100.0,
+                     runs=1, seed=88, hashpowers=(12.0, 24.0))
+    work = tmp_path / "out" / "work" / "run_000_a0"
+    with pytest.raises(
+        ExperimentFailure,
+        match=rf"admin exited with status 1 for seed {run_seed_for(88, 0, 0)} .*; see "
+        + rf"{re.escape(str(work / 'admin.log'))}$",
+    ):
+        run_experiment(spec)
+    assert "admin failed: the admin gave up" in (work / "admin.log").read_text()
+    for i in range(2):
+        assert "closed its connection" in (work / f"miner_{i}.log").read_text()
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 

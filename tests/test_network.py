@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import select
 import socket
 import threading
 import time
@@ -12,10 +13,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from chainsim import cli
-from chainsim.admin import AdminServer, RegistrationTimeout
+from chainsim.admin import AdminServer, MinerConn, RegistrationTimeout
 from chainsim.blocks import Block, make_placeholder
 from chainsim.miner import MinerNode, PeerLink
 from chainsim.netio import BufferedConn
+import chainsim.admin as admin
+import chainsim.netio as netio
 import chainsim.protocol as protocol
 from chainsim.protocol import (
     FrameOverflow,
@@ -23,6 +26,7 @@ from chainsim.protocol import (
     ProtocolError,
     WireMessage,
     block_to_payload,
+    consensus_result_from_payload,
     encode,
     msg_block,
     msg_chain,
@@ -45,10 +49,9 @@ def run_network(
     config: SimulationConfig,
     hashpowers: list[float],
     delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE,
-    **admin_kw,
 ) -> tuple[dict, list[dict]]:
     """One full in-process run: admin thread plus one thread per miner."""
-    server = AdminServer(config, port=0, **admin_kw)
+    server = AdminServer(config, port=0)
     with ThreadPoolExecutor(max_workers=config.num_miners + 1) as pool:
         admin_fut = pool.submit(server.run)
         miner_futs = [
@@ -183,9 +186,6 @@ def test_the_consensus_result_is_encoded_once_for_every_miner(monkeypatch):
         encoded[msg.type] += 1
         return encode(msg)
 
-    import chainsim.admin as admin
-    import chainsim.netio as netio
-
     # every name the admin's frames are encoded through, in the admin and its connections
     monkeypatch.setattr(admin, "encode", counting)
     monkeypatch.setattr(netio, "encode", counting)
@@ -194,6 +194,68 @@ def test_the_consensus_result_is_encoded_once_for_every_miner(monkeypatch):
     assert not report["discarded"]
     assert [s["discarded"] for s in stats] == [False] * 3  # each miner got the result
     assert encoded["CONSENSUS_RESULT"] == 1
+
+
+def test_a_multi_megabyte_result_reaches_a_miner_that_reads_late():
+    # a long run's result: over 6 MiB, more than loopback's socket buffers hold
+    chain = [GENESIS]
+    while len(chain) <= 14_000:
+        depth = len(chain)
+        chain.append(
+            Block(
+                id=f"{depth:032x}",
+                parent_id=chain[-1].id,
+                depth=depth,
+                miner_id=1,
+                blocktime=float(depth),
+                tx_ids=tuple(f"{depth:08x}{k:024x}" for k in range(10)),
+            )
+        )
+    result = msg_consensus_result(1, chain)
+    assert len(encode(result)) > 6 * 2**20
+    server = AdminServer(quick_config(1), port=0)
+    miner = BufferedConn(socket.create_connection(("127.0.0.1", server.port)))
+    try:
+        sock, addr = server._listener.accept()
+        conn = MinerConn(sock, addr[0])
+        conn.record = MinerRecord(miner_id=1, hashpower=10.0, ip=addr[0], port=7000)
+        server._conns.append(conn)
+        miner.send(msg_last_block(1, chain[-1]))
+        assert list(server._mining_wait()) == [conn]  # the admin has read the connection
+
+        def broadcast_and_close() -> None:
+            server._broadcast(result)
+            server.close()  # as run() does once the result is out
+
+        sender = threading.Thread(target=broadcast_and_close)
+        sender.start()
+        time.sleep(0.5)  # the miner reads only once the socket buffers are full
+        got = miner.next_message(30.0)
+        sender.join(timeout=30)
+    finally:
+        miner.close()
+        server.close()
+    assert got.type == "CONSENSUS_RESULT"
+    assert consensus_result_from_payload(got.payload) == (1, chain)
+
+
+def test_reading_a_connection_leaves_its_socket_mode_alone():
+    ours, theirs = socket.socketpair()
+    conn = BufferedConn(theirs)
+    mode = theirs.gettimeout()
+    try:
+        ours.sendall(encode(msg_chain_request()))
+        assert conn.next_message(5.0).type == "CHAIN_REQUEST"
+        assert theirs.gettimeout() == mode
+        ours.sendall(encode(msg_chain_request()))
+        assert select.select([conn], [], [], 5.0)[0] == [conn]
+        conn.pump()
+        assert theirs.gettimeout() == mode
+        assert [msg.type for msg in conn.inbox] == ["CHAIN_REQUEST"]
+        assert mode == netio.IO_TIMEOUT  # blocking, so no send is ever cut short
+    finally:
+        ours.close()
+        conn.close()
 
 
 def test_seven_miners_with_table_powers():
@@ -227,8 +289,9 @@ def test_single_miner_throughput_across_seeds():
     assert expectation * 0.8 <= mean <= expectation * 1.2
 
 
-def test_registration_timeout_when_miner_missing():
-    server = AdminServer(quick_config(2), port=0, registration_timeout=0.6)
+def test_registration_timeout_when_miner_missing(monkeypatch):
+    monkeypatch.setattr(admin, "REGISTRATION_TIMEOUT", 0.6)
+    server = AdminServer(quick_config(2), port=0)
     with ThreadPoolExecutor(max_workers=1) as pool:
         fut = pool.submit(server.run)
         scripted = ScriptedMiner(server.port, listen_port=7001)
@@ -239,9 +302,10 @@ def test_registration_timeout_when_miner_missing():
     assert scripted.error is not None  # connection died with the admin
 
 
-def test_a_silent_or_half_sent_registrant_holds_up_no_one():
+def test_a_silent_or_half_sent_registrant_holds_up_no_one(monkeypatch):
     timeout = 5.0
-    server = AdminServer(quick_config(2), port=0, registration_timeout=timeout)
+    monkeypatch.setattr(admin, "REGISTRATION_TIMEOUT", timeout)
+    server = AdminServer(quick_config(2), port=0)
     started = time.monotonic()
     with ThreadPoolExecutor(max_workers=3) as pool:
         fut = pool.submit(server.run)
@@ -269,8 +333,9 @@ def test_a_silent_or_half_sent_registrant_holds_up_no_one():
     assert {m["port"] for m in report["miners"]} == {s["listen_port"] for s in stats}
 
 
-def test_duplicate_registration_rejected():
-    server = AdminServer(quick_config(2), port=0, registration_timeout=5.0)
+def test_duplicate_registration_rejected(monkeypatch):
+    monkeypatch.setattr(admin, "REGISTRATION_TIMEOUT", 5.0)
+    server = AdminServer(quick_config(2), port=0)
     with ThreadPoolExecutor(max_workers=1) as pool:
         fut = pool.submit(server.run)
         first = ScriptedMiner(server.port, listen_port=7100)
@@ -342,9 +407,10 @@ def test_discard_when_winning_chain_has_placeholders():
     assert bad.got_chain_request  # deepest tip won, then failed the check
 
 
-def test_winner_chain_timeout_discards_run():
+def test_winner_chain_timeout_discards_run(monkeypatch):
     tip = Block(id="t1", parent_id=GENESIS.id, depth=1, miner_id=1, blocktime=0.5)
-    server = AdminServer(quick_config(2), port=0, consensus_timeout=0.8)
+    monkeypatch.setattr(admin, "CONSENSUS_TIMEOUT", 0.8)
+    server = AdminServer(quick_config(2), port=0)
     with ThreadPoolExecutor(max_workers=1) as pool:
         fut = pool.submit(server.run)
         silent = ScriptedMiner(
@@ -441,8 +507,9 @@ def test_invalid_last_block_discards_run(payload):
     ],
     ids=["closes-before-bootstrap", "closes", "corrupt-frame", "silent"],
 )
-def test_dead_or_silent_miner_costs_only_its_run(fault):
-    server = AdminServer(quick_config(2), port=0, consensus_timeout=0.8)
+def test_dead_or_silent_miner_costs_only_its_run(fault, monkeypatch):
+    monkeypatch.setattr(admin, "CONSENSUS_TIMEOUT", 0.8)
+    server = AdminServer(quick_config(2), port=0)
     with ThreadPoolExecutor(max_workers=2) as pool:
         fut = pool.submit(server.run)
         bad = ScriptedMiner(server.port, listen_port=7710, **fault)
