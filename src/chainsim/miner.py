@@ -63,7 +63,9 @@ class PeerLink:
     The peer is dialed once, when the link is built; each frame is sent at
     once and the send never blocks. A failed dial, or a send that fails or
     that the socket cannot take whole, costs that peer every later frame of
-    the run.
+    the run. A broken pipe or a reset means the peer closed its end, as a
+    peer does once its own clock has ended the run: that is logged at INFO,
+    every other failure at WARNING.
     """
 
     def __init__(self, record: MinerRecord):
@@ -85,6 +87,14 @@ class PeerLink:
             if self._sock.send(frame) == len(frame):
                 return
             reason = "send buffer full"
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            log.info(
+                "miner %d closed its end; no more frames to it this run: %s",
+                self.record.miner_id,
+                exc,
+            )
+            self.close()
+            return
         except OSError as exc:  # a full buffer raises BlockingIOError
             reason = str(exc)
         log.warning(

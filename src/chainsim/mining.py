@@ -10,6 +10,12 @@ from it.
 `take_due` and `step` are the one place the event order lives, for both
 modes: a step applies the held blocks due before its instant, in (due,
 seq) order, then builds and releases the own block if it is due.
+
+step runs once per event and draw_own_block once per own block, so both
+skip what per-call work they can: an own block's id is hashed on from a
+blake2b state over the miner's id prefix, made once per context, its
+Block is built from positional arguments, and step counts each action
+into the tally itself, by identity with chain's shared actions.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .blocks import Block, StructuralError, derive_block_id
+from .blocks import Block, StructuralError, block_id_prefix, prefixed_block_id
 from .chain import (
     APPENDED_OWN,
     APPENDED_RECEIVED,
@@ -37,7 +43,7 @@ from .timing import HashpowerProfile, compute_block_time
 TXS_PER_BLOCK = 10  # pool transactions claimed by each mined block
 
 
-@dataclass
+@dataclass(slots=True)
 class MinerTally:
     """Per-miner action counters, reported at end of run."""
 
@@ -53,7 +59,8 @@ class MinerTally:
         The rules return only chain's four shared actions, so they are told
         apart by identity, most frequent first: reading an ActionKind member
         is an Enum class-attribute lookup, several times dearer than the
-        module-global read of a shared action.
+        module-global read of a shared action. step counts the same way
+        inline and hands record only what it does not expect.
         """
         if action is APPENDED_RECEIVED:
             self.appended_received += 1
@@ -88,6 +95,10 @@ class MiningContext:
     counter: int = 0  # own blocks built so far; keeps their ids unique
     tally: MinerTally = field(default_factory=MinerTally)
     next_time: float | None = None  # blocktime of the next own block, once drawn
+    id_prefix: object = field(init=False, repr=False)  # blake2b state over the id prefix
+
+    def __post_init__(self) -> None:
+        self.id_prefix = block_id_prefix(self.miner_id)
 
 
 def next_tx_ids(pool_ids: tuple[str, ...], depth: int) -> tuple[str, ...]:
@@ -97,16 +108,19 @@ def next_tx_ids(pool_ids: tuple[str, ...], depth: int) -> tuple[str, ...]:
 
 
 def draw_own_block(ctx: MiningContext, tip: Block, blocktime: float) -> Block:
-    """Build the miner's own block on top of the given tip, at its blocktime."""
+    """Build the miner's own block on top of the given tip, at its blocktime.
+
+    Its id is derive_block_id's, hashed on from the context's id prefix.
+    """
     depth = tip.depth + 1
-    ctx.counter += 1
+    ctx.counter = counter = ctx.counter + 1
     return Block(
-        id=derive_block_id(ctx.miner_id, depth, blocktime, ctx.counter),
-        parent_id=tip.id,
-        depth=depth,
-        miner_id=ctx.miner_id,
-        blocktime=blocktime,
-        tx_ids=next_tx_ids(ctx.tx_pool_ids, depth),
+        prefixed_block_id(ctx.id_prefix, depth, blocktime, counter),
+        tip.id,
+        depth,
+        ctx.miner_id,
+        blocktime,
+        next_tx_ids(ctx.tx_pool_ids, depth),
     )
 
 
@@ -157,6 +171,7 @@ def step(
     never arrived.
     """
     actions: list[UpdateAction] = []
+    tally = ctx.tally
     limit = depth_limit(duration, ctx.interval)
     for block in received:
         try:
@@ -170,7 +185,15 @@ def step(
                 raise
             reject(block, exc)
             continue
-        ctx.tally.record(action)
+        # MinerTally.record written out, most frequent first
+        if action is APPENDED_RECEIVED:
+            tally.appended_received += 1
+        elif action is UNCLED:
+            tally.uncled += 1
+        elif action is SWITCHED_CHAIN:
+            tally.switches += 1
+        else:
+            tally.record(action)
         actions.append(action)
     if ctx.next_time is None:
         if now < duration:
@@ -180,9 +203,12 @@ def step(
     if blocktime > min(now, duration):
         return actions, None
     own = draw_own_block(ctx, state.tip, blocktime)
-    ctx.tally.created += 1
+    tally.created += 1
     action = apply_created_block(state, own)
-    ctx.tally.record(action)
+    if action is APPENDED_OWN:
+        tally.appended_own += 1
+    else:
+        tally.record(action)
     actions.append(action)
     ctx.next_time = None
     if blocktime < duration:

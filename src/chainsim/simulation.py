@@ -155,7 +155,10 @@ def render_table(report: dict) -> str:
 
 
 def write_report(report: dict, path: str) -> None:
-    """Write a JSON record (a report, a miner's stats, an aggregate) to path."""
+    """Write a JSON record (a report, a miner's stats, an aggregate) to path.
+
+    Encoded whole first: json.dump with an indent writes each token apart.
+    """
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

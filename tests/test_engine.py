@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainsim.chain as chain
 import chainsim.engine as engine
+from chainsim.blocks import UNKNOWN_ID
 from chainsim.chain import verify_state_invariants
 from chainsim.engine import run_logical
 from chainsim.mining import step
@@ -373,6 +375,26 @@ def test_inboxes_match_the_per_arrival_loop(monkeypatch, n, duration, powers, de
     for seed in (1, 2):
         cfg = config(seed, duration=duration, n=n)
         assert_matches_per_arrival_loop(monkeypatch, cfg, powers, delay_range)
+
+
+def test_benchmark_depth_matches_the_per_arrival_loop(monkeypatch):
+    # logical-deep's shape: 7 Table-2 miners over 150 000 s, about 12k
+    # blocks deep, where hundreds of switches and dozens of gaps happen;
+    # the cases above stop at 3000 s and a few dozen switches
+    gaps = collections.Counter()
+    make_placeholder = chain.make_placeholder
+
+    def counting(block_id, depth):
+        gaps[block_id != UNKNOWN_ID] += 1  # a known id tops a gap a switch opened
+        return make_placeholder(block_id, depth)
+
+    monkeypatch.setattr(chain, "make_placeholder", counting)
+    got = assert_matches_per_arrival_loop(
+        monkeypatch, config(1, duration=150_000.0), TABLE_POWERS, DEFAULT_DELAY_RANGE
+    )
+    assert len(got.final_chain) > 11_000
+    assert sum(t.switches for t in got.tallies) > 400
+    assert gaps[True] > 2 * 60  # both runs open them
 
 
 def test_run_shorter_than_the_first_blocktime_matches_the_per_arrival_loop(monkeypatch):

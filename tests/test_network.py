@@ -710,6 +710,38 @@ def test_a_partial_send_costs_the_link_for_the_rest_of_the_run(caplog):
     ]
 
 
+def test_a_peer_that_closed_its_end_costs_its_link_without_a_warning(caplog):
+    # The scripted peer ends at once, like a peer whose own clock ran out
+    # first: it takes the honest miner's dial and closes it. The next
+    # sends to it fail with a broken pipe or a reset, which is expected at
+    # the end of a run and so is logged once at INFO, not as a fault.
+    caplog.set_level(logging.INFO, logger="chainsim.miner")
+    config = SimulationConfig(num_miners=2, duration=30.0, interval=1.0, seed=6, time_scale=100.0)
+    server = AdminServer(config, port=0)
+    inbound = socket.create_server(("127.0.0.1", 0))
+    inbound.settimeout(30.0)
+    with inbound, ThreadPoolExecutor(max_workers=2) as pool:
+        admin_fut = pool.submit(server.run)
+        gone = ScriptedMiner(server.port, listen_port=inbound.getsockname()[1], hashpower=1.0)
+        gone.start()
+        honest = pool.submit(
+            MinerNode("127.0.0.1", server.port, listen_port=0, hashpower=29.0).run
+        )
+        inbound.accept()[0].close()  # the dial made before mining
+        report = admin_fut.result(timeout=60)
+        stats = honest.result(timeout=60)
+        gone.join(timeout=5)
+    assert gone.error is None and gone.outcome == "CONSENSUS_RESULT"
+    assert not report["discarded"]
+    assert stats["winner_id"] == stats["miner_id"]
+    assert stats["final_chain_ids"] == report["final_chain_ids"]
+    assert stats["tally"]["created"] > 1  # sends after the close: one fails, the rest are skipped
+    assert [r.levelname for r in caplog.records] == ["INFO"]
+    assert caplog.records[0].getMessage().startswith(
+        f"miner {gone.miner_id} closed its end; no more frames to it this run: "
+    )
+
+
 def test_a_block_is_not_applied_before_its_delay_has_passed():
     # The scripted peer sends a valid depth-1 block just after bootstrap, at
     # receipt r of well under 1 sim-s (a few wall-ms at time_scale 20). The
