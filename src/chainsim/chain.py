@@ -24,7 +24,6 @@ class NoParticipants(ValueError):
 
 
 class ActionKind(enum.Enum):
-    APPENDED_OWN = "appended_own"
     APPENDED_RECEIVED = "appended_received"
     UNCLED = "uncled"
     SWITCHED_CHAIN = "switched_chain"
@@ -32,17 +31,16 @@ class ActionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class UpdateAction:
-    """Outcome of feeding one block through the update rules."""
+    """Outcome of feeding one received block through the update rules."""
 
     kind: ActionKind
 
 
-# The one UpdateAction of each kind, returned by every update. An action
-# is frozen and carries only its kind, so sharing it changes no result and
-# a delivery allocates none. Plain names rather than a dict keyed by
+# The one UpdateAction of each kind, returned by every received update. An
+# action is frozen and carries only its kind, so sharing it changes no
+# result and a delivery allocates none. Plain names rather than a dict keyed by
 # ActionKind: an Enum hashes in Python, which costs about what building a
 # new action does, while a module name reads in one lookup.
-APPENDED_OWN = UpdateAction(ActionKind.APPENDED_OWN)
 APPENDED_RECEIVED = UpdateAction(ActionKind.APPENDED_RECEIVED)
 UNCLED = UpdateAction(ActionKind.UNCLED)
 SWITCHED_CHAIN = UpdateAction(ActionKind.SWITCHED_CHAIN)
@@ -107,7 +105,7 @@ def _known(state: LocalChainState, block: Block) -> bool:
     return existing is not None
 
 
-def apply_created_block(state: LocalChainState, block: Block) -> UpdateAction:
+def apply_created_block(state: LocalChainState, block: Block) -> None:
     """Append one of our own blocks, built on the tip when it fell due.
 
     Own blocks are built on the current tip, so one that does not extend
@@ -121,7 +119,6 @@ def apply_created_block(state: LocalChainState, block: Block) -> UpdateAction:
     if not _known(state, block):
         state.block_store[block.id] = block
     state.main_chain.append(block)
-    return APPENDED_OWN
 
 
 def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:

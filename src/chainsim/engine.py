@@ -2,12 +2,14 @@
 
 Same rules as the live network: every event goes through mining.step,
 and every inbox through mining.take_due. One priority queue holds each
-miner's next own blocktime, drawn once and never moved by a received
-block, and time jumps from one to the next. A broadcast block joins each
-receiver's inbox, due U(lo, hi) sim-seconds after its blocktime, drawn
-per (block, receiver) pair, so blocks may overtake each other; the live
-miner draws the same delay from its receipt. The fan-out walks the
-sender's list of the other inboxes' append methods, made once per run.
+miner's next own blocktime, the first drawn from 0 when its context is
+built and none moved by a received block, and time jumps from one to
+the next. A step returns the own block it releases, and the engine
+broadcasts it: the block joins each receiver's inbox, due U(lo, hi)
+sim-seconds after its blocktime, drawn per (block, receiver) pair, so
+blocks may overtake each other; the live miner draws the same delay
+from its receipt. The fan-out walks the sender's list of the other
+inboxes' append methods, made once per run.
 Mining is memoryless, so a miner's state matters only when its own block
 falls due and when the run ends: there one step applies every held block
 due before, in (time, queue order); blocks due after the duration are
@@ -59,7 +61,7 @@ def run_events(
     delay_range: tuple[float, float],
     net_rng: random.Random,
 ) -> None:
-    """Step every miner through the run, from its first draw to the duration."""
+    """Step every miner through the run, from its first blocktime to the duration."""
     n = len(ctxs)
     next_seq = itertools.count().__next__
     # Random.uniform(lo, hi) written out, bound once: the fan-out draws
@@ -82,7 +84,6 @@ def run_events(
             heapq.heappush(heap, (ctxs[i].next_time, next_seq(), i))
 
     for i in range(n):
-        step(ctxs[i], states[i], (), 0.0, duration)  # first draw
         queue_own(i)
 
     while heap:
@@ -90,7 +91,7 @@ def run_events(
         if t > duration:
             break
         due = map(block_of, take_due(inboxes[i], (t, s)))
-        _, broadcast = step(ctxs[i], states[i], due, t, duration)
+        broadcast = step(ctxs[i], states[i], due, t, duration)
         if broadcast is not None:
             # the own block came due, and its successor was drawn
             for deliver in peers_of[i]:

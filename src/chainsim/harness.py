@@ -476,9 +476,27 @@ def _aggregate(spec: ExperimentSpec, reports: list[dict], retries: int) -> dict:
 
 
 def fairness_check(aggregate: dict, tolerance_pp: float) -> dict:
-    """Per-miner pass/fail on |mean block share - hash share| <= tolerance."""
+    """Per-miner pass/fail on |mean block share - hash share| <= tolerance.
+
+    Raises ValueError, naming the field, on anything but an aggregate: a
+    missing or mistyped num_miners, or a share list that is not one number
+    per miner.
+    """
+    if not isinstance(aggregate, dict):
+        raise ValueError(f"an aggregate is a JSON object, not {type(aggregate).__name__}")
+    n = aggregate.get("num_miners")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"aggregate field num_miners must be a positive integer, got {n!r}")
+    for name in ("mean_hash_share_pct", "mean_block_share_pct", "deviation_pp"):
+        values = aggregate.get(name)
+        if not (
+            isinstance(values, list)
+            and len(values) == n
+            and all(type(v) in (int, float) for v in values)
+        ):
+            raise ValueError(f"aggregate field {name} must be a list of {n} numbers")
     rows = []
-    for i in range(aggregate["num_miners"]):
+    for i in range(n):
         deviation = aggregate["deviation_pp"][i]
         rows.append(
             {

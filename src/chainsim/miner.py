@@ -228,7 +228,7 @@ class MinerNode:
                 if conn.sock.fileno() >= 0:  # not closed already, by its EOF or a reject
                     _drop_peer(sel, conn)
 
-            return step(ctx, state, [b for _, _, b, _ in taken], now, duration, reject)[1]
+            return step(ctx, state, [b for _, _, b, _ in taken], now, duration, reject)
 
         timeout = 0.0
         try:
@@ -252,7 +252,7 @@ class MinerNode:
                         frame = encode(msg_block(own))
                         for link in links:
                             link.send(frame)
-                step_until(horizon, (horizon, math.inf))  # the first pass draws the first blocktime
+                step_until(horizon, (horizon, math.inf))
                 if now >= duration:
                     return
                 wake = duration if ctx.next_time is None else min(ctx.next_time, duration)

@@ -3,19 +3,21 @@
 Mining is memoryless: a miner's wait for its next own block is
 exponential, so a tip that moves under it leaves the remaining wait
 unchanged. Each miner therefore keeps one drawn blocktime, next_time,
-that no received block changes; when it falls due the own block is
-built on whatever the tip is then, and the next blocktime is drawn
-from it.
+that no received block changes. A context draws the first one from 0
+when it is built; when it falls due the own block is built on whatever
+the tip is then, and the next blocktime is drawn from it.
 
 `take_due` and `step` are the one place the event order lives, for both
 modes: a step applies the held blocks due before its instant, in (due,
-seq) order, then builds and releases the own block if it is due.
+seq) order, then builds the own block if it is due and returns it, the
+one block the step releases.
 
 step runs once per event and draw_own_block once per own block, so both
 skip what per-call work they can: an own block's id is hashed on from a
 blake2b state over the miner's id prefix, made once per context, its
-Block is built from positional arguments, and step counts each action
-into the tally itself, by identity with chain's shared actions.
+Block is built from positional arguments, and step counts each received
+block's action into the tally itself, by identity with chain's shared
+actions.
 """
 
 from __future__ import annotations
@@ -28,13 +30,11 @@ from dataclasses import dataclass, field
 
 from .blocks import Block, StructuralError, block_id_prefix, prefixed_block_id
 from .chain import (
-    APPENDED_OWN,
     APPENDED_RECEIVED,
     SWITCHED_CHAIN,
     UNCLED,
     DuplicateIdConflict,
     LocalChainState,
-    UpdateAction,
     apply_created_block,
     apply_received_block,
 )
@@ -45,38 +45,17 @@ TXS_PER_BLOCK = 10  # pool transactions claimed by each mined block
 
 @dataclass(slots=True)
 class MinerTally:
-    """Per-miner action counters, reported at end of run."""
+    """Per-miner counters, reported at end of run: own blocks created, and
+    each action chain's update rules took on a received block."""
 
     created: int = 0
-    appended_own: int = 0
     appended_received: int = 0
     uncled: int = 0
     switches: int = 0
 
-    def record(self, action: UpdateAction) -> None:
-        """Count one action returned by chain's update rules.
-
-        The rules return only chain's four shared actions, so they are told
-        apart by identity, most frequent first: reading an ActionKind member
-        is an Enum class-attribute lookup, several times dearer than the
-        module-global read of a shared action. step counts the same way
-        inline and hands record only what it does not expect.
-        """
-        if action is APPENDED_RECEIVED:
-            self.appended_received += 1
-        elif action is UNCLED:
-            self.uncled += 1
-        elif action is SWITCHED_CHAIN:
-            self.switches += 1
-        elif action is APPENDED_OWN:
-            self.appended_own += 1
-        else:
-            raise ValueError(f"{action!r} is not one of chain's shared actions")
-
     def as_dict(self) -> dict:
         return {
             "created": self.created,
-            "appended_own": self.appended_own,
             "appended_received": self.appended_received,
             "uncled": self.uncled,
             "switches": self.switches,
@@ -94,11 +73,14 @@ class MiningContext:
     tx_pool_ids: tuple[str, ...] = ()
     counter: int = 0  # own blocks built so far; keeps their ids unique
     tally: MinerTally = field(default_factory=MinerTally)
-    next_time: float | None = None  # blocktime of the next own block, once drawn
+    # blocktime of the next own block; None once the run has no more, as a
+    # block due at the duration itself draws no successor
+    next_time: float | None = field(init=False)
     id_prefix: object = field(init=False, repr=False)  # blake2b state over the id prefix
 
     def __post_init__(self) -> None:
         self.id_prefix = block_id_prefix(self.miner_id)
+        self.next_time = compute_block_time(self.profile, self.interval, 0.0, self.rng)
 
 
 def next_tx_ids(pool_ids: tuple[str, ...], depth: int) -> tuple[str, ...]:
@@ -156,8 +138,8 @@ def step(
     now: float,
     duration: float,
     reject: Callable[[Block, ValueError], None] | None = None,
-) -> tuple[list[UpdateAction], Block | None]:
-    """One mining step; returns the actions taken and a block to broadcast.
+) -> Block | None:
+    """One mining step; returns the own block it releases, or None.
 
     Received blocks are applied in the order given; they never change
     ctx.next_time. Then, if ctx.next_time has been reached, the own block
@@ -170,7 +152,6 @@ def step(
     is told and the step goes on, with the state as if the block had
     never arrived.
     """
-    actions: list[UpdateAction] = []
     tally = ctx.tally
     limit = depth_limit(duration, ctx.interval)
     for block in received:
@@ -185,7 +166,9 @@ def step(
                 raise
             reject(block, exc)
             continue
-        # MinerTally.record written out, most frequent first
+        # told apart by identity, most frequent first: an ActionKind member
+        # read is an Enum class-attribute lookup, several times dearer than
+        # the module-global read of a shared action
         if action is APPENDED_RECEIVED:
             tally.appended_received += 1
         elif action is UNCLED:
@@ -193,24 +176,14 @@ def step(
         elif action is SWITCHED_CHAIN:
             tally.switches += 1
         else:
-            tally.record(action)
-        actions.append(action)
-    if ctx.next_time is None:
-        if now < duration:
-            ctx.next_time = compute_block_time(ctx.profile, ctx.interval, now, ctx.rng)
-        return actions, None
+            raise ValueError(f"{action!r} is not one of chain's shared actions")
     blocktime = ctx.next_time
-    if blocktime > min(now, duration):
-        return actions, None
+    if blocktime is None or blocktime > min(now, duration):
+        return None
     own = draw_own_block(ctx, state.tip, blocktime)
     tally.created += 1
-    action = apply_created_block(state, own)
-    if action is APPENDED_OWN:
-        tally.appended_own += 1
-    else:
-        tally.record(action)
-    actions.append(action)
+    apply_created_block(state, own)
     ctx.next_time = None
     if blocktime < duration:
         ctx.next_time = compute_block_time(ctx.profile, ctx.interval, blocktime, ctx.rng)
-    return actions, own
+    return own

@@ -68,9 +68,9 @@ def test_fresh_state_starts_at_genesis():
 def test_created_block_appends_when_deeper():
     chain = build_line(5)
     state = fresh_state(chain[:5])  # tip depth 4
-    action = apply_created_block(state, chain[5])
-    assert action.kind is ActionKind.APPENDED_OWN
+    assert apply_created_block(state, chain[5]) is None
     assert len(state.main_chain) == 6
+    assert state.block_store["b5"] is chain[5]
     assert state.tip.id == "b5"
     verify_state_invariants(state)
 
@@ -90,9 +90,9 @@ def test_created_block_must_extend_the_tip():
 def test_created_block_on_fresh_genesis():
     state = LocalChainState(GENESIS)
     first = mk("b1", GENESIS)
-    action = apply_created_block(state, first)
-    assert action.kind is ActionKind.APPENDED_OWN
-    assert state.tip is first
+    apply_created_block(state, first)
+    assert state.main_chain == [GENESIS, first]
+    assert state.block_store == {"g": GENESIS, "b1": first}
 
 
 def test_received_same_depth_becomes_uncle():
@@ -116,11 +116,10 @@ def test_received_child_of_tip_appends_then_own_block_extends_it():
     )
     ctx.next_time = 7.5  # due right now, the last instant of the run
     peer = mk("p8", state.tip, miner=2, t=7.5)
-    actions, broadcast = step(ctx, state, [peer], now=7.5, duration=7.5)
-    assert [a.kind for a in actions] == [ActionKind.APPENDED_RECEIVED, ActionKind.APPENDED_OWN]
+    broadcast = step(ctx, state, [peer], now=7.5, duration=7.5)
     assert state.main_chain[8] is peer
     assert broadcast is state.tip and broadcast.parent_id == "p8" and broadcast.depth == 9
-    assert ctx.tally.created == 1
+    assert ctx.tally.created == 1 and ctx.tally.appended_received == 1
     verify_state_invariants(state)
 
 
@@ -157,13 +156,11 @@ def test_duplicate_delivery_is_noop():
 def actions_of_every_kind(suffix: str) -> dict[ActionKind, UpdateAction]:
     """One fresh call per kind, on blocks named apart by suffix."""
     state = fresh_state(build_line(3, prefix=f"b{suffix}-"))
-    own = apply_created_block(state, mk(f"o{suffix}", state.tip))
     appended = apply_received_block(state, mk(f"p{suffix}", state.tip, miner=2))
     uncle = apply_received_block(state, mk(f"u{suffix}", state.main_chain[2], miner=3))
     side = build_line(7, prefix=f"s{suffix}-", miner=4)
     switched = apply_received_block(state, side[-1])
     return {
-        ActionKind.APPENDED_OWN: own,
         ActionKind.APPENDED_RECEIVED: appended,
         ActionKind.UNCLED: uncle,
         ActionKind.SWITCHED_CHAIN: switched,
@@ -182,7 +179,6 @@ def test_each_kind_returns_one_shared_frozen_action():
         assert action.kind is kind
     # traces and reports name actions by these strings
     assert {k: a.kind.value for k, a in first.items()} == {
-        ActionKind.APPENDED_OWN: "appended_own",
         ActionKind.APPENDED_RECEIVED: "appended_received",
         ActionKind.UNCLED: "uncled",
         ActionKind.SWITCHED_CHAIN: "switched_chain",

@@ -27,7 +27,7 @@ from chainsim.harness import (
     run_experiment,
     run_seed_for,
 )
-from chainsim.simulation import resolve_hashpowers
+from chainsim.simulation import SimulationConfig, resolve_hashpowers
 
 
 def make_spec(tmp_path, **overrides) -> ExperimentSpec:
@@ -233,18 +233,46 @@ def test_retry_then_success(tmp_path, monkeypatch):
     assert real_run is ExperimentSpec.config
 
 
+TWO_MINER_AGGREGATE = {
+    "num_miners": 2,
+    "mean_hash_share_pct": [40.0, 60.0],
+    "mean_block_share_pct": [42.5, 57.5],
+    "deviation_pp": [2.5, -2.5],
+}
+
+
 def test_fairness_check_math():
-    aggregate = {
-        "num_miners": 2,
-        "mean_hash_share_pct": [40.0, 60.0],
-        "mean_block_share_pct": [42.5, 57.5],
-        "deviation_pp": [2.5, -2.5],
-    }
+    aggregate = dict(TWO_MINER_AGGREGATE)
     ok = fairness_check(aggregate, tolerance_pp=3.0)
     assert ok["ok"] and all(r["ok"] for r in ok["miners"])
     tight = fairness_check(aggregate, tolerance_pp=2.0)
     assert not tight["ok"]
     assert [r["ok"] for r in tight["miners"]] == [False, False]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_miners", None),
+        ("num_miners", "2"),
+        ("num_miners", True),
+        ("num_miners", 0),
+        ("mean_hash_share_pct", None),
+        ("mean_block_share_pct", {"0": 42.5, "1": 57.5}),
+        ("deviation_pp", [2.5]),
+        ("deviation_pp", [2.5, -2.5, 0.0]),
+        ("deviation_pp", [2.5, "-2.5"]),
+        ("mean_block_share_pct", [42.5, None]),
+    ],
+)
+def test_fairness_check_refuses_what_is_not_an_aggregate(field, value):
+    aggregate = dict(TWO_MINER_AGGREGATE)
+    if value is None:
+        del aggregate[field]
+    else:
+        aggregate[field] = value
+    with pytest.raises(ValueError, match=f"aggregate field {field} must be"):
+        fairness_check(aggregate, tolerance_pp=3.0)
 
 
 def test_cli_harness_run_and_check(tmp_path):
@@ -347,6 +375,17 @@ def test_cli_refuses_a_removed_miner_flag(capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+# a run's report, as a run_000.json holds it: not an aggregate
+RUN_REPORT = harness.run_logical(
+    SimulationConfig(num_miners=2, duration=50.0, interval=12.42, seed=1)
+).report
+
+
+def check_argv(aggregate) -> list:
+    """harness check argv for an aggregate file holding this JSON."""
+    return ["harness", "check", "--aggregate", aggregate, "--tolerance-pp", "1"]
+
+
 def spec_run(**fields) -> list:
     """harness run argv for a valid logical spec with fields overridden."""
     spec = dict(mode="logical", num_miners=2, duration=10.0, interval=1.0, seed=1, runs=1)
@@ -378,6 +417,11 @@ def spec_run(**fields) -> list:
           "--delay-range", "2", "1"], "miner failed: delay range must be "),
         (["harness", "check", "--aggregate", "{missing}", "--tolerance-pp", "1"],
          "harness check failed: "),
+        (check_argv({"runs": 3}),
+         "harness check failed: aggregate field num_miners must be a positive integer"),
+        (check_argv([1, 2]), "harness check failed: an aggregate is a JSON object, not list"),
+        (check_argv(RUN_REPORT),
+         "harness check failed: aggregate field mean_hash_share_pct must be a list of 2 numbers"),
         (spec_run(runs="3"), "harness run failed: spec field runs must be an integer"),
         (spec_run(num_miners="2"), "harness run failed: spec field num_miners must be an integer"),
         (spec_run(delay_range=["a", 1]),
@@ -394,7 +438,8 @@ def spec_run(**fields) -> list:
     ids=["no-miners", "admin-port-in-use", "admin-port-too-high", "admin-port-negative",
          "listen-port-too-high", "admin-address-port-too-high", "admin-address-port-zero",
          "negative-hashpower", "nan-hashpower", "infinite-hashpower", "inverted-delay-range",
-         "missing-aggregate", "spec-runs-str", "spec-num-miners-str", "spec-delay-range-str",
+         "missing-aggregate", "aggregate-without-num-miners", "aggregate-not-an-object",
+         "run-report-as-aggregate", "spec-runs-str", "spec-num-miners-str", "spec-delay-range-str",
          "spec-hashpowers-null", "spec-not-an-object", "network-spec-negative-duration",
          "network-spec-zero-hashpower"],
 )
@@ -411,7 +456,7 @@ def test_cli_reports_bad_input_without_a_traceback(tmp_path, argv, failed):
                 return fill.get(a, a)
             if isinstance(a, dict):
                 a = {k: fill.get(v, v) if isinstance(v, str) else v for k, v in a.items()}
-            spec_path.write_text(json.dumps(a))  # a spec's JSON, passed as its file
+            spec_path.write_text(json.dumps(a))  # a spec's or an aggregate's JSON, as its file
             return str(spec_path)
 
         proc = subprocess.run(

@@ -9,10 +9,10 @@ import pytest
 
 import chainsim.chain as chain
 
+import chainsim.mining as mining
 from chainsim.blocks import Block, StructuralError, make_placeholder
 from chainsim.chain import ActionKind, LocalChainState, UpdateAction, apply_created_block
 from chainsim.mining import (
-    MinerTally,
     MiningContext,
     TXS_PER_BLOCK,
     draw_own_block,
@@ -21,7 +21,7 @@ from chainsim.mining import (
     step,
     take_due,
 )
-from chainsim.timing import HashpowerProfile
+from chainsim.timing import HashpowerProfile, compute_block_time
 
 GENESIS = Block(id="g", parent_id=None, depth=0, miner_id=0, blocktime=0.0)
 
@@ -68,14 +68,15 @@ def test_draw_own_block_shape():
     assert other.id != blk.id  # counter keeps ids unique
 
 
-def test_first_step_draws_next_time_once():
-    ctx = ctx_for()
-    state = LocalChainState(GENESIS)
-    step(ctx, state, [], now=0.0, duration=1000.0)
+def test_new_context_holds_its_first_draw_from_0():
+    ctx = ctx_for(seed=4)
+    want = random.Random(4)
+    assert ctx.next_time == compute_block_time(ctx.profile, ctx.interval, 0.0, want)
+    assert ctx.rng.getstate() == want.getstate()  # one draw, and only one
     drawn = ctx.next_time
-    assert drawn is not None and drawn > 0.0
     rng = ctx.rng.getstate()
-    step(ctx, state, [], now=drawn / 2, duration=1000.0)  # not due yet
+    state = LocalChainState(GENESIS)
+    assert step(ctx, state, [], now=drawn / 2, duration=1000.0) is None  # not due yet
     assert ctx.next_time == drawn
     assert ctx.rng.getstate() == rng
     assert ctx.counter == 0  # no block is built before it falls due
@@ -92,18 +93,16 @@ def test_tip_moves_leave_next_time_and_rng_alone():
     # an append, an uncle and a switch each consume no draw
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    step(ctx, state, [], now=0.0, duration=1000.0)
     drawn, rng = ctx.next_time, ctx.rng.getstate()
     theirs = foreign_branch(3)
     rival = mk("r1", GENESIS, miner=3, t=0.01)
     arrivals = [theirs[1], rival, theirs[3]]
-    actions, broadcast = step(ctx, state, arrivals, now=0.05, duration=1000.0)
-    assert [a.kind for a in actions] == [
-        ActionKind.APPENDED_RECEIVED,
-        ActionKind.UNCLED,
-        ActionKind.SWITCHED_CHAIN,
-    ]
-    assert broadcast is None
+    assert step(ctx, state, arrivals, now=0.05, duration=1000.0) is None
+    assert ctx.tally.as_dict() == {
+        "created": 0, "appended_received": 1, "uncled": 1, "switches": 1
+    }
+    assert state.main_chain[2] == make_placeholder("t2", 2)
+    assert state.tip is theirs[3] and state.block_store["r1"] is rival
     assert ctx.next_time == drawn
     assert ctx.rng.getstate() == rng
     assert ctx.counter == 0 and ctx.tally.created == 0
@@ -112,24 +111,23 @@ def test_tip_moves_leave_next_time_and_rng_alone():
 def test_step_releases_due_block_and_broadcasts():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    step(ctx, state, [], now=0.0, duration=1000.0)
     due_at = ctx.next_time
-    actions, broadcast = step(ctx, state, [], now=due_at, duration=1000.0)
-    assert [a.kind for a in actions] == [ActionKind.APPENDED_OWN]
-    assert broadcast is state.tip
+    broadcast = step(ctx, state, [], now=due_at, duration=1000.0)
+    assert state.main_chain == [GENESIS, broadcast]
+    assert state.block_store[broadcast.id] is broadcast
     assert broadcast.parent_id == GENESIS.id and broadcast.blocktime == due_at
     assert ctx.next_time > due_at  # the next draw starts from the blocktime
-    assert ctx.tally.created == 1 and ctx.tally.appended_own == 1
+    assert ctx.tally.as_dict() == {
+        "created": 1, "appended_received": 0, "uncled": 0, "switches": 0
+    }
 
 
 def test_step_without_due_events_is_identity():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    step(ctx, state, [], now=0.0, duration=1000.0)
-    before = (list(state.main_chain), ctx.next_time, ctx.rng.getstate())
-    actions, broadcast = step(ctx, state, [], now=0.0, duration=1000.0)
-    assert actions == [] and broadcast is None
-    assert (list(state.main_chain), ctx.next_time, ctx.rng.getstate()) == before
+    before = (list(state.main_chain), ctx.next_time, ctx.rng.getstate(), ctx.tally.as_dict())
+    assert step(ctx, state, [], now=0.0, duration=1000.0) is None
+    assert (list(state.main_chain), ctx.next_time, ctx.rng.getstate(), ctx.tally.as_dict()) == before
 
 
 def test_step_switches_then_builds_own_block_on_the_new_tip():
@@ -138,15 +136,10 @@ def test_step_switches_then_builds_own_block_on_the_new_tip():
     state = LocalChainState(GENESIS)
     for bid, t in (("a1", 0.003), ("a2", 0.006)):
         apply_created_block(state, mk(bid, state.tip, miner=1, t=t))
-    step(ctx, state, [], now=0.006, duration=1000.0)
     due_at = ctx.next_time
     theirs = foreign_branch(4)
-    actions, broadcast = step(ctx, state, [theirs[4]], now=due_at, duration=1000.0)
-    assert [a.kind for a in actions] == [
-        ActionKind.SWITCHED_CHAIN,
-        ActionKind.APPENDED_OWN,
-    ]
-    assert broadcast is state.tip
+    broadcast = step(ctx, state, [theirs[4]], now=due_at, duration=1000.0)
+    assert broadcast is state.tip and state.main_chain[4] is theirs[4]
     assert broadcast.parent_id == "t4" and broadcast.depth == 5
     assert broadcast.blocktime == due_at
     assert ctx.tally.switches == 1 and ctx.tally.created == 1
@@ -155,35 +148,31 @@ def test_step_switches_then_builds_own_block_on_the_new_tip():
 def test_step_honors_duration_gate():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    step(ctx, state, [], now=0.0, duration=1000.0)
-    due_at = ctx.next_time
+    due_at, rng = ctx.next_time, ctx.rng.getstate()
     # clock has run past the end; the block is not released even if due
-    actions, broadcast = step(ctx, state, [], now=due_at + 100.0, duration=due_at - 0.1)
-    assert actions == [] and broadcast is None
+    assert step(ctx, state, [], now=due_at + 100.0, duration=due_at - 0.1) is None
     assert ctx.next_time == due_at  # still parked, never released
+    assert ctx.rng.getstate() == rng  # nothing drawn past the end
+    assert state.main_chain == [GENESIS] and ctx.tally.created == 0
 
 
 def test_step_does_not_redraw_after_expiry():
+    # a block due exactly at the end is released, and nothing drawn after it
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    rng = ctx.rng.getstate()
-    actions, broadcast = step(ctx, state, [], now=50.0, duration=10.0)
-    assert actions == [] and broadcast is None
-    assert ctx.next_time is None  # nothing drawn past the end
-    assert ctx.rng.getstate() == rng
-    # a block due exactly at the end is released, and nothing drawn after it
-    step(ctx, state, [], now=0.0, duration=1000.0)
     due_at = ctx.next_time
     rng = ctx.rng.getstate()
-    actions, broadcast = step(ctx, state, [], now=due_at, duration=due_at)
-    assert [a.kind for a in actions] == [ActionKind.APPENDED_OWN]
+    broadcast = step(ctx, state, [], now=due_at, duration=due_at)
+    assert broadcast is state.tip and broadcast.blocktime == due_at
     assert ctx.next_time is None and ctx.rng.getstate() == rng
+    # None means no more own blocks this run: a later step releases none
+    assert step(ctx, state, [], now=due_at + 50.0, duration=due_at) is None
+    assert state.main_chain == [GENESIS, broadcast] and ctx.rng.getstate() == rng
 
 
 def test_step_rejects_rule_breaking_blocks_and_goes_on():
     ctx = ctx_for()
     state = LocalChainState(GENESIS)
-    step(ctx, state, [], now=0.0, duration=1000.0)
     drawn = ctx.next_time
     good = mk("p1", GENESIS, t=drawn / 2)
     skewed = Block(id="x", parent_id="g", depth=3, miner_id=2, blocktime=0.1)
@@ -191,7 +180,7 @@ def test_step_rejects_rule_breaking_blocks_and_goes_on():
     with pytest.raises(StructuralError):
         step(ctx_for(), LocalChainState(GENESIS), bad, now=0.0, duration=1000.0)
     rejected = []
-    actions, _ = step(
+    broadcast = step(
         ctx,
         state,
         [bad[0], good, bad[1]],
@@ -199,8 +188,10 @@ def test_step_rejects_rule_breaking_blocks_and_goes_on():
         duration=1000.0,
         reject=lambda block, exc: rejected.append(block),
     )
-    assert rejected == bad
-    assert [a.kind for a in actions] == [ActionKind.APPENDED_RECEIVED]
+    assert rejected == bad and broadcast is None
+    assert ctx.tally.as_dict() == {
+        "created": 0, "appended_received": 1, "uncled": 0, "switches": 0
+    }
     assert state.main_chain == [GENESIS, good]
     assert set(state.block_store) == {"g", "p1"}
     assert ctx.next_time == drawn  # the new tip moved no draw
@@ -223,17 +214,17 @@ def test_step_rejects_implausibly_deep_blocks_before_padding():
     with pytest.raises(StructuralError, match="beyond"):
         step(ctx_for(), LocalChainState(GENESIS), forged[-1:], now=0.0, duration=1000.0)
     rejected = []
-    actions, _ = step(
+    step(
         ctx, state, forged, now=0.0, duration=1000.0,
         reject=lambda block, exc: rejected.append(block),
     )
-    assert rejected == forged and actions == []
+    assert rejected == forged
     assert state.main_chain == [GENESIS] and set(state.block_store) == {"g"}
     assert len(chain._UNKNOWN_RUN) == padded
     # the deepest plausible block still switches across its gap
     at_limit = Block(id="edge", parent_id="nowhere", depth=limit, miner_id=2, blocktime=1.0)
-    actions, _ = step(ctx, state, [at_limit], now=0.0, duration=1000.0)
-    assert [a.kind for a in actions] == [ActionKind.SWITCHED_CHAIN]
+    step(ctx, state, [at_limit], now=0.0, duration=1000.0)
+    assert ctx.tally.switches == 1 and ctx.tally.as_dict()["appended_received"] == 0
     assert state.tip.id == "edge" and len(state.main_chain) == limit + 1
 
 
@@ -247,7 +238,6 @@ def state_before(kind: ActionKind) -> tuple[LocalChainState, list[Block]]:
         ActionKind.APPENDED_RECEIVED: [mk("b2", a1, miner=2, t=0.004)],
         ActionKind.UNCLED: [theirs[1]],
         ActionKind.SWITCHED_CHAIN: [theirs[2]],
-        ActionKind.APPENDED_OWN: [],
     }
     return state, arrivals[kind]
 
@@ -256,31 +246,21 @@ def state_before(kind: ActionKind) -> tuple[LocalChainState, list[Block]]:
 def test_step_counts_each_kind_once_in_its_own_counter(kind):
     ctx = ctx_for()
     state, arrivals = state_before(kind)
-    step(ctx, state, [], now=0.003, duration=1000.0)
-    now = ctx.next_time if kind is ActionKind.APPENDED_OWN else 0.003
-    actions, broadcast = step(ctx, state, arrivals, now=now, duration=1000.0)
-    assert [a.kind for a in actions] == [kind]
-    assert actions[0] is getattr(chain, kind.name)  # one of chain's shared actions
+    assert step(ctx, state, arrivals, now=0.003, duration=1000.0) is None
     want = {name: 0 for name in ctx.tally.as_dict()}
     want["switches" if kind is ActionKind.SWITCHED_CHAIN else kind.value] = 1
-    want["created"] = int(broadcast is not None)
     assert ctx.tally.as_dict() == want
 
 
-def test_tally_refuses_an_action_that_is_not_shared():
-    # record tells actions apart by identity, so a copy would go uncounted
-    tally = MinerTally()
-    for kind in ActionKind:
-        tally.record(getattr(chain, kind.name))
-        with pytest.raises(ValueError, match="shared"):
-            tally.record(UpdateAction(kind))
-    assert tally.as_dict() == {
-        "created": 0,
-        "appended_own": 1,
-        "appended_received": 1,
-        "uncled": 1,
-        "switches": 1,
-    }
+@pytest.mark.parametrize("kind", list(ActionKind))
+def test_step_refuses_a_received_action_that_is_not_shared(monkeypatch, kind):
+    # step tells actions apart by identity, so a copy would go uncounted
+    monkeypatch.setattr(mining, "apply_received_block", lambda state, block: UpdateAction(kind))
+    ctx = ctx_for()
+    state, arrivals = state_before(kind)
+    with pytest.raises(ValueError, match="shared"):
+        step(ctx, state, arrivals, now=0.003, duration=1000.0)
+    assert ctx.tally.as_dict() == {name: 0 for name in ctx.tally.as_dict()}
 
 
 def test_take_due_slices_off_the_prefix_before_until_in_due_seq_order():

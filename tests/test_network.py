@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import random
 import select
 import socket
 import threading
@@ -25,6 +26,7 @@ from chainsim.protocol import (
     MinerRecord,
     ProtocolError,
     WireMessage,
+    block_from_payload,
     block_to_payload,
     consensus_result_from_payload,
     encode,
@@ -40,7 +42,7 @@ from chainsim.protocol import (
     msg_tx_pool,
 )
 from chainsim.simulation import SimulationConfig, create_genesis
-from chainsim.timing import DEFAULT_DELAY_RANGE
+from chainsim.timing import DEFAULT_DELAY_RANGE, HashpowerProfile, compute_block_time
 
 GENESIS = create_genesis()
 
@@ -887,6 +889,21 @@ def test_miner_ends_the_run_on_its_own_clock(capsys):
     assert status == 0, err
     assert admin.last_block.type == "LAST_BLOCK"
     assert 0.5 <= admin.last_block_at - admin.sent_at <= 0.7
+
+
+def test_a_network_miners_blocktimes_count_from_0(capsys):
+    # a solo miner hears no block, so its own blocktimes are its whole chain:
+    # chained draws on Random(subseed), the first from 0 as in the engine
+    duration = 200.0  # 2 wall-s at time_scale 100
+    status, err, admin = run_miner_cli(capsys, start={"duration": duration})
+    assert status == 0, err
+    tip = block_from_payload(admin.last_block.payload["block"])
+    rng, profile = random.Random(5), HashpowerProfile(own=10.0, total=10.0)
+    blocktimes = [compute_block_time(profile, 12.42, 0.0, rng)]
+    while blocktimes[-1] <= duration:
+        blocktimes.append(compute_block_time(profile, 12.42, blocktimes[-1], rng))
+    assert tip.depth == len(blocktimes) - 1 > 5
+    assert tip.blocktime == blocktimes[tip.depth - 1]
 
 
 def test_a_dead_admin_ends_a_mining_miner_at_once(capsys):
