@@ -4,6 +4,12 @@ Everything here is pure and deterministic: no clocks, no sockets, no
 threads. One logical activity owns a LocalChainState and is its only
 mutator; the surrounding node decides when blocks are due and who to
 tell about them.
+
+Both update rules run once per block per miner, so they read each piece
+of state once. A received block is first tested for the common case, a
+new real block built on the tip one deeper, and appended at once; only
+other blocks pay for the full checks, which keep their order and their
+errors.
 """
 
 from __future__ import annotations
@@ -97,14 +103,6 @@ class LocalChainState:
         return self.main_chain[0]
 
 
-def _known(state: LocalChainState, block: Block) -> bool:
-    """Whether the store holds the block; raises if it holds another under its id."""
-    existing = state.block_store.get(block.id)
-    if existing is not None and existing != block:
-        raise DuplicateIdConflict(f"conflicting blocks for id {block.id}")
-    return existing is not None
-
-
 def apply_created_block(state: LocalChainState, block: Block) -> None:
     """Append one of our own blocks, built on the tip when it fell due.
 
@@ -113,12 +111,17 @@ def apply_created_block(state: LocalChainState, block: Block) -> None:
     """
     if block.is_empty:
         raise StructuralError("created blocks are never placeholders")
-    tip = state.tip
+    chain = state.main_chain
+    tip = chain[-1]
     if block.parent_id != tip.id or block.depth != tip.depth + 1:
         raise StructuralError("created block does not extend the current tip")
-    if not _known(state, block):
-        state.block_store[block.id] = block
-    state.main_chain.append(block)
+    store = state.block_store
+    existing = store.get(block.id)
+    if existing is None:
+        store[block.id] = block
+    elif existing != block:
+        raise DuplicateIdConflict(f"conflicting blocks for id {block.id}")
+    chain.append(block)
 
 
 def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
@@ -131,17 +134,28 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
     walk. A block that breaks the chain rules raises before anything
     changes.
     """
-    if block.is_empty:
-        raise StructuralError("received placeholders are not valid blocks")
-    depth = block.depth
-    if depth <= 0:
-        raise StructuralError("received block must sit above genesis")
-    # runs once per (block, receiver) pair: each attribute is read once,
-    # and _known's lookup is written out
+    # runs once per (block, receiver) pair, so each attribute is read once.
+    # The common case comes first: a new real block built on the tip, one
+    # deeper, is appended at once. Any other block takes the checks below,
+    # in their order, so it raises or lands exactly as it always did.
     chain = state.main_chain
     tip = chain[-1]
     store = state.block_store
     block_id = block.id
+    depth = block.depth
+    if (
+        block.parent_id == tip.id
+        and depth == tip.depth + 1
+        and block_id not in store
+        and not block.is_empty
+    ):
+        store[block_id] = block
+        chain.append(block)
+        return APPENDED_RECEIVED
+    if block.is_empty:
+        raise StructuralError("received placeholders are not valid blocks")
+    if depth <= 0:
+        raise StructuralError("received block must sit above genesis")
     existing = store.get(block_id)
     if existing is not None:
         if existing != block:
@@ -160,11 +174,8 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
         store[block_id] = block
         return UNCLED
     if block.parent_id == tip.id:
-        if depth != tip_depth + 1:
-            raise StructuralError("child of tip must sit exactly one deeper")
-        store[block_id] = block
-        chain.append(block)
-        return APPENDED_RECEIVED
+        # one deeper, it was appended above
+        raise StructuralError("child of tip must sit exactly one deeper")
     _switch(state, block)
     return SWITCHED_CHAIN
 

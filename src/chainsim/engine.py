@@ -9,7 +9,9 @@ broadcasts it: the block joins each receiver's inbox, due U(lo, hi)
 sim-seconds after its blocktime, drawn per (block, receiver) pair, so
 blocks may overtake each other; the live miner draws the same delay
 from its receipt. The fan-out walks the sender's list of the other
-inboxes' append methods, made once per run.
+inboxes' append methods, made once per run, and one queue seq serves
+every delivery of a broadcast: each receiver gets one, so seqs stay
+unique within an inbox. An empty inbox is not sorted.
 Mining is memoryless, so a miner's state matters only when its own block
 falls due and when the run ends: there one step applies every held block
 due before, in (time, queue order); blocks due after the duration are
@@ -79,24 +81,27 @@ def run_events(
     peers_of = [appends[:i] + appends[i + 1 :] for i in range(n)]
     block_of = itemgetter(2)
 
-    def queue_own(i: int) -> None:
-        if ctxs[i].next_time is not None:
-            heapq.heappush(heap, (ctxs[i].next_time, next_seq(), i))
-
-    for i in range(n):
-        queue_own(i)
+    for i, ctx in enumerate(ctxs):
+        if ctx.next_time is not None:
+            heapq.heappush(heap, (ctx.next_time, next_seq(), i))
 
     while heap:
         t, s, i = heapq.heappop(heap)
         if t > duration:
             break
-        due = map(block_of, take_due(inboxes[i], (t, s)))
-        broadcast = step(ctxs[i], states[i], due, t, duration)
+        inbox = inboxes[i]
+        due = map(block_of, take_due(inbox, (t, s))) if inbox else ()
+        ctx = ctxs[i]
+        broadcast = step(ctx, states[i], due, t, duration)
         if broadcast is not None:
-            # the own block came due, and its successor was drawn
+            # the own block came due, and its successor was drawn. One seq
+            # serves every delivery: each receiver gets one, so seqs stay
+            # unique within an inbox.
+            seq = next_seq()
             for deliver in peers_of[i]:
-                deliver((t + (lo + span * random_unit()), next_seq(), broadcast))
-            queue_own(i)
+                deliver((t + (lo + span * random_unit()), seq, broadcast))
+            if ctx.next_time is not None:
+                heapq.heappush(heap, (ctx.next_time, next_seq(), i))
     end = (duration, math.inf)
     for i in range(n):
         due = map(block_of, take_due(inboxes[i], end))

@@ -15,9 +15,12 @@ one block the step releases.
 step runs once per event and draw_own_block once per own block, so both
 skip what per-call work they can: an own block's id is hashed on from a
 blake2b state over the miner's id prefix, made once per context, its
-Block is built from positional arguments, and step counts each received
-block's action into the tally itself, by identity with chain's shared
-actions.
+Block is built from positional arguments on main_chain[-1], and step
+tells each received block's action apart by identity with chain's
+shared actions. It counts them in locals and adds them to the tally
+once, in a finally, so a step that raises counts exactly what it
+applied. A context checks once, when built, that its mean block
+interval is finite, so no draw checks it again.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .chain import (
     apply_created_block,
     apply_received_block,
 )
-from .timing import HashpowerProfile, compute_block_time
+from .timing import HashpowerProfile, check_block_interval, compute_block_time
 
 TXS_PER_BLOCK = 10  # pool transactions claimed by each mined block
 
@@ -79,6 +82,8 @@ class MiningContext:
     id_prefix: object = field(init=False, repr=False)  # blake2b state over the id prefix
 
     def __post_init__(self) -> None:
+        # checked once here, not on every draw
+        check_block_interval(self.profile, self.interval)
         self.id_prefix = block_id_prefix(self.miner_id)
         self.next_time = compute_block_time(self.profile, self.interval, 0.0, self.rng)
 
@@ -152,35 +157,42 @@ def step(
     is told and the step goes on, with the state as if the block had
     never arrived.
     """
-    tally = ctx.tally
     limit = depth_limit(duration, ctx.interval)
-    for block in received:
-        try:
-            if block.depth > limit:
-                raise StructuralError(
-                    f"depth {block.depth} is beyond {limit}, the deepest this run can reach"
-                )
-            action = apply_received_block(state, block)
-        except (StructuralError, DuplicateIdConflict) as exc:
-            if reject is None:
-                raise
-            reject(block, exc)
-            continue
-        # told apart by identity, most frequent first: an ActionKind member
-        # read is an Enum class-attribute lookup, several times dearer than
-        # the module-global read of a shared action
-        if action is APPENDED_RECEIVED:
-            tally.appended_received += 1
-        elif action is UNCLED:
-            tally.uncled += 1
-        elif action is SWITCHED_CHAIN:
-            tally.switches += 1
-        else:
-            raise ValueError(f"{action!r} is not one of chain's shared actions")
+    # counted in locals and added to the tally once, also when a block raises
+    appended = uncled = switches = 0
+    try:
+        for block in received:
+            try:
+                if block.depth > limit:
+                    raise StructuralError(
+                        f"depth {block.depth} is beyond {limit}, the deepest this run can reach"
+                    )
+                action = apply_received_block(state, block)
+            except (StructuralError, DuplicateIdConflict) as exc:
+                if reject is None:
+                    raise
+                reject(block, exc)
+                continue
+            # told apart by identity, most frequent first: an ActionKind member
+            # read is an Enum class-attribute lookup, several times dearer than
+            # the module-global read of a shared action
+            if action is APPENDED_RECEIVED:
+                appended += 1
+            elif action is UNCLED:
+                uncled += 1
+            elif action is SWITCHED_CHAIN:
+                switches += 1
+            else:
+                raise ValueError(f"{action!r} is not one of chain's shared actions")
+    finally:
+        tally = ctx.tally
+        tally.appended_received += appended
+        tally.uncled += uncled
+        tally.switches += switches
     blocktime = ctx.next_time
     if blocktime is None or blocktime > min(now, duration):
         return None
-    own = draw_own_block(ctx, state.tip, blocktime)
+    own = draw_own_block(ctx, state.main_chain[-1], blocktime)
     tally.created += 1
     apply_created_block(state, own)
     ctx.next_time = None

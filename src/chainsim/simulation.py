@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .blocks import ADMIN_ID, Block, StructuralError, Transaction, derive_block_id
-from .timing import check_hashpower, sample_hashpower
+from .timing import check_hashpower, check_hashpowers, sample_hashpower
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,23 @@ def slot_seed(seed: int, slot: int) -> int:
 
 
 def resolve_hashpowers(config: SimulationConfig, hashpowers: list[float] | None) -> list[float]:
-    """Explicit list, or one uniform draw per slot from its slot seed."""
+    """Explicit list, or one uniform draw per slot from its slot seed.
+
+    Either way the list passes check_hashpowers, so every miner can draw.
+    """
     if hashpowers is not None:
         if len(hashpowers) != config.num_miners:
             raise ValueError("hashpower list length must equal num_miners")
         for hp in hashpowers:
             check_hashpower(hp)
-        return list(hashpowers)
-    return [
-        sample_hashpower(random.Random(slot_seed(config.seed, i)))
-        for i in range(config.num_miners)
-    ]
+        powers = list(hashpowers)
+    else:
+        powers = [
+            sample_hashpower(random.Random(slot_seed(config.seed, i)))
+            for i in range(config.num_miners)
+        ]
+    check_hashpowers(powers, config.interval)
+    return powers
 
 
 def emit_report(

@@ -61,6 +61,28 @@ def check_hashpower(value: float) -> None:
         raise ValueError("hashpower must be finite and positive")
 
 
+def check_block_interval(profile: HashpowerProfile, interval: float) -> None:
+    """A miner's mean block interval, interval * total / own, is finite.
+
+    Computed as compute_block_time computes it: a total or a quotient that
+    overflows would leave its exponential draw a rate of 0.
+    """
+    if not interval * profile.total / profile.own < math.inf:  # NaN fails too
+        raise ValueError(
+            f"the mean block interval of hashpower {profile.own} out of "
+            f"{profile.total} at interval {interval} is not finite"
+        )
+
+
+def check_hashpowers(powers: list[float], interval: float) -> None:
+    """A run's hashpowers have a finite total and give every miner a finite mean interval."""
+    total = sum(powers)
+    if not total < math.inf:
+        raise ValueError(f"the hashpowers' total is {total}, not finite")
+    for own in powers:
+        check_block_interval(HashpowerProfile(own=own, total=total), interval)
+
+
 def sample_hashpower(rng: random.Random) -> float:
     """Uniform hashpower in (0, 30]; zero excluded so every miner mines."""
     return HASHPOWER_MAX * (1.0 - rng.random())

@@ -33,6 +33,15 @@ def test_traced_logical_run_records_spans_and_keeps_its_report_bytes(monkeypatch
     assert {"appended_received", "uncled"} <= {
         name.rsplit(".", 1)[1] for name in names if name.startswith("chain.apply_received_block.")
     }
+    # every delivery passes through the patched name, whichever path it takes
+    delivered = sum(
+        row["tally"]["appended_received"] + row["tally"]["uncled"] + row["tally"]["switches"]
+        for row in traced["miner_stats"]
+    )
+    received = [
+        span for span in tracer.spans if span[tracing.NAME].startswith("chain.apply_received_block.")
+    ]
+    assert len(received) == delivered
     # restored on exit: the next run goes untraced
     count = len(tracer.spans)
     harness.run_logical(cfg, TABLE_POWERS)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from chainsim.blocks import Block, StructuralError, UNKNOWN_ID, make_placeholder
+from chainsim.blocks import Block, StructuralError, UNKNOWN_ID, UNKNOWN_MINER, make_placeholder
 from chainsim.chain import (
     ActionKind,
     ConsensusEntry,
@@ -502,20 +502,76 @@ def oracle_fill(state: LocalChainState) -> int:
 
 
 def oracle_receive(state: LocalChainState, block: Block) -> ActionKind:
+    """The update rule as written before the append was decided first.
+
+    Its checks come in their old order, each with its old error, and a
+    refused block changes nothing.
+    """
+    if block.is_empty:
+        raise StructuralError("received placeholders are not valid blocks")
+    if block.depth <= 0:
+        raise StructuralError("received block must sit above genesis")
     tip = state.tip
-    if block.id in state.block_store:
+    existing = state.block_store.get(block.id)
+    if existing is not None:
+        if existing != block:
+            raise DuplicateIdConflict(f"conflicting blocks for id {block.id}")
         return ActionKind.UNCLED
-    state.block_store[block.id] = block
     if block.depth <= tip.depth:
+        state.block_store[block.id] = block
         slot = state.main_chain[block.depth]
         if slot.is_empty and slot.id == block.id:
             oracle_fill(state)
         return ActionKind.UNCLED
     if block.parent_id == tip.id:
+        if block.depth != tip.depth + 1:
+            raise StructuralError("child of tip must sit exactly one deeper")
+        state.block_store[block.id] = block
         state.main_chain.append(block)
         return ActionKind.APPENDED_RECEIVED
+    state.block_store[block.id] = block
     state.main_chain = reconstruct_chain(state.block_store, block)
     return ActionKind.SWITCHED_CHAIN
+
+
+def rule_breaker(state: LocalChainState, k: int) -> Block:
+    """A block of kind k % 5 that the rule refuses in this state.
+
+    The kinds: a placeholder naming the tip as parent one deeper, a
+    depth-0 block, a stored id with other content, a stored id naming the
+    tip as parent one deeper, a child of the tip two deeper. The stored
+    blocks take turns lending their ids.
+    """
+    tip = state.tip
+    stored = list(state.block_store.values())
+    lender = stored[k % len(stored)]
+    kind = k % 5
+    if kind == 0:  # an append in every field but is_empty
+        return Block(f"hole{k}", tip.id, tip.depth + 1, UNKNOWN_MINER, 0.0, (), True)
+    if kind == 1:
+        return Block(id=f"root{k}", parent_id=None, depth=0, miner_id=9, blocktime=0.0)
+    if kind == 2:
+        if lender.depth == 0:  # genesis lends no content to change
+            lender = tip
+        return Block(
+            id=lender.id,
+            parent_id=lender.parent_id,
+            depth=lender.depth,
+            miner_id=lender.miner_id + 100,
+            blocktime=lender.blocktime,
+        )
+    if kind == 3:
+        return Block(
+            id=lender.id,
+            parent_id=tip.id,
+            depth=tip.depth + 1,
+            miner_id=lender.miner_id,
+            blocktime=tip.blocktime + 1.0,
+        )
+    return Block(
+        id=f"deep{k}", parent_id=tip.id, depth=tip.depth + 2, miner_id=9,
+        blocktime=tip.blocktime + 1.0,
+    )
 
 
 class CountingStore(dict):
@@ -543,12 +599,26 @@ def checked_delivery(
     onto below_gap: the gap was open, the new main chain has none, and
     the walk took fewer parent links than a walk down to genesis would.
     A delivery that leaves the gap open must leave the held list as it was.
+    A block the oracle refuses must be refused with the same error and
+    message, and change nothing; that returns (None, False).
     """
     kept, lookups = state.below_gap, state.block_store.lookups
     held = None if kept is None else list(kept)
+    before = snapshot(state)
+    try:
+        want = oracle_receive(oracle, blk)
+    except (StructuralError, DuplicateIdConflict) as exc:
+        with pytest.raises(ValueError) as refused:
+            apply_received_block(state, blk)
+        assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
+        assert snapshot(state) == before == snapshot(oracle)
+        assert state.below_gap is kept and kept == held
+        verify_state_invariants(state)
+        return None, False
     action = apply_received_block(state, blk)
-    walked = state.block_store.lookups - lookups - 1  # less _known's lookup
-    assert action.kind is oracle_receive(oracle, blk)
+    # less the id check's lookup; an append takes none, but splices nothing either
+    walked = state.block_store.lookups - lookups - 1
+    assert action.kind is want
     assert snapshot(state) == snapshot(oracle)
     verify_state_invariants(state)
     if kept is not None and state.below_gap is not None:
@@ -576,9 +646,12 @@ def differential_run(rng: random.Random, blocks: list[Block]) -> tuple[int, int,
     withheld = [b for b in order if rng.random() < 0.2]
     first = [b for b in order if b not in withheld]
     state, oracle = counted_state(), LocalChainState(GENESIS)
-    switches = gaps = kept_splices = 0
+    switches = gaps = kept_splices = refused = 0
     for batch in (first, withheld):
         for blk in batch:
+            # a block the rule refuses before each one it takes, every kind in turn
+            assert checked_delivery(state, oracle, rule_breaker(state, refused)) == (None, False)
+            refused += 1
             old = state.main_chain
             kind, spliced = checked_delivery(state, oracle, blk)
             kept_splices += spliced

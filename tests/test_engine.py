@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -235,6 +236,19 @@ def test_hashpower_resolution():
     assert sampled == resolve_hashpowers(cfg, None)  # seed-stable
     with pytest.raises(ValueError):
         resolve_hashpowers(cfg, [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "powers, cause",
+    [
+        ([1e308, 1e308], "the hashpowers' total is inf, not finite"),
+        ([5e-324, 10.0], "the mean block interval of hashpower 5e-324 out of 10.0"),
+    ],
+    ids=["total-overflows", "mean-overflows"],
+)
+def test_hashpowers_that_overflow_are_refused_before_the_run(powers, cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        run_logical(config(1, n=2), powers)
 
 
 def test_slot_seeds_are_distinct():

@@ -18,6 +18,7 @@ from chainsim import cli, harness
 from chainsim.admin import AdminServer, RegistrationTimeout
 from chainsim.harness import (
     _SPEC_FIELD_TYPES,
+    MODES,
     ExperimentFailure,
     ExperimentSpec,
     fairness_check,
@@ -69,6 +70,17 @@ def test_spec_validation(tmp_path):
 def test_spec_rejects_a_field_its_mode_ignores_or_a_bad_delay_range(tmp_path, overrides, match):
     with pytest.raises(ValueError, match=match):
         make_spec(tmp_path, **overrides)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "hashpowers, cause",
+    [((1e308, 1e308), "total is inf"), ((5e-324, 10.0), "mean block interval")],
+    ids=["total-overflows", "mean-overflows"],
+)
+def test_spec_refuses_hashpowers_that_overflow(tmp_path, mode, hashpowers, cause):
+    with pytest.raises(ValueError, match=cause):
+        make_spec(tmp_path, mode=mode, num_miners=2, hashpowers=hashpowers)
 
 
 def test_load_spec_round_trip(tmp_path):
@@ -434,6 +446,15 @@ def spec_run(**fields) -> list:
          "harness run failed: duration must be positive"),
         (spec_run(mode="network", time_scale=100.0, hashpowers=[0, 5], out_dir="{out}"),
          "harness run failed: hashpower must be finite and positive"),
+        # each hashpower passes, but the total or one mean block interval overflows
+        (spec_run(hashpowers=[1e308, 1e308], out_dir="{out}"),
+         "harness run failed: the hashpowers' total is inf, not finite"),
+        (spec_run(hashpowers=[5e-324, 10.0], out_dir="{out}"),
+         "harness run failed: the mean block interval of hashpower 5e-324 out of 10.0"),
+        (spec_run(mode="network", time_scale=100.0, hashpowers=[1e308, 1e308], out_dir="{out}"),
+         "harness run failed: the hashpowers' total is inf, not finite"),
+        (spec_run(mode="network", time_scale=100.0, hashpowers=[5e-324, 10.0], out_dir="{out}"),
+         "harness run failed: the mean block interval of hashpower 5e-324 out of 10.0"),
     ],
     ids=["no-miners", "admin-port-in-use", "admin-port-too-high", "admin-port-negative",
          "listen-port-too-high", "admin-address-port-too-high", "admin-address-port-zero",
@@ -441,7 +462,9 @@ def spec_run(**fields) -> list:
          "missing-aggregate", "aggregate-without-num-miners", "aggregate-not-an-object",
          "run-report-as-aggregate", "spec-runs-str", "spec-num-miners-str", "spec-delay-range-str",
          "spec-hashpowers-null", "spec-not-an-object", "network-spec-negative-duration",
-         "network-spec-zero-hashpower"],
+         "network-spec-zero-hashpower", "spec-hashpower-total-overflows",
+         "spec-mean-interval-overflows", "network-spec-hashpower-total-overflows",
+         "network-spec-mean-interval-overflows"],
 )
 def test_cli_reports_bad_input_without_a_traceback(tmp_path, argv, failed):
     if argv[0] == "admin":

@@ -197,6 +197,50 @@ def test_step_rejects_rule_breaking_blocks_and_goes_on():
     assert ctx.next_time == drawn  # the new tip moved no draw
 
 
+def test_a_step_that_raises_counts_what_it_applied():
+    # counted in locals, the actions reach the tally in a finally
+    ctx = ctx_for()
+    state = LocalChainState(GENESIS)
+    drawn = ctx.next_time
+    p1 = mk("p1", GENESIS, t=drawn / 4)
+    p2 = mk("p2", p1, t=drawn / 3)
+    too_deep = Block(id="x", parent_id="p2", depth=4, miner_id=2, blocktime=drawn / 2)
+    with pytest.raises(StructuralError, match="exactly one deeper"):
+        step(ctx, state, [p1, p2, too_deep], now=drawn, duration=1000.0)
+    assert ctx.tally.as_dict() == {
+        "created": 0, "appended_received": 2, "uncled": 0, "switches": 0
+    }
+    assert state.main_chain == [GENESIS, p1, p2]
+    assert state.block_store == {"g": GENESIS, "p1": p1, "p2": p2}
+    assert ctx.next_time == drawn and ctx.counter == 0
+
+
+@pytest.mark.parametrize(
+    "own, total", [(1e308, math.inf), (5e-324, 10.0)], ids=["total-overflows", "mean-overflows"]
+)
+def test_a_context_refuses_a_mean_block_interval_that_is_not_finite(own, total):
+    with pytest.raises(ValueError, match="mean block interval .* is not finite"):
+        MiningContext(
+            miner_id=1,
+            profile=HashpowerProfile(own=own, total=total),
+            interval=5.0,
+            rng=random.Random(1),
+        )
+
+
+def test_a_context_checks_its_mean_interval_once_not_per_draw(monkeypatch):
+    checks = []
+    check = mining.check_block_interval
+    monkeypatch.setattr(
+        mining, "check_block_interval", lambda *args: checks.append(args) or check(*args)
+    )
+    ctx = ctx_for()
+    state = LocalChainState(GENESIS)
+    for _ in range(5):
+        assert step(ctx, state, (), now=ctx.next_time, duration=1000.0) is not None
+    assert ctx.tally.created == 5 and len(checks) == 1
+
+
 def test_depth_limit_is_far_above_the_expected_depth():
     assert depth_limit(1000.0, 5.0) == 2 * 200 + 64
     assert depth_limit(0.5, 5.0) == 66
