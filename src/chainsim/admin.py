@@ -1,7 +1,7 @@
 """Admin server: registration rendezvous, bootstrap, and final consensus.
 
 The admin never mines, never relays blocks and never times the run. It
-brings the network up (ids, roster, genesis, transaction pool), collects
+brings the network up (ids, roster, clock parameters, genesis), collects
 the tip each miner sends when its own clock ends the run, then runs the
 cheap consensus: one full chain out of the winner, one result broadcast.
 """
@@ -9,7 +9,6 @@ cheap consensus: one full chain out of the winner, one result broadcast.
 from __future__ import annotations
 
 import logging
-import random
 import select
 import socket
 import time
@@ -33,10 +32,9 @@ from .protocol import (
     msg_genesis,
     msg_miner_info,
     msg_sim_start,
-    msg_tx_pool,
     register_from_payload,
 )
-from .simulation import SimulationConfig, create_genesis, create_tx_pool, emit_report, subseed_for
+from .simulation import SimulationConfig, create_genesis, emit_report, subseed_for
 from .timing import check_hashpower
 
 log = logging.getLogger(__name__)
@@ -91,11 +89,6 @@ class AdminServer:
         self.host = host
         self.accounting = FrameAccounting()
         self.genesis = create_genesis()
-        # one frame for every miner, encoded before the port binds: a pool
-        # over the frame cap fails here, before any miner registers
-        self._tx_pool_frame = encode(
-            msg_tx_pool(create_tx_pool(config, random.Random(config.seed)))
-        )
         self._listener = listener(host, port, backlog=config.num_miners)
         self.port = self._listener.getsockname()[1]
         self._conns: list[MinerConn] = []  # every admitted miner in id order; a dropped one stays
@@ -189,7 +182,7 @@ class AdminServer:
             self._drop(conn, exc)
         return True
 
-    # phase 2: roster, clock parameters, genesis, transaction pool
+    # phase 2: roster, clock parameters, genesis
 
     def _bootstrap(self) -> None:
         roster = [conn.record for conn in self._conns]
@@ -207,7 +200,6 @@ class AdminServer:
                     )
                 )
                 conn.send(msg_genesis(self.genesis))
-                conn.sock.sendall(self._tx_pool_frame)
             except OSError as exc:
                 self._drop(conn, exc)
 

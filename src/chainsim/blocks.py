@@ -1,4 +1,4 @@
-"""Block and transaction primitives shared by every simulator component."""
+"""Block primitives shared by every simulator component."""
 
 from __future__ import annotations
 
@@ -40,27 +40,14 @@ def derive_block_id(miner_id: int, depth: int, blocktime: float, counter: int) -
     return prefixed_block_id(block_id_prefix(miner_id), depth, blocktime, counter)
 
 
-@dataclass(frozen=True)
-class Transaction:
-    id: str
-    size_bytes: int
-    fee: float
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError("transaction size must be positive")
-        if self.fee < 0:
-            raise ValueError("transaction fee must be non-negative")
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Block:
     """One chain element.
 
     ``is_empty`` marks a temporary placeholder standing in for a block that
-    is not in the local store yet; placeholders carry no transactions and an
-    unknown creator, and may even have an unknown id when they sit below a
-    known gap in the ancestry.
+    is not in the local store yet; placeholders carry an unknown creator,
+    and may even have an unknown id when they sit below a known gap in the
+    ancestry.
 
     The constructor is written out: it runs every structural check, then
     fills the slots through their descriptors, where the generated frozen
@@ -75,7 +62,6 @@ class Block:
     depth: int
     miner_id: int
     blocktime: float
-    tx_ids: tuple[str, ...]
     is_empty: bool
 
     def __init__(
@@ -85,7 +71,6 @@ class Block:
         depth: int,
         miner_id: int,
         blocktime: float,
-        tx_ids: tuple[str, ...] = (),
         is_empty: bool = False,
     ) -> None:
         if depth < 0:
@@ -93,8 +78,6 @@ class Block:
         if is_empty:
             if depth == 0:
                 raise StructuralError("genesis can never be a placeholder")
-            if tx_ids:
-                raise StructuralError("placeholder blocks carry no transactions")
             if miner_id != UNKNOWN_MINER:
                 raise StructuralError("placeholder blocks have an unknown creator")
         else:
@@ -109,7 +92,6 @@ class Block:
         _set_depth(self, depth)
         _set_miner_id(self, miner_id)
         _set_blocktime(self, blocktime)
-        _set_tx_ids(self, tx_ids)
         _set_is_empty(self, is_empty)
 
 
@@ -121,11 +103,10 @@ class Block:
     _set_depth,
     _set_miner_id,
     _set_blocktime,
-    _set_tx_ids,
     _set_is_empty,
 ) = (vars(Block)[f.name].__set__ for f in fields(Block))
 
 
 def make_placeholder(block_id: str, depth: int) -> Block:
     """Placeholder for a block missing from the local store."""
-    return Block(block_id, UNKNOWN_ID, depth, UNKNOWN_MINER, 0.0, (), True)
+    return Block(block_id, UNKNOWN_ID, depth, UNKNOWN_MINER, 0.0, True)

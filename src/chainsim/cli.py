@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     admin.add_argument("--block-interval", type=float, required=True)
     admin.add_argument("--seed", type=int, required=True)
     admin.add_argument("--time-scale", type=float, default=1.0)
-    admin.add_argument("--tx-pool-size", type=int, default=100)
     admin.add_argument("--report-out", default=None)
 
     miner = sub.add_parser("miner", help="run one miner process")
@@ -67,16 +66,14 @@ def cmd_admin(args: argparse.Namespace) -> int:
             interval=args.block_interval,
             seed=args.seed,
             time_scale=args.time_scale,
-            tx_pool_size=args.tx_pool_size,
         )
         server = AdminServer(config, port=args.port)
         # bound and listening: the miners may be started from here on
         print(f"{ANNOUNCEMENT}{server.host}:{server.port}", flush=True)
         # every miner is in: from here a miner that dies costs only this run
         report = server.run(registered=lambda: print(REGISTERED, flush=True))
-    # a bad option, a port out of range or an over-cap transaction pool is a
-    # ValueError (so is a ProtocolError); a port in use or a registration
-    # timeout is an OSError
+    # a bad option or a port out of range is a ValueError (so is a
+    # ProtocolError); a port in use or a registration timeout is an OSError
     except (ValueError, OSError) as exc:
         print(f"admin failed: {exc}", file=sys.stderr)
         return 1

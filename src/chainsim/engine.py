@@ -34,7 +34,6 @@ from .mining import MiningContext, MinerTally, step, take_due
 from .simulation import (
     SimulationConfig,
     create_genesis,
-    create_tx_pool,
     emit_report,
     resolve_hashpowers,
     subseed_for,
@@ -118,8 +117,6 @@ def run_logical(
     powers = resolve_hashpowers(config, hashpowers)
     total = sum(powers)
     genesis = create_genesis()
-    pool = create_tx_pool(config, random.Random(config.seed))
-    tx_ids = tuple(t.id for t in pool)
 
     n = config.num_miners
     states = [LocalChainState(genesis) for _ in range(n)]
@@ -129,7 +126,6 @@ def run_logical(
             profile=HashpowerProfile(own=powers[i], total=total),
             interval=config.interval,
             rng=random.Random(subseed_for(config.seed, i + 1)),
-            tx_pool_ids=tx_ids,
         )
         for i in range(n)
     ]

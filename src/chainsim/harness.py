@@ -55,7 +55,6 @@ class ExperimentSpec:
     seed: int
     runs: int
     time_scale: float = 1.0
-    tx_pool_size: int = 100
     hashpowers: tuple[float, ...] | None = None  # None means sampled per run
     out_dir: str = "experiment-out"
     delay_range: tuple[float, float] = DEFAULT_DELAY_RANGE  # sim-seconds, both modes
@@ -78,7 +77,6 @@ class ExperimentSpec:
             interval=self.interval,
             seed=run_seed,
             time_scale=self.time_scale,
-            tx_pool_size=self.tx_pool_size,
         )
 
 
@@ -97,7 +95,7 @@ _NUMBER = ("a number", _is_number)
 # what each spec field's JSON value must be, and a check of it
 _SPEC_FIELD_TYPES = {
     "mode": _STR, "out_dir": _STR,
-    "num_miners": _INT, "seed": _INT, "runs": _INT, "tx_pool_size": _INT,
+    "num_miners": _INT, "seed": _INT, "runs": _INT,
     "duration": _NUMBER, "interval": _NUMBER, "time_scale": _NUMBER,
     "delay_range": (
         "a list of two numbers",
@@ -191,7 +189,6 @@ def _run_network(
         "--block-interval", str(config.interval),
         "--seed", str(run_seed),
         "--time-scale", str(config.time_scale),
-        "--tx-pool-size", str(config.tx_pool_size),
         "--report-out", report_path,
     ]
     stats_paths = [os.path.join(work, f"miner_{i}.json") for i in range(spec.num_miners)]

@@ -40,7 +40,6 @@ from .protocol import (
     msg_last_block,
     msg_register,
     sim_start_from_payload,
-    tx_ids_from_payload,
 )
 from .timing import (
     DEFAULT_DELAY_RANGE,
@@ -167,15 +166,12 @@ class MinerNode:
 
             genesis_msg = expect(admin, "GENESIS", CONNECT_TIMEOUT)
             state = LocalChainState(block_from_payload(genesis_msg.payload.get("block")))
-            pool_msg = expect(admin, "TX_POOL", CONNECT_TIMEOUT)
-            tx_ids = tx_ids_from_payload(pool_msg.payload)
 
             ctx = MiningContext(
                 miner_id=my_id,
                 profile=HashpowerProfile(own=self.hashpower, total=total_hashpower),
                 interval=interval,
                 rng=random.Random(subseed),
-                tx_pool_ids=tx_ids,
             )
 
             links = [PeerLink(peer) for peer in peers]

@@ -43,8 +43,6 @@ from .chain import (
 )
 from .timing import HashpowerProfile, check_block_interval, compute_block_time
 
-TXS_PER_BLOCK = 10  # pool transactions claimed by each mined block
-
 
 @dataclass(slots=True)
 class MinerTally:
@@ -73,7 +71,6 @@ class MiningContext:
     profile: HashpowerProfile
     interval: float
     rng: random.Random
-    tx_pool_ids: tuple[str, ...] = ()
     counter: int = 0  # own blocks built so far; keeps their ids unique
     tally: MinerTally = field(default_factory=MinerTally)
     # blocktime of the next own block; None once the run has no more, as a
@@ -86,12 +83,6 @@ class MiningContext:
         check_block_interval(self.profile, self.interval)
         self.id_prefix = block_id_prefix(self.miner_id)
         self.next_time = compute_block_time(self.profile, self.interval, 0.0, self.rng)
-
-
-def next_tx_ids(pool_ids: tuple[str, ...], depth: int) -> tuple[str, ...]:
-    """Pool slice claimed by the block at this depth; empty once exhausted."""
-    start = (depth - 1) * TXS_PER_BLOCK
-    return pool_ids[start : start + TXS_PER_BLOCK]
 
 
 def draw_own_block(ctx: MiningContext, tip: Block, blocktime: float) -> Block:
@@ -107,7 +98,6 @@ def draw_own_block(ctx: MiningContext, tip: Block, blocktime: float) -> Block:
         depth,
         ctx.miner_id,
         blocktime,
-        next_tx_ids(ctx.tx_pool_ids, depth),
     )
 
 

@@ -13,7 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from .blocks import Block, Transaction
+from .blocks import Block
 
 MESSAGE_TYPES = frozenset(
     {
@@ -21,7 +21,6 @@ MESSAGE_TYPES = frozenset(
         "MINER_INFO",
         "SIM_START",
         "GENESIS",
-        "TX_POOL",
         "BLOCK",
         "LAST_BLOCK",
         "CHAIN_REQUEST",
@@ -33,9 +32,9 @@ MESSAGE_TYPES = frozenset(
 
 LENGTH_PREFIX = struct.Struct(">I")
 # Longest frame body accepted, and the most one connection ever buffers.
-# A CHAIN of mining.depth_limit blocks, each carrying the most transaction
-# ids a block holds, is about 0.5 KiB per block: 13 MB for a 150000 s run
-# at interval 12.42, the longest in this repository; 64 MiB holds five times that.
+# A CHAIN of mining.depth_limit blocks is about 165 bytes per block: 4.0 MB
+# (24221 blocks) for a 150000 s run at interval 12.42, the longest in this
+# repository; 64 MiB holds sixteen times that.
 MAX_FRAME = 2**26
 
 
@@ -173,7 +172,6 @@ def block_to_payload(block: Block) -> dict:
         "depth": block.depth,
         "miner_id": block.miner_id,
         "blocktime": block.blocktime,
-        "tx_ids": list(block.tx_ids),
         "is_empty": block.is_empty,
     }
 
@@ -235,7 +233,6 @@ _BLOCK_FIELD_TYPES = {
     "depth": _is_int,
     "miner_id": _is_int,
     "blocktime": _is_number,
-    "tx_ids": lambda v: _is_list(v) and all(isinstance(t, str) for t in v),
     "is_empty": lambda v: isinstance(v, bool),
 }
 
@@ -249,15 +246,10 @@ def block_from_payload(obj: dict) -> Block:
             depth=obj["depth"],
             miner_id=obj["miner_id"],
             blocktime=obj["blocktime"],
-            tx_ids=tuple(obj["tx_ids"]),
             is_empty=obj["is_empty"],
         )
     except ValueError as exc:
         raise ParseError(f"bad block payload: {exc}") from exc
-
-
-def tx_to_payload(tx: Transaction) -> dict:
-    return {"id": tx.id, "size_bytes": tx.size_bytes, "fee": tx.fee}
 
 
 def miner_record_to_payload(rec: MinerRecord) -> dict:
@@ -331,10 +323,6 @@ def msg_genesis(block: Block) -> WireMessage:
     return WireMessage("GENESIS", {"block": block_to_payload(block)})
 
 
-def msg_tx_pool(txs: list[Transaction]) -> WireMessage:
-    return WireMessage("TX_POOL", {"transactions": [tx_to_payload(t) for t in txs]})
-
-
 def msg_block(block: Block) -> WireMessage:
     return WireMessage("BLOCK", {"block": block_to_payload(block)})
 
@@ -389,12 +377,6 @@ def sim_start_from_payload(obj: dict) -> tuple[float, float, float, int]:
     _checked(obj, "SIM_START", {**dict.fromkeys(positive, _is_positive), "subseed": _is_int})
     duration, interval, time_scale = (_as_float(obj[name], "SIM_START") for name in positive)
     return duration, interval, time_scale, obj["subseed"]
-
-
-def tx_ids_from_payload(obj: dict) -> tuple[str, ...]:
-    """Ids of the pool a TX_POOL carries, in order; the miner needs nothing else."""
-    _checked(obj, "TX_POOL", {"transactions": _is_list})
-    return tuple(_checked(t, "transaction", {"id": _is_str})["id"] for t in obj["transactions"])
 
 
 def consensus_result_from_payload(obj: dict) -> tuple[int, list[Block]]:

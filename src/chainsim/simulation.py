@@ -12,8 +12,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .blocks import ADMIN_ID, Block, StructuralError, Transaction, derive_block_id
+from .blocks import ADMIN_ID, Block, StructuralError, derive_block_id
 from .timing import check_hashpower, check_hashpowers, sample_hashpower
+
+# Most blocks a run may expect, duration / interval: far more than any
+# machine makes in a run, and it keeps mining.depth_limit's count finite.
+MAX_EXPECTED_BLOCKS = 1e12
 
 
 @dataclass(frozen=True)
@@ -23,7 +27,6 @@ class SimulationConfig:
     interval: float
     seed: int
     time_scale: float = 1.0
-    tx_pool_size: int = 100
 
     def __post_init__(self) -> None:
         if self.num_miners < 1:
@@ -31,8 +34,12 @@ class SimulationConfig:
         for name in ("duration", "interval", "time_scale"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite")
-        if self.tx_pool_size < 0:
-            raise ValueError("tx_pool_size cannot be negative")
+        expected = self.duration / self.interval
+        if expected > MAX_EXPECTED_BLOCKS:
+            raise ValueError(
+                f"duration {self.duration} at interval {self.interval} expects "
+                f"{expected:g} blocks, over the {MAX_EXPECTED_BLOCKS:g} a run may make"
+            )
 
 
 def create_genesis() -> Block:
@@ -44,21 +51,6 @@ def create_genesis() -> Block:
         miner_id=ADMIN_ID,
         blocktime=0.0,
     )
-
-
-def create_tx_pool(config: SimulationConfig, rng: random.Random) -> list[Transaction]:
-    """Common transaction pool every miner draws from, unique ids."""
-    pool: list[Transaction] = []
-    seen: set[str] = set()
-    while len(pool) < config.tx_pool_size:
-        tx_id = f"{rng.getrandbits(128):032x}"
-        if tx_id in seen:
-            continue
-        seen.add(tx_id)
-        pool.append(
-            Transaction(id=tx_id, size_bytes=rng.randint(250, 1000), fee=rng.random())
-        )
-    return pool
 
 
 def subseed_for(seed: int, miner_id: int) -> int:

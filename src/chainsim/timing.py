@@ -62,16 +62,23 @@ def check_hashpower(value: float) -> None:
 
 
 def check_block_interval(profile: HashpowerProfile, interval: float) -> None:
-    """A miner's mean block interval, interval * total / own, is finite.
+    """A miner's mean block interval, interval * total / own, is finite and
+    so is its reciprocal, the rate of the exponential draw.
 
     Computed as compute_block_time computes it: a total or a quotient that
-    overflows would leave its exponential draw a rate of 0.
+    overflows would leave the draw a rate of 0, and a mean whose reciprocal
+    overflows a rate of inf, whose every draw is 0, so compute_block_time
+    would never find a positive delay.
     """
-    if not interval * profile.total / profile.own < math.inf:  # NaN fails too
-        raise ValueError(
-            f"the mean block interval of hashpower {profile.own} out of "
-            f"{profile.total} at interval {interval} is not finite"
-        )
+    mean = interval * profile.total / profile.own
+    where = (
+        f"the mean block interval of hashpower {profile.own} out of "
+        f"{profile.total} at interval {interval}"
+    )
+    if not mean < math.inf:  # NaN fails too
+        raise ValueError(f"{where} is not finite")
+    if not (mean > 0 and 1.0 / mean < math.inf):
+        raise ValueError(f"{where} is {mean}, too small to have a finite rate")
 
 
 def check_hashpowers(powers: list[float], interval: float) -> None:

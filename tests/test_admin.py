@@ -17,7 +17,6 @@ from chainsim.protocol import MinerRecord, WireMessage, encode, miner_info_from_
 from chainsim.simulation import (
     SimulationConfig,
     create_genesis,
-    create_tx_pool,
     emit_report,
     render_table,
     subseed_for,
@@ -43,8 +42,9 @@ def test_config_validation():
         config(interval=-1.0)
     with pytest.raises(ValueError):
         config(time_scale=0.0)
-    with pytest.raises(ValueError):
-        config(tx_pool_size=-1)
+    config(duration=1e12, interval=1.0)
+    with pytest.raises(ValueError, match=r"expects 1\.1e\+12 blocks, over the 1e\+12"):
+        config(duration=1.1e12, interval=1.0)
 
 
 @pytest.mark.parametrize("field", ["duration", "interval", "time_scale"])
@@ -125,19 +125,7 @@ def test_genesis_shape_and_stability():
     assert g.depth == 0
     assert g.parent_id is None
     assert g.miner_id == 0
-    assert g.tx_ids == ()
     assert create_genesis() == g
-
-
-def test_tx_pool_sizes_and_determinism():
-    assert create_tx_pool(config(tx_pool_size=0), random.Random(1)) == []
-    pool = create_tx_pool(config(tx_pool_size=1000), random.Random(1))
-    assert len(pool) == 1000
-    assert len({t.id for t in pool}) == 1000
-    assert all(250 <= t.size_bytes <= 1000 for t in pool)
-    assert all(0.0 <= t.fee < 1.0 for t in pool)
-    again = create_tx_pool(config(tx_pool_size=1000), random.Random(1))
-    assert again == pool
 
 
 def test_subseeds_are_distinct_per_miner():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim.blocks import (
+    ADMIN_ID,
     UNKNOWN_ID,
     UNKNOWN_MINER,
     Block,
@@ -92,15 +93,14 @@ def test_own_blocks_carry_the_one_call_rule_id(miner_id, depth, blocktime, count
     own = draw_own_block(ctx, tip, blocktime)
     assert own.id == reference_block_id(miner_id, depth, blocktime, counter)
     assert ctx.counter == counter
-    assert own == Block(own.id, tip.id, depth, miner_id, blocktime, ())
+    assert own == Block(own.id, tip.id, depth, miner_id, blocktime)
 
 
 # every check the frozen dataclass's __post_init__ made, with its message
 # (every field, in order, so that the values also serve as positional arguments)
-REAL = dict(id="b", parent_id="g", depth=1, miner_id=2, blocktime=1.5, tx_ids=(), is_empty=False)
+REAL = dict(id="b", parent_id="g", depth=1, miner_id=2, blocktime=1.5, is_empty=False)
 HOLE = dict(
-    id="h", parent_id=UNKNOWN_ID, depth=3, miner_id=UNKNOWN_MINER, blocktime=0.0, tx_ids=(),
-    is_empty=True,
+    id="h", parent_id=UNKNOWN_ID, depth=3, miner_id=UNKNOWN_MINER, blocktime=0.0, is_empty=True
 )
 
 
@@ -110,7 +110,7 @@ HOLE = dict(
         ({**REAL, "depth": -1}, "negative depth -1"),
         ({**HOLE, "depth": -2}, "negative depth -2"),
         ({**HOLE, "depth": 0}, "genesis can never be a placeholder"),
-        ({**HOLE, "tx_ids": ("t",)}, "placeholder blocks carry no transactions"),
+        ({**HOLE, "miner_id": ADMIN_ID}, "placeholder blocks have an unknown creator"),
         ({**HOLE, "miner_id": 2}, "placeholder blocks have an unknown creator"),
         ({**REAL, "id": ""}, "real blocks need an id"),
         ({**REAL, "depth": 0, "blocktime": 0.0}, "parent link must be absent exactly for genesis"),
@@ -136,7 +136,7 @@ def test_valid_blocks_build_by_keyword_and_by_position():
 
 
 def test_blocks_refuse_attribute_assignment():
-    block = Block(**{**REAL, "tx_ids": ("t",)})
+    block = Block(**REAL)
     for field in dataclasses.fields(Block):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(block, field.name, getattr(make_placeholder("h", 3), field.name))
@@ -147,21 +147,14 @@ def test_blocks_refuse_attribute_assignment():
     with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
         block.note = "x"
     assert not hasattr(block, "__dict__")
-    assert block == Block(**{**REAL, "tx_ids": ("t",)})
+    assert block == Block(**REAL)
 
 
 def test_blocks_are_equal_and_hash_equal_only_when_every_field_is():
-    base = Block(**{**REAL, "tx_ids": ("t",)})
-    twin = Block(**{**REAL, "tx_ids": ("t",)})
+    base = Block(**REAL)
+    twin = Block(**REAL)
     assert base == twin and hash(base) == hash(twin) and base is not twin
-    others = {
-        "id": "c",
-        "parent_id": "f",
-        "depth": 2,
-        "miner_id": 3,
-        "blocktime": 1.25,
-        "tx_ids": ("u",),
-    }
+    others = {"id": "c", "parent_id": "f", "depth": 2, "miner_id": 3, "blocktime": 1.25}
     for name, value in others.items():
         other = dataclasses.replace(base, **{name: value})
         assert other != base, name
@@ -171,10 +164,9 @@ def test_blocks_are_equal_and_hash_equal_only_when_every_field_is():
 
 
 def test_blocks_keep_their_repr_and_survive_copy_and_pickle():
-    block = Block(**{**REAL, "tx_ids": ("t",)})
+    block = Block(**REAL)
     assert repr(block) == (
-        "Block(id='b', parent_id='g', depth=1, miner_id=2, blocktime=1.5,"
-        " tx_ids=('t',), is_empty=False)"
+        "Block(id='b', parent_id='g', depth=1, miner_id=2, blocktime=1.5, is_empty=False)"
     )
     for clone in (copy.copy(block), copy.deepcopy(block), pickle.loads(pickle.dumps(block))):
         assert clone == block and type(clone) is Block

@@ -547,7 +547,7 @@ def rule_breaker(state: LocalChainState, k: int) -> Block:
     lender = stored[k % len(stored)]
     kind = k % 5
     if kind == 0:  # an append in every field but is_empty
-        return Block(f"hole{k}", tip.id, tip.depth + 1, UNKNOWN_MINER, 0.0, (), True)
+        return Block(f"hole{k}", tip.id, tip.depth + 1, UNKNOWN_MINER, 0.0, True)
     if kind == 1:
         return Block(id=f"root{k}", parent_id=None, depth=0, miner_id=9, blocktime=0.0)
     if kind == 2:

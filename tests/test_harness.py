@@ -126,7 +126,10 @@ def test_load_spec_round_trip(tmp_path):
         ("delay_range", [0.3, 0.05], "delay range"),
         ("duration", -5, "duration must be positive"),
         ("interval", 0, "interval must be positive"),
-        ("tx_pool_size", -1, "tx_pool_size cannot be negative"),
+        ("interval", 5e-324, "at interval 5e-324 "),
+        ("duration", 1e13, r"expects 1e\+13 blocks, over the 1e\+12 a run may make"),
+        # the transaction pool is gone, so tx_pool_size is no longer a field
+        ("tx_pool_size", 100, r"unknown spec fields: \['tx_pool_size'\]"),
         ("num_miners", 0, "need at least one miner"),
         ("hashpowers", [0, 5], "hashpower must be finite and positive"),
         ("hashpowers", [-1.0, 5], "hashpower must be finite and positive"),

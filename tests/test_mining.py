@@ -14,25 +14,22 @@ from chainsim.blocks import Block, StructuralError, make_placeholder
 from chainsim.chain import ActionKind, LocalChainState, UpdateAction, apply_created_block
 from chainsim.mining import (
     MiningContext,
-    TXS_PER_BLOCK,
     draw_own_block,
     depth_limit,
-    next_tx_ids,
     step,
     take_due,
 )
-from chainsim.timing import HashpowerProfile, compute_block_time
+from chainsim.timing import HashpowerProfile, check_block_interval, compute_block_time
 
 GENESIS = Block(id="g", parent_id=None, depth=0, miner_id=0, blocktime=0.0)
 
 
-def ctx_for(miner_id: int = 1, pool: int = 30, seed: int = 1) -> MiningContext:
+def ctx_for(miner_id: int = 1, seed: int = 1) -> MiningContext:
     return MiningContext(
         miner_id=miner_id,
         profile=HashpowerProfile(own=10.0, total=20.0),
         interval=5.0,
         rng=random.Random(seed),
-        tx_pool_ids=tuple(f"tx{i}" for i in range(pool)),
     )
 
 
@@ -46,15 +43,6 @@ def mk(bid: str, parent: Block, miner: int = 2, t: float | None = None) -> Block
     )
 
 
-def test_next_tx_ids_slices_pool_by_depth():
-    pool = tuple(f"tx{i}" for i in range(25))
-    assert next_tx_ids(pool, 1) == pool[0:10]
-    assert next_tx_ids(pool, 2) == pool[10:20]
-    assert next_tx_ids(pool, 3) == pool[20:25]  # pool runs dry
-    assert next_tx_ids(pool, 4) == ()
-    assert TXS_PER_BLOCK == 10
-
-
 def test_draw_own_block_shape():
     ctx = ctx_for()
     blk = draw_own_block(ctx, GENESIS, blocktime=7.0)
@@ -62,7 +50,6 @@ def test_draw_own_block_shape():
     assert blk.depth == 1
     assert blk.miner_id == 1
     assert blk.blocktime == 7.0
-    assert blk.tx_ids == ctx.tx_pool_ids[:10]
     assert ctx.counter == 1
     other = draw_own_block(ctx, GENESIS, blocktime=7.0)
     assert other.id != blk.id  # counter keeps ids unique
@@ -226,6 +213,15 @@ def test_a_context_refuses_a_mean_block_interval_that_is_not_finite(own, total):
             interval=5.0,
             rng=random.Random(1),
         )
+
+
+@pytest.mark.parametrize(
+    "own, total", [(1.0, 1.0), (0.4, 0.4)], ids=["rate-overflows", "mean-underflows"]
+)
+def test_an_interval_too_small_to_have_a_rate_is_refused(own, total):
+    # the check alone, no context: a context built past a missing check would draw for ever
+    with pytest.raises(ValueError, match="at interval 5e-324 is .*too small to have a finite rate"):
+        check_block_interval(HashpowerProfile(own=own, total=total), 5e-324)
 
 
 def test_a_context_checks_its_mean_interval_once_not_per_draw(monkeypatch):

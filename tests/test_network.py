@@ -20,9 +20,7 @@ from chainsim.miner import MinerNode, PeerLink
 from chainsim.netio import BufferedConn
 import chainsim.admin as admin
 import chainsim.netio as netio
-import chainsim.protocol as protocol
 from chainsim.protocol import (
-    FrameOverflow,
     MinerRecord,
     ProtocolError,
     WireMessage,
@@ -39,7 +37,6 @@ from chainsim.protocol import (
     msg_miner_info,
     msg_register,
     msg_sim_start,
-    msg_tx_pool,
 )
 from chainsim.simulation import SimulationConfig, create_genesis
 from chainsim.timing import DEFAULT_DELAY_RANGE, HashpowerProfile, compute_block_time
@@ -125,7 +122,7 @@ class ScriptedMiner(threading.Thread):
         if self.quit_after == "register":
             return
         roster = conn.next_message(10.0).payload["miners"]
-        for want in ("SIM_START", "GENESIS", "TX_POOL"):
+        for want in ("SIM_START", "GENESIS"):
             msg = conn.next_message(10.0)
             assert msg.type == want, f"expected {want}, got {msg.type}"
         if self.quit_after == "bootstrap":
@@ -201,7 +198,7 @@ def test_the_consensus_result_is_encoded_once_for_every_miner(monkeypatch):
 def test_a_multi_megabyte_result_reaches_a_miner_that_reads_late():
     # a long run's result: over 6 MiB, more than loopback's socket buffers hold
     chain = [GENESIS]
-    while len(chain) <= 14_000:
+    while len(chain) <= 42_000:
         depth = len(chain)
         chain.append(
             Block(
@@ -210,7 +207,6 @@ def test_a_multi_megabyte_result_reaches_a_miner_that_reads_late():
                 depth=depth,
                 miner_id=1,
                 blocktime=float(depth),
-                tx_ids=tuple(f"{depth:08x}{k:024x}" for k in range(10)),
             )
         )
     result = msg_consensus_result(1, chain)
@@ -849,7 +845,6 @@ ADMIN_RUN = {
     "roster": msg_miner_info(1, [MinerRecord(1, 10.0, "127.0.0.1", 9)], 10.0),
     "start": msg_sim_start(1.0, 12.42, 100.0, 5),
     "genesis": msg_genesis(GENESIS),
-    "pool": msg_tx_pool([]),
     "result": msg_consensus_result(1, [GENESIS]),
 }
 
@@ -931,8 +926,8 @@ def test_a_dead_admin_ends_a_mining_miner_at_once(capsys):
         ("start", {"time_scale": -1.0}),
         ("start", {"subseed": 1.5}),
         ("genesis", {"block": None}),
-        ("pool", {"transactions": "abc"}),
-        ("pool", {"transactions": [{"size_bytes": 1}]}),
+        ("genesis", {"block": {"id": GENESIS.id}}),
+        ("genesis", {"block": {**block_to_payload(GENESIS), "depth": "0"}}),
         ("result", {"winner_id": "1"}),
         ("result", {"blocks": {"0": None}}),
     ],
@@ -961,18 +956,3 @@ def test_rule_breaking_admin_frame_ends_the_miner_cleanly(capsys, frame, fields)
     assert err.startswith("miner failed: ")
     assert "Traceback" not in err
 
-
-def test_over_cap_tx_pool_fails_before_the_admin_listens(monkeypatch, capsys):
-    # the default 100-transaction pool is an 8477-byte TX_POOL frame
-    monkeypatch.setattr(protocol, "MAX_FRAME", 3000)
-    with pytest.raises(FrameOverflow):
-        AdminServer(quick_config(1), port=0)
-    args = cli.build_parser().parse_args(
-        ["admin", "--port", "0", "--num-miners", "1", "--sim-time", "1",
-         "--block-interval", "12.42", "--seed", "1"]
-    )
-    start = time.monotonic()
-    assert cli.cmd_admin(args) == 1
-    assert time.monotonic() - start < 5.0  # no wait for a registration
-    err = capsys.readouterr().err
-    assert err.startswith("admin failed: body of ") and "exceeds frame limit" in err

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import chainsim.protocol as protocol
 from chainsim.blocks import Block, make_placeholder
-from chainsim.mining import TXS_PER_BLOCK, depth_limit
+from chainsim.mining import depth_limit
 from chainsim.protocol import (
     LENGTH_PREFIX,
     MAX_FRAME,
@@ -39,7 +39,6 @@ from chainsim.protocol import (
     msg_miner_info,
     register_from_payload,
     sim_start_from_payload,
-    tx_ids_from_payload,
 )
 from wiregen import rand_block, random_message
 
@@ -165,8 +164,7 @@ def test_over_cap_length_prefix_fails_before_the_body_arrives():
 
 def test_longest_runs_chain_fits_the_frame_cap_with_room():
     # logical-deep's 150000 s at interval 12.42 is the longest run in the
-    # repository; every block here carries a full claim of transaction ids
-    tx_ids = tuple(f"{i:032x}" for i in range(TXS_PER_BLOCK))
+    # repository
     chain = [Block(id="0" * 32, parent_id=None, depth=0, miner_id=0, blocktime=0.0)]
     for depth in range(1, depth_limit(150_000.0, 12.42) + 1):
         chain.append(
@@ -176,7 +174,6 @@ def test_longest_runs_chain_fits_the_frame_cap_with_room():
                 depth=depth,
                 miner_id=9999,
                 blocktime=149_999.12345678901 - depth * 1e-3,
-                tx_ids=tx_ids,
             )
         )
     body = len(encode(msg_chain(9999, chain))) - LENGTH_PREFIX.size
@@ -270,9 +267,6 @@ def test_block_payload_rejects_garbage():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("tx_ids", "abc"),
-        ("tx_ids", ["a", 1]),
-        ("tx_ids", None),
         ("is_empty", 0),
         ("is_empty", "false"),
         ("depth", True),
@@ -291,7 +285,7 @@ def test_block_payload_rejects_garbage():
 )
 def test_block_payload_rejects_wrong_types(field, value):
     good = block_to_payload(
-        Block(id="aa", parent_id="bb", depth=4, miner_id=2, blocktime=1.5, tx_ids=("t",))
+        Block(id="aa", parent_id="bb", depth=4, miner_id=2, blocktime=1.5)
     )
     assert block_from_payload(good).depth == 4
     with pytest.raises(ParseError):
@@ -309,11 +303,16 @@ def test_block_payload_takes_an_integral_blocktime():
     assert block_from_payload(payload) == make_placeholder("bb", 4)
 
 
+def test_block_payload_ignores_fields_it_does_not_name():
+    # a peer that still sends the retired tx_ids list is read as before
+    block = Block(id="aa", parent_id="bb", depth=4, miner_id=2, blocktime=1.5)
+    payload = {**block_to_payload(block), "tx_ids": ["t"], "extra": {"x": 1}}
+    assert block_from_payload(payload) == block
+
+
 def test_block_payload_takes_a_huge_integral_blocktime():
     # ints are always finite; only comparisons ever touch a received blocktime
-    good = block_to_payload(
-        Block(id="aa", parent_id="bb", depth=4, miner_id=2, blocktime=1.5, tx_ids=("t",))
-    )
+    good = block_to_payload(Block(id="aa", parent_id="bb", depth=4, miner_id=2, blocktime=1.5))
     frame = encode(WireMessage("BLOCK", {"block": {**good, "blocktime": 10**400}}))
     msg, _ = decode(frame)
     assert block_from_payload(msg.payload["block"]).blocktime == 10**400
@@ -339,7 +338,7 @@ FIELD_NAMES = sorted(
     {
         *block_to_payload(make_placeholder("x", 1)),
         "miner_id", "hashpower", "ip", "port", "miners", "total_hashpower",
-        "duration", "interval", "time_scale", "subseed", "transactions",
+        "duration", "interval", "time_scale", "subseed",
         "winner_id", "blocks",
     }
 )
@@ -347,7 +346,7 @@ FIELDS = st.dictionaries(st.sampled_from(FIELD_NAMES), JSON_VALUES, max_size=8)
 PAYLOADS = (
     JSON_VALUES
     | st.lists(FIELDS, max_size=3)  # a chain's blocks
-    | st.dictionaries(  # a message payload, maybe holding a block, a roster or a pool
+    | st.dictionaries(  # a message payload, maybe holding a block or a roster
         st.sampled_from(FIELD_NAMES), JSON_VALUES | FIELDS | st.lists(FIELDS, max_size=3), max_size=8
     )
 )
@@ -385,7 +384,6 @@ PAYLOAD_PARSERS = [
     register_from_payload,
     miner_info_from_payload,
     sim_start_from_payload,
-    tx_ids_from_payload,
     consensus_result_from_payload,
 ]
 
@@ -406,7 +404,6 @@ GOOD_ADMIN_PAYLOADS = {
     miner_record_from_payload: GOOD_RECORD,
     miner_info_from_payload: {"miner_id": 2, "miners": [GOOD_RECORD], "total_hashpower": 3.0},
     sim_start_from_payload: {"duration": 10, "interval": 1.5, "time_scale": 100.0, "subseed": 7},
-    tx_ids_from_payload: {"transactions": [{"id": "t1"}]},
     consensus_result_from_payload: {"winner_id": 2, "blocks": []},
 }
 
@@ -431,8 +428,6 @@ GOOD_ADMIN_PAYLOADS = {
         (sim_start_from_payload, "interval", 10**400),
         (sim_start_from_payload, "time_scale", float("inf")),
         (sim_start_from_payload, "subseed", False),
-        (tx_ids_from_payload, "transactions", [{"id": 1}]),
-        (tx_ids_from_payload, "transactions", ["t1"]),
         (consensus_result_from_payload, "winner_id", None),
         (consensus_result_from_payload, "blocks", [None]),
     ],
@@ -456,8 +451,5 @@ def test_admin_payload_parsers_take_what_the_admin_sends():
             assert msg_miner_info(miner_id, roster, total) == msg
         elif msg.type == "SIM_START":
             assert protocol.msg_sim_start(*sim_start_from_payload(msg.payload)) == msg
-        elif msg.type == "TX_POOL":
-            want = tuple(t["id"] for t in msg.payload["transactions"])
-            assert tx_ids_from_payload(msg.payload) == want
         elif msg.type == "CONSENSUS_RESULT":
             assert protocol.msg_consensus_result(*consensus_result_from_payload(msg.payload)) == msg

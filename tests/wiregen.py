@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from chainsim.blocks import Block, Transaction, make_placeholder
+from chainsim.blocks import Block, make_placeholder
 from chainsim.protocol import (
     MinerRecord,
     WireMessage,
@@ -18,7 +18,6 @@ from chainsim.protocol import (
     msg_miner_info,
     msg_register,
     msg_sim_start,
-    msg_tx_pool,
 )
 
 
@@ -38,15 +37,6 @@ def rand_block(rng: random.Random, allow_empty: bool = True) -> Block:
         depth=rng.randint(1, 500),
         miner_id=rng.randint(1, 20),
         blocktime=rng.uniform(0.001, 1500.0),
-        tx_ids=tuple(rand_hex(rng) for _ in range(rng.randint(0, 10))),
-    )
-
-
-def rand_tx(rng: random.Random) -> Transaction:
-    return Transaction(
-        id=rand_hex(rng),
-        size_bytes=rng.randint(250, 1000),
-        fee=rng.random(),
     )
 
 
@@ -91,7 +81,6 @@ def random_message(rng: random.Random) -> WireMessage:
         lambda: msg_genesis(
             Block(id=rand_hex(rng), parent_id=None, depth=0, miner_id=0, blocktime=0.0)
         ),
-        lambda: msg_tx_pool([rand_tx(rng) for _ in range(rng.randint(0, 20))]),
         lambda: msg_block(rand_block(rng, allow_empty=False)),
         lambda: msg_last_block(rng.randint(1, 20), rand_block(rng, allow_empty=False)),
         msg_chain_request,
