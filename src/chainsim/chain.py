@@ -5,16 +5,21 @@ threads. One logical activity owns a LocalChainState and is its only
 mutator; the surrounding node decides when blocks are due and who to
 tell about them.
 
+A state is a store and a tip. The fork choice needs only the tip: a
+received block is appended when it names the tip one deeper, uncled when
+it is no deeper, and switched to otherwise. The main chain is built from
+the store, down from the tip, only when it is asked for: for CHAIN, for
+the winner's final chain, and by tests.
+
 Both update rules run once per block per miner, so they read each piece
 of state once. A received block is first tested for the common case, a
-new real block built on the tip one deeper, and appended at once; only
-other blocks pay for the full checks, which keep their order and their
-errors.
+new real block built on the tip one deeper, and appended at once; every
+other new block is checked against its stored parent and the stored
+children waiting on it before anything changes.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass
 
@@ -65,81 +70,68 @@ class ConsensusEntry:
 
 
 class LocalChainState:
-    """A miner's view of the world.
+    """A miner's view of the world: a store of blocks and its tip.
 
-    main_chain goes genesis to tip with depth equal to list index; any
-    placeholders sit at depths 1..h, below every real block but genesis.
-    A switch, and so a fill of the topmost placeholder, splices the list
-    in place at the fork point: it cuts the list above the fork and puts
-    the branch on top. Only a switch that opens a gap builds a new list.
     block_store remembers every real block ever created or received, so
-    a chain switch can be rebuilt locally instead of shipped over the
-    wire; the uncles are the stored blocks that are not on the main
-    chain.
+    a chain switch is rebuilt locally instead of shipped over the wire.
+    tip is the deepest stored block to arrive first: the top of the main
+    chain, which is its ancestry, built from the store only when it is
+    read. The uncles are the stored blocks off it.
 
-    below_gap is the last main chain without placeholders, kept while
-    the current one has any: the list a switch that opened a gap
-    replaced, held by reference and never mutated while held. A walk
-    that would otherwise pass the placeholders down to genesis splices
-    onto it at its fork point instead, and it becomes the main chain, so
-    closing a gap costs the branch above the old chain, not the chain.
-    It is None whenever main_chain has no placeholders, and it is never
-    main_chain itself, so a state holds at most one stale list.
+    waiting maps each parent id that is not stored to the stored blocks
+    that name it, in their order of arrival. A late parent is checked
+    against its children through it, and a state whose waiting is empty
+    has no gap in any ancestry.
     """
 
     def __init__(self, genesis: Block):
         if genesis.depth != 0 or genesis.is_empty:
             raise StructuralError("state must start from a real genesis block")
-        self.main_chain: list[Block] = [genesis]
         self.block_store: dict[str, Block] = {genesis.id: genesis}
-        self.below_gap: list[Block] | None = None
+        self.tip = genesis
+        self.waiting: dict[str, list[Block]] = {}
 
     @property
-    def tip(self) -> Block:
-        return self.main_chain[-1]
+    def main_chain(self) -> list[Block]:
+        """Genesis to tip, depth equal to index, built anew on every read.
 
-    @property
-    def genesis(self) -> Block:
-        return self.main_chain[0]
+        A missing ancestor and every depth below it down to 1 are
+        placeholders, as reconstruct_chain pads them.
+        """
+        return reconstruct_chain(self.block_store, self.tip)
 
 
 def apply_created_block(state: LocalChainState, block: Block) -> None:
-    """Append one of our own blocks, built on the tip when it fell due.
+    """Make one of our own blocks, built on the tip when it fell due, the new tip.
 
     Own blocks are built on the current tip, so one that does not extend
     it breaks the rules and raises before anything changes.
     """
     if block.is_empty:
         raise StructuralError("created blocks are never placeholders")
-    chain = state.main_chain
-    tip = chain[-1]
+    tip = state.tip
     if block.parent_id != tip.id or block.depth != tip.depth + 1:
         raise StructuralError("created block does not extend the current tip")
-    store = state.block_store
-    existing = store.get(block.id)
-    if existing is None:
-        store[block.id] = block
-    elif existing != block:
+    if block.id in state.block_store:
+        # no stored block is deeper than the tip, so the stored one differs
         raise DuplicateIdConflict(f"conflicting blocks for id {block.id}")
-    chain.append(block)
+    _store(state, block)
+    state.tip = block
 
 
 def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
     """Handle one peer block, in arrival order.
 
-    Not deeper than the tip: uncle. Built on the tip: append. Deeper on
-    another branch: switch, splicing the branch onto the main chain at
-    the fork point, with placeholders for whatever has not arrived yet.
-    The block a placeholder stands for fills it on arrival, by the same
-    walk. A block that breaks the chain rules raises before anything
-    changes.
+    Built on the tip one deeper: append. No deeper than the tip: uncle.
+    Deeper on another branch: switch, and the block is the tip. A block
+    that breaks the chain rules raises before anything changes; a parent
+    and its child at depths that do not follow are refused whichever
+    arrives first.
     """
     # runs once per (block, receiver) pair, so each attribute is read once.
     # The common case comes first: a new real block built on the tip, one
-    # deeper, is appended at once. Any other block takes the checks below,
-    # in their order, so it raises or lands exactly as it always did.
-    chain = state.main_chain
-    tip = chain[-1]
+    # deeper, that no stored block waits on, is appended at once.
+    tip = state.tip
     store = state.block_store
     block_id = block.id
     depth = block.depth
@@ -147,10 +139,11 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
         block.parent_id == tip.id
         and depth == tip.depth + 1
         and block_id not in store
+        and block_id not in state.waiting
         and not block.is_empty
     ):
         store[block_id] = block
-        chain.append(block)
+        state.tip = block
         return APPENDED_RECEIVED
     if block.is_empty:
         raise StructuralError("received placeholders are not valid blocks")
@@ -162,85 +155,45 @@ def apply_received_block(state: LocalChainState, block: Block) -> UpdateAction:
             raise DuplicateIdConflict(f"conflicting blocks for id {block_id}")
         # retransmission of a known block: harmless no-op
         return UNCLED
-    tip_depth = tip.depth
-    if depth <= tip_depth:
-        slot = chain[depth]
-        if slot.is_empty and slot.id == block_id:
-            # The block fills the topmost placeholder: walk its ancestry as
-            # a switch to it would, then put the chain above it back on top.
-            above = chain[depth + 1 :]
-            _switch(state, block)
-            state.main_chain += above
-        store[block_id] = block
+    _store(state, block)
+    if depth <= tip.depth:
         return UNCLED
-    if block.parent_id == tip.id:
-        # one deeper, it was appended above
-        raise StructuralError("child of tip must sit exactly one deeper")
-    _switch(state, block)
+    state.tip = block
     return SWITCHED_CHAIN
 
 
-# _UNKNOWN_RUN[d - 1] is the unknown-id placeholder at depth d, made once
-# per process up to the deepest gap seen. Placeholders are frozen and equal
-# by value, so sharing them between chains and runs changes no result; it
-# saves building one Block per depth on every switch across a gap. Its
-# length stays within mining.depth_limit, as step rejects deeper blocks.
-# It is process-wide on purpose: a 150 000 s, 7-miner run needs some
-# 11 600 of them (about 1 MB), and a list per run or per state would build
-# them again on every run, about 9 ms each time on a 2-core x86 host, some
-# 7 % of such a run; kept, a run in a warm process builds none.
-_UNKNOWN_RUN: list[Block] = []
+def _store(state: LocalChainState, block: Block) -> None:
+    """Store a new real block above genesis and keep waiting up to date.
 
-
-def _switch(state: LocalChainState, block: Block) -> None:
-    """Make block the top of the main chain, spliced on at the fork point.
-
-    Walks parent links back through the store only until a parent is the
-    block at its depth on the main chain or, while a gap is open, on
-    below_gap (the fork point). That list is cut above the fork in place,
-    the branch goes on top, and it is the main chain: the work grows with
-    the fork, not the chain. If an ancestor is missing first, a new list
-    pads the chain below the gap with placeholders exactly as
-    reconstruct_chain pads it, and a replaced main chain without
-    placeholders is kept as below_gap. Raises before anything changes if
-    the branch breaks the chain rules.
+    The block must sit one deeper than its parent, if that is stored, and
+    one shallower than each stored block waiting on it. A depth-1 block
+    must name the stored genesis, and no block may name itself. Raises
+    before anything changes otherwise.
     """
-    chain = state.main_chain
-    kept = state.below_gap
-    branch = [block]
-    cur = block
-    while True:
-        depth = cur.depth - 1
-        parent = state.block_store.get(cur.parent_id)
-        if parent is None:
-            if depth <= 0:
-                raise StructuralError("ancestry does not reach the stored genesis")
-            while len(_UNKNOWN_RUN) < depth - 1:
-                _UNKNOWN_RUN.append(make_placeholder(UNKNOWN_ID, len(_UNKNOWN_RUN) + 1))
-            gap = make_placeholder(cur.parent_id, depth)
-            if kept is None:  # no gap was open, so chain has no placeholders
-                kept = chain
-            chain = [state.genesis, *_UNKNOWN_RUN[: depth - 1], gap]
-            break
-        if parent.depth != depth:
-            raise StructuralError(
-                f"parent {parent.id} at depth {parent.depth}, expected {depth}"
-            )
-        if depth < len(chain) and chain[depth].id == parent.id:
-            del chain[depth + 1 :]
-            break
-        if kept is not None and depth < len(kept) and kept[depth].id == parent.id:
-            chain = kept
-            del chain[depth + 1 :]
-            break
-        branch.append(parent)
-        cur = parent
-    branch.reverse()
-    state.block_store[block.id] = block
-    chain += branch
-    state.main_chain = chain
-    # placeholders sit at depths 1..h, so chain[1] says whether a gap is open
-    state.below_gap = kept if chain[1].is_empty else None
+    store = state.block_store
+    waiting = state.waiting
+    block_id = block.id
+    parent_id = block.parent_id
+    depth = block.depth
+    parent = store.get(parent_id)
+    if parent is None:
+        if depth == 1:
+            raise StructuralError("ancestry does not reach the stored genesis")
+        if parent_id == block_id:
+            raise StructuralError(f"block {block_id} names itself as its parent")
+    elif parent.depth != depth - 1:
+        raise StructuralError(f"parent {parent_id} at depth {parent.depth}, expected {depth - 1}")
+    children = waiting.get(block_id)
+    if children is not None:
+        for child in children:
+            if child.depth != depth + 1:
+                raise StructuralError(
+                    f"parent {block_id} at depth {depth}, expected {child.depth - 1}"
+                )
+        del waiting[block_id]
+    if parent is None:
+        waiting.setdefault(parent_id, []).append(block)
+    store[block_id] = block
 
 
 def reconstruct_chain(store: dict[str, Block], tip: Block) -> list[Block]:
@@ -248,12 +201,13 @@ def reconstruct_chain(store: dict[str, Block], tip: Block) -> list[Block]:
 
     The first missing ancestor breaks the walk; from there down to depth 1
     the chain is padded with placeholders (only the topmost of which has a
-    known id), and the stored genesis closes the bottom.
+    known id), and the stored genesis closes the bottom. Each parent must
+    sit one shallower than its child, so the walk ends within tip.depth
+    steps.
     """
     if tip.is_empty:
         raise StructuralError("cannot reconstruct from a placeholder tip")
     chain: list[Block] = [tip] * (tip.depth + 1)
-    seen = {tip.id}
     cur = tip
     while cur.depth > 0:
         pid = cur.parent_id
@@ -274,9 +228,6 @@ def reconstruct_chain(store: dict[str, Block], tip: Block) -> list[Block]:
             raise StructuralError(
                 f"parent {parent.id} at depth {parent.depth}, expected {cur.depth - 1}"
             )
-        if parent.id in seen:
-            raise StructuralError("cycle in parent links")
-        seen.add(parent.id)
         chain[parent.depth] = parent
         cur = parent
     return chain
@@ -322,14 +273,24 @@ def fill_empty_blocks(chain: list[Block], store: dict[str, Block]) -> tuple[list
 
 
 def finalize_state(state: LocalChainState) -> int:
-    """Count the placeholders left on the main chain at the end of a run.
+    """Count the placeholders on the main chain at the end of a run.
 
-    Nothing is filled here, because a block that fills a placeholder does
-    so on arrival. Placeholders only ever sit at depths 1..h, so h is
-    found by bisection.
+    Nothing is filled here: a stored block is on its chain from the moment
+    it arrives. With no block waiting on a parent no ancestry has a gap,
+    so the count is 0 without a walk. Otherwise the walk goes down from
+    the tip to the first missing parent, and every depth from there to 1
+    is a placeholder.
     """
-    chain = state.main_chain
-    return bisect.bisect_left(chain, True, 1, key=lambda b: not b.is_empty) - 1
+    if not state.waiting:
+        return 0
+    store = state.block_store
+    cur = state.tip
+    while cur.depth > 0:
+        parent = store.get(cur.parent_id)
+        if parent is None:
+            return cur.depth - 1
+        cur = parent
+    return 0
 
 
 def select_consensus_winner(entries: list[ConsensusEntry]) -> int:
@@ -365,31 +326,45 @@ def validate_chain(chain: list[Block], allow_empty: bool = True) -> None:
 
 
 def verify_state_invariants(state: LocalChainState) -> None:
-    """Assert LocalChainState invariants; used by tests and debug runs."""
-    if state.below_gap is state.main_chain:
-        raise StructuralError("below_gap must be a list apart from the main chain")
-    validate_chain(state.main_chain, allow_empty=True)
-    holes = [b.depth for b in state.main_chain if b.is_empty]
-    if holes != list(range(1, len(holes) + 1)):
-        raise StructuralError(f"placeholders sit at depths other than 1..{len(holes)}")
-    if holes:
-        top = state.main_chain[len(holes)]
-        stored = state.block_store.get(top.id)
-        if stored is not None and stored.depth == top.depth:
-            raise StructuralError(f"stored block {top.id} was not filled in at depth {top.depth}")
-    if (state.below_gap is not None) != bool(holes):
-        raise StructuralError("below_gap must be kept exactly while placeholders remain")
-    if state.below_gap is not None:
-        validate_chain(state.below_gap, allow_empty=False)
-        for blk in state.below_gap:
-            if state.block_store.get(blk.id) != blk:
-                raise StructuralError(f"below_gap block {blk.id} missing from store")
-    roots = sum(1 for b in state.block_store.values() if b.depth == 0)
-    if roots != 1:
-        raise StructuralError(f"store holds {roots} depth-0 blocks, expected 1")
-    for blk in state.main_chain:
-        if not blk.is_empty and state.block_store.get(blk.id) != blk:
-            raise StructuralError(f"main-chain block {blk.id} missing from store")
-    for bid, blk in state.block_store.items():
+    """Assert LocalChainState invariants; used by tests and debug runs.
+
+    The store holds real blocks keyed by id, one of them at depth 0, each
+    other one a level below a stored parent or listed in waiting under its
+    missing one; waiting lists nothing else. The tip is stored and no
+    stored block is deeper. The main chain built on the tip is a valid
+    chain whose placeholders sit at depths 1..h, and h is what
+    finalize_state counts.
+    """
+    store = state.block_store
+    tip = state.tip
+    roots = 0
+    waiting: dict[str, list[Block]] = {}
+    for bid, blk in store.items():
         if blk.is_empty or blk.id != bid:
             raise StructuralError("store may only hold real blocks keyed by id")
+        if blk.depth > tip.depth:
+            raise StructuralError(f"stored block {bid} is deeper than the tip")
+        if blk.depth == 0:
+            roots += 1
+            continue
+        parent = store.get(blk.parent_id)
+        if parent is None:
+            waiting.setdefault(blk.parent_id, []).append(blk)
+        elif parent.depth != blk.depth - 1:
+            raise StructuralError(
+                f"stored block {bid} at depth {blk.depth} names parent {parent.id} "
+                f"at depth {parent.depth}"
+            )
+    if roots != 1:
+        raise StructuralError(f"store holds {roots} depth-0 blocks, expected 1")
+    if store.get(tip.id) != tip:
+        raise StructuralError(f"tip {tip.id} is not stored")
+    if waiting != state.waiting:
+        raise StructuralError("waiting must list exactly the stored blocks missing their parent")
+    chain = state.main_chain
+    validate_chain(chain, allow_empty=True)
+    holes = [b.depth for b in chain if b.is_empty]
+    if holes != list(range(1, len(holes) + 1)):
+        raise StructuralError(f"placeholders sit at depths other than 1..{len(holes)}")
+    if finalize_state(state) != len(holes):
+        raise StructuralError(f"finalize_state does not count the {len(holes)} placeholders")

@@ -15,7 +15,9 @@ unique within an inbox. An empty inbox is not sorted.
 Mining is memoryless, so a miner's state matters only when its own block
 falls due and when the run ends: there one step applies every held block
 due before, in (time, queue order); blocks due after the duration are
-dropped. Every random draw comes from a seeded generator, so a given
+dropped. Each miner then reports its tip and its count of placeholders,
+neither of which builds a chain; only the winner's main chain is built.
+Every random draw comes from a seeded generator, so a given
 configuration replays bit-identically.
 """
 
@@ -137,9 +139,10 @@ def run_logical(
     ]
     winner_id = select_consensus_winner(entries)
     discarded = remaining[winner_id - 1] > 0
-    # the broadcast result IS final_chain; states keep each miner's own
-    # pre-consensus view so callers can inspect divergence
-    final_chain = None if discarded else list(states[winner_id - 1].main_chain)
+    # the broadcast result IS final_chain, the one chain the run builds;
+    # states keep each miner's own pre-consensus view, its chain built on
+    # demand, so callers can inspect divergence
+    final_chain = None if discarded else states[winner_id - 1].main_chain
 
     report = emit_report(
         final_chain,

@@ -272,14 +272,16 @@ class MinerNode:
         discarded = False
         winner_id = None
         reason = None
+        # the run's agreed output; on a discard, this miner's own main chain
+        chain: list[Block] | None = None
         while True:
             msg = admin.next_message(CONSENSUS_PHASE_TIMEOUT)
             if msg.type == "CHAIN_REQUEST":
-                admin.send(msg_chain(my_id, state.main_chain))
+                chain = state.main_chain
+                admin.send(msg_chain(my_id, chain))
             elif msg.type == "CONSENSUS_RESULT":
                 winner_id, chain = consensus_result_from_payload(msg.payload)
                 validate_chain(chain, allow_empty=False)
-                state.main_chain = chain  # the run's agreed output
                 break
             elif msg.type == "DISCARD":
                 discarded = True
@@ -287,6 +289,8 @@ class MinerNode:
                 break
             else:
                 log.warning("unexpected %s from admin during consensus", msg.type)
+        if chain is None:  # discarded before its chain was asked for
+            chain = state.main_chain
         return {
             "miner_id": my_id,
             "listen_port": port,
@@ -296,8 +300,8 @@ class MinerNode:
             "winner_id": winner_id,
             "placeholders_remaining": remaining,
             "tally": ctx.tally.as_dict(),
-            "final_chain_len": len(state.main_chain) - 1,
-            "final_chain_ids": [b.id for b in state.main_chain],
+            "final_chain_len": len(chain) - 1,
+            "final_chain_ids": [b.id for b in chain],
         }
 
 

@@ -15,7 +15,7 @@ one block the step releases.
 step runs once per event and draw_own_block once per own block, so both
 skip what per-call work they can: an own block's id is hashed on from a
 blake2b state over the miner's id prefix, made once per context, its
-Block is built from positional arguments on main_chain[-1], and step
+Block is built from positional arguments on the state's tip, and step
 tells each received block's action apart by identity with chain's
 shared actions. It counts them in locals and adds them to the tally
 once, in a finally, so a step that raises counts exactly what it
@@ -108,8 +108,9 @@ def depth_limit(duration: float, interval: float) -> int:
     makes one block per interval on average, so the number of blocks a
     run ever makes is Poisson with mean duration / interval. Whatever the
     mean, a run makes more than twice it plus 64 with probability below
-    1e-35, so a deeper block is forged; rejecting it bounds the
-    placeholders a switch across a gap pads the chain with.
+    1e-35, so a deeper block is forged. Rejecting it bounds the list that
+    reconstruct_chain allocates, one slot per depth, when the main chain
+    is built on a forged deep tip.
     """
     return 2 * math.ceil(duration / interval) + 64
 
@@ -182,7 +183,7 @@ def step(
     blocktime = ctx.next_time
     if blocktime is None or blocktime > min(now, duration):
         return None
-    own = draw_own_block(ctx, state.main_chain[-1], blocktime)
+    own = draw_own_block(ctx, state.tip, blocktime)
     tally.created += 1
     apply_created_block(state, own)
     ctx.next_time = None

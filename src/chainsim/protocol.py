@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from .blocks import Block
+from .simulation import MAX_EXPECTED_BLOCKS
 
 MESSAGE_TYPES = frozenset(
     {
@@ -372,10 +373,19 @@ def miner_info_from_payload(obj: dict) -> tuple[int, list[MinerRecord], float]:
 
 
 def sim_start_from_payload(obj: dict) -> tuple[float, float, float, int]:
-    """(duration, interval, time_scale, subseed) of a SIM_START; all but subseed positive."""
+    """(duration, interval, time_scale, subseed) of a SIM_START.
+
+    All but subseed are positive, and duration / interval is at most the
+    blocks a run may expect, as a SimulationConfig demands.
+    """
     positive = ("duration", "interval", "time_scale")
     _checked(obj, "SIM_START", {**dict.fromkeys(positive, _is_positive), "subseed": _is_int})
     duration, interval, time_scale = (_as_float(obj[name], "SIM_START") for name in positive)
+    if not duration / interval <= MAX_EXPECTED_BLOCKS:
+        raise ParseError(
+            f"bad SIM_START: duration {duration} at interval {interval} expects more than "
+            f"{MAX_EXPECTED_BLOCKS:g} blocks"
+        )
     return duration, interval, time_scale, obj["subseed"]
 
 

@@ -31,6 +31,12 @@ GENESIS = Block(id="g", parent_id=None, depth=0, miner_id=0, blocktime=0.0)
 
 
 def snapshot(state: LocalChainState) -> tuple:
+    """Everything a state holds: its store, its tip and its waiting index."""
+    return dict(state.block_store), state.tip, {k: list(v) for k, v in state.waiting.items()}
+
+
+def chain_and_store(state) -> tuple:
+    """What a state and the list-backed oracle state must agree on."""
     return list(state.main_chain), dict(state.block_store)
 
 
@@ -211,12 +217,40 @@ def test_invariants_demand_exactly_one_genesis_in_store():
         verify_state_invariants(state)
 
 
-def test_invariants_demand_placeholders_at_the_bottom():
-    chain = build_line(3)
-    state = fresh_state(chain)
-    state.main_chain = [chain[0], chain[1], make_placeholder("b2", 2), chain[3]]
-    with pytest.raises(StructuralError):
+def forge_skewed_parent(state: LocalChainState, line: list[Block]) -> None:
+    state.block_store["w4"] = Block(id="w4", parent_id="b1", depth=4, miner_id=2, blocktime=4.0)
+
+
+def forge_missing_waiting_entry(state: LocalChainState, line: list[Block]) -> None:
+    state.block_store["o3"] = Block(id="o3", parent_id="o2", depth=3, miner_id=2, blocktime=3.0)
+
+
+def forge_extra_waiting_entry(state: LocalChainState, line: list[Block]) -> None:
+    state.waiting["b2"] = [line[3]]
+
+
+def forge_unstored_tip(state: LocalChainState, line: list[Block]) -> None:
+    state.tip = mk("t6", line[5], miner=2)
+
+
+def forge_shallow_tip(state: LocalChainState, line: list[Block]) -> None:
+    state.tip = line[4]
+
+
+def test_invariants_refuse_a_forged_store_tip_or_waiting():
+    line = build_line(5)
+    for forge, message in (
+        (forge_skewed_parent, "w4 at depth 4 names parent b1 at depth 1"),
+        (forge_missing_waiting_entry, "waiting must list exactly"),
+        (forge_extra_waiting_entry, "waiting must list exactly"),
+        (forge_unstored_tip, "tip t6 is not stored"),
+        (forge_shallow_tip, "b5 is deeper than the tip"),
+    ):
+        state = fresh_state(line)
         verify_state_invariants(state)
+        forge(state, line)
+        with pytest.raises(StructuralError, match=message):
+            verify_state_invariants(state)
 
 
 @pytest.mark.parametrize(
@@ -227,8 +261,12 @@ def test_invariants_demand_placeholders_at_the_bottom():
         Block(id="deep", parent_id="x5", depth=7, miner_id=2, blocktime=7.0),  # child of tip
         Block(id="sw", parent_id="b1", depth=6, miner_id=2, blocktime=6.0),  # b1 is depth 1
         Block(id="fill", parent_id="b1", depth=4, miner_id=2, blocktime=4.0),  # fills x4
+        Block(id="loop", parent_id="loop", depth=6, miner_id=2, blocktime=6.0),  # names itself
     ],
-    ids=["placeholder", "conflicting-id", "tip-child-depth", "branch-depth", "fill-depth"],
+    ids=[
+        "placeholder", "conflicting-id", "tip-child-depth", "branch-depth", "fill-depth",
+        "self-parent",
+    ],
 )
 def test_rejected_block_leaves_state_unchanged(bad):
     chain = build_line(3)
@@ -241,31 +279,6 @@ def test_rejected_block_leaves_state_unchanged(bad):
         apply_received_block(state, bad)
     assert snapshot(state) == before
     verify_state_invariants(state)
-
-
-def test_switch_splices_in_place_and_keeps_the_shared_prefix():
-    ours = build_line(6, prefix="a", miner=1)
-    state = fresh_state(ours)
-    fork = [ours[3]]
-    for i in range(4, 8):
-        fork.append(mk(f"f{i}", fork[-1], miner=2))
-    for blk in fork[1:-1]:
-        apply_received_block(state, blk)
-    chain = state.main_chain
-    action = apply_received_block(state, fork[-1])
-    assert action.kind is ActionKind.SWITCHED_CHAIN
-    assert state.main_chain is chain  # no gap opened: the same list, cut and extended
-    assert all(a is b for a, b in zip(state.main_chain[:4], ours[:4]))
-    assert state.main_chain[4:] == fork[1:]
-    assert set(state.block_store) == {b.id for b in ours + fork}
-    verify_state_invariants(state)
-
-
-def test_invariants_refuse_below_gap_aliasing_the_main_chain():
-    state = fresh_state(build_line(3))
-    state.below_gap = state.main_chain
-    with pytest.raises(StructuralError, match="apart from the main chain"):
-        verify_state_invariants(state)
 
 
 def test_received_block_fills_main_chain_placeholder():
@@ -360,18 +373,48 @@ def test_invariants_reject_a_stored_block_left_off_its_placeholder():
         verify_state_invariants(state)
 
 
-def test_late_parent_at_the_wrong_depth_is_left_as_an_uncle():
+def test_a_tip_child_that_a_stored_block_waits_on_at_the_wrong_depth_is_refused():
+    chain = build_line(5)
+    waiter = Block(id="w3", parent_id="c6", depth=3, miner_id=2, blocktime=3.0)
+    child = mk("c6", chain[5], miner=1)
+    for apply in (apply_created_block, apply_received_block):
+        state = fresh_state(chain)
+        apply_received_block(state, waiter)  # an uncle waiting on c6
+        before = snapshot(state)
+        with pytest.raises(StructuralError, match="parent c6 at depth 6, expected 2"):
+            apply(state, child)
+        assert snapshot(state) == before
+        verify_state_invariants(state)
+
+
+def test_late_parent_at_the_wrong_depth_is_refused():
+    chain = build_line(5)
+    child = Block(id="B", parent_id="X", depth=10, miner_id=3, blocktime=10.0)
+    parent = Block(id="X", parent_id="b2", depth=3, miner_id=3, blocktime=3.0)
+    for first, second in ((child, parent), (parent, child)):
+        state = fresh_state(chain)
+        apply_received_block(state, first)  # a switch across a gap, or an uncle
+        before = snapshot(state)
+        with pytest.raises(StructuralError, match="parent X at depth 3, expected 9"):
+            apply_received_block(state, second)
+        assert snapshot(state) == before
+        verify_state_invariants(state)
+        if first is child:
+            assert state.main_chain[9] == make_placeholder("X", 9)
+            assert finalize_state(state) == 9
+            assert snapshot(state) == before  # finalize only counts
+        else:
+            assert state.main_chain == chain and finalize_state(state) == 0
+
+
+def test_a_gap_off_the_main_chain_counts_no_placeholder():
     chain = build_line(5)
     state = fresh_state(chain)
-    forged = Block(id="B", parent_id="X", depth=10, miner_id=3, blocktime=10.0)
-    apply_received_block(state, forged)  # switch across a gap: placeholder X at depth 9
-    late = Block(id="X", parent_id="b2", depth=3, miner_id=3, blocktime=3.0)
-    action = apply_received_block(state, late)
-    assert action.kind is ActionKind.UNCLED
-    assert state.main_chain[9] == make_placeholder("X", 9)
-    before = snapshot(state)
-    assert finalize_state(state) == 9
-    assert snapshot(state) == before  # finalize only counts
+    side = Block(id="s4", parent_id="s3", depth=4, miner_id=2, blocktime=4.0)
+    assert apply_received_block(state, side).kind is ActionKind.UNCLED
+    assert state.waiting == {"s3": [side]}  # so finalize walks the main chain
+    assert finalize_state(state) == 0
+    assert state.main_chain == chain
     verify_state_invariants(state)
 
 
@@ -492,20 +535,34 @@ def test_reconstruct_then_fill_round_trip_identity():
 
 
 # differential test against the switch and fill path the chain core had
-# before switches spliced at the fork point: rebuild the whole chain with
-# reconstruct_chain, refill the whole chain with fill_empty_blocks
+# before a state was a store and a tip: a main chain held as a list, rebuilt
+# whole with reconstruct_chain on a switch, refilled whole with
+# fill_empty_blocks when a missing block arrives
 
 
-def oracle_fill(state: LocalChainState) -> int:
+class OracleState:
+    """The reference state: the main chain as a list, and the store."""
+
+    def __init__(self, chain: list[Block]):
+        self.main_chain = list(chain)
+        self.block_store = {b.id: b for b in chain}
+
+    @property
+    def tip(self) -> Block:
+        return self.main_chain[-1]
+
+
+def oracle_fill(state: OracleState) -> int:
     state.main_chain, remaining = fill_empty_blocks(state.main_chain, state.block_store)
     return remaining
 
 
-def oracle_receive(state: LocalChainState, block: Block) -> ActionKind:
+def oracle_receive(state: OracleState, block: Block) -> ActionKind:
     """The update rule as written before the append was decided first.
 
-    Its checks come in their old order, each with its old error, and a
-    refused block changes nothing.
+    Its checks come in their old order, each with its old error, but for
+    a child of the tip at the wrong depth, which takes the parent-depth
+    message; a refused block changes nothing.
     """
     if block.is_empty:
         raise StructuralError("received placeholders are not valid blocks")
@@ -525,7 +582,9 @@ def oracle_receive(state: LocalChainState, block: Block) -> ActionKind:
         return ActionKind.UNCLED
     if block.parent_id == tip.id:
         if block.depth != tip.depth + 1:
-            raise StructuralError("child of tip must sit exactly one deeper")
+            raise StructuralError(
+                f"parent {tip.id} at depth {tip.depth}, expected {block.depth - 1}"
+            )
         state.block_store[block.id] = block
         state.main_chain.append(block)
         return ActionKind.APPENDED_RECEIVED
@@ -590,20 +649,12 @@ def counted_state() -> LocalChainState:
     return state
 
 
-def checked_delivery(
-    state: LocalChainState, oracle: LocalChainState, blk: Block
-) -> tuple[ActionKind, bool]:
-    """Deliver blk to both states and check they agree.
+def checked_delivery(state: LocalChainState, oracle: OracleState, blk: Block) -> ActionKind | None:
+    """Deliver blk to both states, check they agree, and return the action kind.
 
-    Returns the action kind and whether the block closed a gap by splicing
-    onto below_gap: the gap was open, the new main chain has none, and
-    the walk took fewer parent links than a walk down to genesis would.
-    A delivery that leaves the gap open must leave the held list as it was.
     A block the oracle refuses must be refused with the same error and
-    message, and change nothing; that returns (None, False).
+    message, and change nothing; that returns None.
     """
-    kept, lookups = state.below_gap, state.block_store.lookups
-    held = None if kept is None else list(kept)
     before = snapshot(state)
     try:
         want = oracle_receive(oracle, blk)
@@ -611,32 +662,23 @@ def checked_delivery(
         with pytest.raises(ValueError) as refused:
             apply_received_block(state, blk)
         assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
-        assert snapshot(state) == before == snapshot(oracle)
-        assert state.below_gap is kept and kept == held
+        assert snapshot(state) == before
+        assert chain_and_store(state) == chain_and_store(oracle)
         verify_state_invariants(state)
-        return None, False
+        return None
     action = apply_received_block(state, blk)
-    # less the id check's lookup; an append takes none, but splices nothing either
-    walked = state.block_store.lookups - lookups - 1
     assert action.kind is want
-    assert snapshot(state) == snapshot(oracle)
+    assert chain_and_store(state) == chain_and_store(oracle)
     verify_state_invariants(state)
-    if kept is not None and state.below_gap is not None:
-        assert state.below_gap is kept and kept == held
-    spliced = kept is not None and state.below_gap is None and walked < blk.depth
-    if spliced:
-        fork = blk.depth - walked
-        assert state.main_chain[: fork + 1] == held[: fork + 1]
-    return action.kind, spliced
+    return action.kind
 
 
-def differential_run(rng: random.Random, blocks: list[Block]) -> tuple[int, int, int]:
+def differential_run(rng: random.Random, blocks: list[Block]) -> tuple[int, int]:
     """Deliver blocks out of order, some withheld until after a finalize.
 
     Half the time the order is a full shuffle, otherwise blocktime order
     under a random delivery delay. Returns how many switches there were,
-    how many of them met a missing ancestor, and how many deliveries
-    closed a gap by splicing onto below_gap.
+    and how many of them met a missing ancestor.
     """
     order = blocks[1:]
     if rng.random() < 0.5:
@@ -645,40 +687,37 @@ def differential_run(rng: random.Random, blocks: list[Block]) -> tuple[int, int,
         order.sort(key=lambda b: b.blocktime + rng.uniform(0.0, 1.5))
     withheld = [b for b in order if rng.random() < 0.2]
     first = [b for b in order if b not in withheld]
-    state, oracle = counted_state(), LocalChainState(GENESIS)
-    switches = gaps = kept_splices = refused = 0
+    state, oracle = counted_state(), OracleState([GENESIS])
+    switches = gaps = refused = 0
     for batch in (first, withheld):
         for blk in batch:
             # a block the rule refuses before each one it takes, every kind in turn
-            assert checked_delivery(state, oracle, rule_breaker(state, refused)) == (None, False)
+            assert checked_delivery(state, oracle, rule_breaker(state, refused)) is None
             refused += 1
             old = state.main_chain
-            kind, spliced = checked_delivery(state, oracle, blk)
-            kept_splices += spliced
-            if kind is ActionKind.SWITCHED_CHAIN:
-                # the branch sits right on a placeholder: its walk hit a gap
-                h = sum(b.is_empty for b in state.main_chain)
+            if checked_delivery(state, oracle, blk) is ActionKind.SWITCHED_CHAIN:
+                # the branch sits right on a placeholder: it met a missing ancestor
+                new = state.main_chain
+                h = sum(b.is_empty for b in new)
                 switches += 1
-                gaps += h > 0 and (h + 1 >= len(old) or old[h + 1] is not state.main_chain[h + 1])
+                gaps += h > 0 and (h + 1 >= len(old) or old[h + 1] is not new[h + 1])
         assert finalize_state(state) == oracle_fill(oracle)
-        assert snapshot(state) == snapshot(oracle)
+        assert chain_and_store(state) == chain_and_store(oracle)
     assert state.main_chain == brute_force_deepest(state.block_store)
-    assert state.below_gap is None
-    return switches, gaps, kept_splices
+    assert not state.waiting
+    return switches, gaps
 
 
 def test_fork_point_splice_matches_full_rebuild_oracle():
     rng = random.Random(20261018)
-    switches = gaps = kept_splices = 0
+    switches = gaps = 0
     for trial in range(300):
         recent = (0, 2, 3, 6)[trial % 4]
         blocks = random_dag(rng, rng.randint(1, 80), miners=4, unique_deepest=True, recent=recent)
-        s, g, k = differential_run(rng, blocks)
+        s, g = differential_run(rng, blocks)
         switches += s
         gaps += g
-        kept_splices += k
-    assert gaps > 500 and switches - gaps > 200  # both the gap and the splice path
-    assert kept_splices > 100  # and gaps closed at the chain they replaced
+    assert gaps > 500 and switches - gaps > 200  # both the gap and the gapless path
 
 
 @pytest.mark.parametrize("second_on_first", [True, False], ids=["stacked", "side-by-side"])
@@ -692,72 +731,58 @@ def test_chained_gaps_close_at_the_chain_the_first_gap_replaced(second_on_first,
     for d in range(c[0].depth + 1, 9):
         c.append(mk(f"c{d}", c[-1], miner=3))
     first_gap, second_gap = b[4], c[-2]
-    state, oracle = counted_state(), LocalChainState(GENESIS)
+    state, oracle = counted_state(), OracleState(ours)
     for blk in ours[1:]:
         apply_created_block(state, blk)
-        apply_created_block(oracle, blk)
     for blk in b[1:4]:
         checked_delivery(state, oracle, blk)
-    assert checked_delivery(state, oracle, b[5])[0] is ActionKind.SWITCHED_CHAIN  # gap at b5
-    assert state.below_gap == ours
-    kept = state.below_gap
+    assert checked_delivery(state, oracle, b[5]) is ActionKind.SWITCHED_CHAIN  # gap at b5
     for blk in c[1:-2]:  # no deeper than b6: uncles
         checked_delivery(state, oracle, blk)
-    assert checked_delivery(state, oracle, c[-1])[0] is ActionKind.SWITCHED_CHAIN  # gap at c7
+    assert checked_delivery(state, oracle, c[-1]) is ActionKind.SWITCHED_CHAIN  # gap at c7
     assert state.main_chain[second_gap.depth] == make_placeholder(second_gap.id, second_gap.depth)
-    assert state.below_gap is kept  # a second gap keeps the chain the first one replaced
     fills = [first_gap, second_gap] if first_fill_first else [second_gap, first_gap]
-    spliced = [checked_delivery(state, oracle, blk)[1] for blk in fills]
+    for blk in fills:
+        checked_delivery(state, oracle, blk)
     assert state.main_chain == brute_force_deepest(state.block_store)
-    assert state.below_gap is None
-    assert spliced.count(True) == 1  # the gap closed onto kept, not by a walk to genesis
+    assert finalize_state(state) == 0 and not state.waiting
 
 
-class NoCopyList(list):
-    """A main chain that fails the test if anything copies it."""
+def fork_costs(n: int, k: int = 10) -> list[tuple[ActionKind, int]]:
+    """Kind and store lookups of a switch, a gap-opening switch and its fill.
 
-    def __getitem__(self, index):
-        assert not isinstance(index, slice), "the main chain was copied"
-        return super().__getitem__(index)
-
-    def __add__(self, other):
-        raise AssertionError("the main chain was copied")
-
-
-def deep_counted_state(n: int) -> tuple[LocalChainState, list[Block]]:
-    """A counted state on an n-block line whose main chain may not be copied."""
+    The state is an n-block line. The switch goes to a k-block branch that
+    forks below its tip; the gap-opening switch then skips a block above
+    that branch, and the fill brings it.
+    """
     line = build_line(n)
     state = counted_state()
     for blk in line[1:]:
         apply_created_block(state, blk)
-    state.main_chain = NoCopyList(state.main_chain)
-    state.block_store.lookups = 0
-    return state, line
-
-
-def test_switch_and_gap_fill_cost_the_fork_not_the_chain_depth():
-    n, k = 20_000, 10
-    state, line = deep_counted_state(n)
     branch = [line[n - k + 1]]  # the fork point: the branch sits one deeper than the tip
     for _ in range(k):
         branch.append(mk(f"f{branch[-1].depth + 1}", branch[-1], miner=2))
     branch = branch[1:]
     for blk in branch[:-1]:  # no deeper than the tip: uncles
         apply_received_block(state, blk)
-    chain, lookups = state.main_chain, state.block_store.lookups
-    assert apply_received_block(state, branch[-1]).kind is ActionKind.SWITCHED_CHAIN
-    assert state.block_store.lookups - lookups == k + 1  # the id check, then k parent links
-    assert state.main_chain is chain
-    assert state.main_chain == line[: n - k + 2] + branch
-
-    state, line = deep_counted_state(n)
-    missing = mk("m", line[n - 1], miner=2)
+    missing = mk("m", branch[-1], miner=2)
     top = mk("x", missing, miner=2)
-    kept = state.main_chain
-    assert apply_received_block(state, top).kind is ActionKind.SWITCHED_CHAIN  # opens a gap
-    assert state.below_gap is kept and state.main_chain[n] == make_placeholder("m", n)
-    lookups = state.block_store.lookups
-    apply_received_block(state, missing)  # fills the gap at its fork on below_gap
-    assert state.block_store.lookups - lookups == 2  # the id check, then one parent link
-    assert state.main_chain is kept and state.below_gap is None
-    assert state.main_chain == line[:n] + [missing, top]
+    costs = []
+    for blk in (branch[-1], top, missing):
+        lookups = state.block_store.lookups
+        kind = apply_received_block(state, blk).kind
+        costs.append((kind, state.block_store.lookups - lookups))
+        if blk is top:
+            assert state.main_chain[missing.depth] == make_placeholder("m", missing.depth)
+    chain = state.main_chain
+    assert all(a is b for a, b in zip(chain, line[: n - k + 2]))  # the shared prefix
+    assert chain[n - k + 2 :] == branch + [missing, top]
+    assert set(state.block_store) == {b.id for b in line + branch + [missing, top]}
+    verify_state_invariants(state)
+    return costs
+
+
+def test_switch_and_gap_fill_cost_the_fork_not_the_chain_depth():
+    # the id check, then the parent link: no walk, so the chain depth costs nothing
+    want = [(ActionKind.SWITCHED_CHAIN, 2), (ActionKind.SWITCHED_CHAIN, 2), (ActionKind.UNCLED, 2)]
+    assert fork_costs(20) == fork_costs(20_000) == want

@@ -20,11 +20,10 @@ from hypothesis import strategies as st
 import chainsim.chain as chain
 import chainsim.engine as engine
 import chainsim.mining as mining
-from chainsim.blocks import UNKNOWN_ID
 from chainsim.chain import verify_state_invariants
 from chainsim.engine import run_logical
 from chainsim.mining import step
-from chainsim.simulation import SimulationConfig, resolve_hashpowers, slot_seed
+from chainsim.simulation import SimulationConfig, create_genesis, resolve_hashpowers, slot_seed
 from chainsim.timing import DEFAULT_DELAY_RANGE
 
 TABLE_POWERS = [17.0, 15.8, 12.9, 11.0, 6.6, 6.3, 30.4]
@@ -398,20 +397,23 @@ def test_benchmark_depth_matches_the_per_arrival_loop(monkeypatch):
     # logical-deep's shape: 7 Table-2 miners over 150 000 s, about 12k
     # blocks deep, where hundreds of switches and dozens of gaps happen;
     # the cases above stop at 3000 s and a few dozen switches
-    gaps = collections.Counter()
-    make_placeholder = chain.make_placeholder
+    gaps = 0
+    apply_received_block = mining.apply_received_block
 
-    def counting(block_id, depth):
-        gaps[block_id != UNKNOWN_ID] += 1  # a known id tops a gap a switch opened
-        return make_placeholder(block_id, depth)
+    def counting(state, block):
+        nonlocal gaps
+        action = apply_received_block(state, block)
+        # a switch to a block that waits on its parent opens a gap
+        gaps += action is chain.SWITCHED_CHAIN and block.parent_id in state.waiting
+        return action
 
-    monkeypatch.setattr(chain, "make_placeholder", counting)
+    monkeypatch.setattr(mining, "apply_received_block", counting)
     got = assert_matches_per_arrival_loop(
         monkeypatch, config(1, duration=150_000.0), TABLE_POWERS, DEFAULT_DELAY_RANGE
     )
     assert len(got.final_chain) > 11_000
     assert sum(t.switches for t in got.tallies) > 400
-    assert gaps[True] > 2 * 60  # both runs open them
+    assert gaps > 2 * 60  # both runs open them
 
 
 def test_run_shorter_than_the_first_blocktime_matches_the_per_arrival_loop(monkeypatch):
@@ -419,7 +421,7 @@ def test_run_shorter_than_the_first_blocktime_matches_the_per_arrival_loop(monke
         monkeypatch, config(3, duration=0.01), TABLE_POWERS, DEFAULT_DELAY_RANGE
     )
     assert sum(t.created for t in result.tallies) == 0
-    assert result.report["final_chain_ids"] == [result.states[0].genesis.id]
+    assert result.report["final_chain_ids"] == [create_genesis().id]
 
 
 def test_arrival_exactly_at_the_duration_is_applied_and_one_after_it_dropped(monkeypatch):

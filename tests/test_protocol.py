@@ -425,6 +425,7 @@ GOOD_ADMIN_PAYLOADS = {
         (miner_info_from_payload, "total_hashpower", 10**400),
         (miner_info_from_payload, "total_hashpower", [1]),
         (sim_start_from_payload, "duration", 0),
+        (sim_start_from_payload, "duration", 1e300),
         (sim_start_from_payload, "interval", 10**400),
         (sim_start_from_payload, "time_scale", float("inf")),
         (sim_start_from_payload, "subseed", False),
