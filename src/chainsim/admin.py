@@ -1,9 +1,10 @@
 """Admin server: registration rendezvous, bootstrap, and final consensus.
 
 The admin never mines, never relays blocks and never times the run. It
-brings the network up (ids, roster, clock parameters, genesis), collects
-the tip each miner sends when its own clock ends the run, then runs the
-cheap consensus: one full chain out of the winner, one result broadcast.
+brings the network up (ids, roster, clock parameters and the clock's
+shared origin, genesis), collects the tip each miner sends when its copy
+of the shared clock ends the run, then runs the cheap consensus: one
+full chain out of the winner, one result broadcast.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ class AdminServer:
     def _bootstrap(self) -> None:
         roster = [conn.record for conn in self._conns]
         total = sum(record.hashpower for record in roster)
+        # sim-time 0 for every miner: one instant, taken once, on the host's Unix clock
+        start_at = time.time()
         for conn in self._conns:
             mid = conn.record.miner_id
             try:
@@ -197,13 +200,14 @@ class AdminServer:
                         self.config.interval,
                         self.config.time_scale,
                         subseed_for(self.config.seed, mid),
+                        start_at,
                     )
                 )
                 conn.send(msg_genesis(self.genesis))
             except OSError as exc:
                 self._drop(conn, exc)
 
-    # phase 3: the miners mine; each sends LAST_BLOCK when its own clock ends
+    # phase 3: the miners mine; each sends LAST_BLOCK when its clock ends the run
 
     def _mining_wait(self) -> dict[MinerConn, WireMessage]:
         """Each live miner's LAST_BLOCK, waited for only in select until all are in
@@ -272,7 +276,7 @@ class AdminServer:
         return self._report(chain, winner_id, None)
 
     def _drop(self, conn: MinerConn, exc: Exception) -> None:
-        # the run is lost, but the others still mine to the end of their own clocks
+        # the run is lost, but the others still mine to the end of the run
         log.warning("dropping %s: %s", conn.label, exc)
         conn.close()
 

@@ -7,11 +7,12 @@ built and none moved by a received block, and time jumps from one to
 the next. A step returns the own block it releases, and the engine
 broadcasts it: the block joins each receiver's inbox, due U(lo, hi)
 sim-seconds after its blocktime, drawn per (block, receiver) pair, so
-blocks may overtake each other; the live miner draws the same delay
-from its receipt. The fan-out walks the sender's list of the other
-inboxes' append methods, made once per run, and one queue seq serves
-every delivery of a broadcast: each receiver gets one, so seqs stay
-unique within an inbox. An empty inbox is not sorted.
+blocks may overtake each other; the live miner draws the same delay,
+also from the blocktime, on the one clock its run's miners share. The
+fan-out walks the sender's list of the other inboxes' append methods,
+made once per run, and one queue seq serves every delivery of a
+broadcast: each receiver gets one, so seqs stay unique within an inbox.
+An empty inbox is not sorted.
 Mining is memoryless, so a miner's state matters only when its own block
 falls due and when the run ends: there one step applies every held block
 due before, in (time, queue order); blocks due after the duration are

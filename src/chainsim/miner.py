@@ -1,20 +1,27 @@
 """Miner process: registration, peer mesh, mining loop, consensus.
 
 A miner runs on one thread. It dials every peer once, after bootstrap
-and before mining. During mining a single selectors loop waits only in
-select, until the next own blocktime, the end of the run on its own
-clock, or a readable socket. Each BLOCK read off a peer joins the inbox,
-due U(lo, hi) sim-seconds after its receipt on the miner's own clock, as
-the engine draws per (block, receiver); the order is the engine's, from
-mining.take_due and mining.step. Own blocks go to every peer at once,
-without blocking: a peer that cannot be dialed, or cannot take a whole
-frame, loses its link for the rest of the run, never the miner's time. A
-peer whose frame is corrupt, or whose block breaks the chain rules, loses
-its connection; the miner mines on.
+and before mining. Its clock starts at the admin's start_at, the one
+origin every miner of the run shares. Each BLOCK a peer sends falls due
+U(lo, hi) sim-seconds after its blocktime on that clock, as the engine
+draws per (block, receiver), so when the frame is read does not change
+when it is due. Mining is memoryless, so the miner's state matters only
+when its own block falls due and when the run ends: only there does it
+drain every peer connection, without blocking, and step, in the
+engine's order, from mining.take_due and mining.step. Between steps a
+single selectors loop waits only in select: for the next own blocktime,
+the end of the run, the admin, or a peer whose unread bytes reach
+netio's low-water mark or which closes. Own blocks go to every peer at
+once, without blocking: a peer that cannot be dialed, or cannot take a
+whole frame, loses its link for the rest of the run, never the miner's
+time. A peer whose frame is corrupt, or whose block breaks the chain
+rules, loses its connection; the miner mines on. A step that applies a
+block due before the miner's previous step counts it as a late frame.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -22,11 +29,12 @@ import random
 import selectors
 import socket
 import time
+from collections.abc import Callable
 
 from .blocks import Block
 from .chain import LocalChainState, finalize_state, validate_chain
 from .mining import MiningContext, step, take_due
-from .netio import BufferedConn, ConnectionClosed, listener
+from .netio import BufferedConn, ConnectionClosed, LazyConn, listener
 from .protocol import (
     MinerRecord,
     ProtocolError,
@@ -63,7 +71,7 @@ class PeerLink:
     once and the send never blocks. A failed dial, or a send that fails or
     that the socket cannot take whole, costs that peer every later frame of
     the run. A broken pipe or a reset means the peer closed its end, as a
-    peer does once its own clock has ended the run: that is logged at INFO,
+    peer does once its clock has ended the run: that is logged at INFO,
     every other failure at WARNING.
     """
 
@@ -161,8 +169,12 @@ class MinerNode:
             peers = [r for r in records if r.miner_id != my_id]
 
             start = expect(admin, "SIM_START", CONNECT_TIMEOUT)
-            duration, interval, time_scale, subseed = sim_start_from_payload(start.payload)
-            clock = SimulationClock(time_scale=time_scale)
+            wall, mono = time.time(), time.monotonic()
+            duration, interval, time_scale, subseed, start_at = sim_start_from_payload(
+                start.payload, wall, CONNECT_TIMEOUT
+            )
+            # the admin's Unix instant for sim-time 0, moved once onto the monotonic clock
+            clock = SimulationClock(time_scale, mono - (wall - start_at))
 
             genesis_msg = expect(admin, "GENESIS", CONNECT_TIMEOUT)
             state = LocalChainState(block_from_payload(genesis_msg.payload.get("block")))
@@ -177,8 +189,8 @@ class MinerNode:
             links = [PeerLink(peer) for peer in peers]
             # delays get a stream of their own: blocktimes never depend on what is heard
             delays = random.Random(f"delay:{subseed}")
-            self._mine(ctx, state, clock, duration, admin, listen_sock, links, delays)
-            return self._consensus(ctx, state, admin, my_id, port)
+            late = self._mine(ctx, state, clock, duration, admin, listen_sock, links, delays)
+            return {**self._consensus(ctx, state, admin, my_id, port), **late}
         finally:
             listen_sock.close()
             for link in links:
@@ -196,24 +208,47 @@ class MinerNode:
         listen_sock: socket.socket,
         links: list[PeerLink],
         delays: random.Random,
-    ) -> None:
-        """Mining loop: runs until the miner's own clock reaches the duration.
+    ) -> dict:
+        """Mining loop: runs until the shared clock reaches the duration.
 
         Blocks due after the duration are never applied, as in the engine,
         and own blocks built once the clock has passed it are not sent.
+        Returns the late frames: how many blocks a step applied although
+        they fell due before the previous step, and the most any one fell
+        due before it, in sim-seconds.
         """
         lo, hi = self.delay_range
         next_seq = itertools.count().__next__
         # (due, seq, block, sender) for each block read and not yet applied
-        inbox: list[tuple[float, int, Block, BufferedConn]] = []
+        inbox: list[tuple[float, int, Block, LazyConn]] = []
+        peers: list[LazyConn] = []
         sel = selectors.DefaultSelector()
         sel.register(listen_sock, selectors.EVENT_READ)
         # a dead admin still ends the miner at once; its frames wait for _consensus
         sel.register(admin.sock, selectors.EVENT_READ, admin)
+        late_frames = 0
+        max_lateness = 0.0
+        previous = 0.0  # the instant of the last step
+
+        def drop(conn: LazyConn) -> None:
+            sel.unregister(conn.sock)
+            conn.close()
+            peers.remove(conn)
+
+        def read(conn: LazyConn) -> None:
+            for block in _read_peer(conn, drop):
+                inbox.append((block.blocktime + delays.uniform(lo, hi), next_seq(), block, conn))
 
         def step_until(now: float, until: tuple) -> Block | None:
-            """One step at now, on the held blocks that sort before until."""
+            """One step at now, on every peer's frames and the held blocks that sort before until."""
+            nonlocal late_frames, max_lateness, previous
+            for conn in peers[:]:
+                read(conn)
             taken = take_due(inbox, until)
+            if taken and taken[0][0] < previous:  # sorted: the late ones lead
+                late_frames += bisect.bisect_left(taken, (previous,))
+                max_lateness = max(max_lateness, previous - taken[0][0])
+            previous = now
 
             def reject(block: Block, exc: ValueError) -> None:
                 # by identity: a conflicting duplicate shares its id with another peer's block
@@ -221,26 +256,25 @@ class MinerNode:
                 log.warning(
                     "dropping peer connection: block %s breaks the chain rules: %s", block.id, exc
                 )
-                if conn.sock.fileno() >= 0:  # not closed already, by its EOF or a reject
-                    _drop_peer(sel, conn)
+                if conn in peers:  # not dropped already, by its EOF or a reject
+                    drop(conn)
 
             return step(ctx, state, [b for _, _, b, _ in taken], now, duration, reject)
 
         timeout = 0.0
         try:
             while True:
-                events = sel.select(timeout)
-                now = clock.now()
-                for key, _ in events:
+                for key, _ in sel.select(timeout):
                     if key.fileobj is listen_sock:
                         sock, _addr = listen_sock.accept()
-                        sel.register(sock, selectors.EVENT_READ, BufferedConn(sock))
+                        conn = LazyConn(sock)
+                        sel.register(sock, selectors.EVENT_READ, conn)
+                        peers.append(conn)
                     elif key.data is admin:
                         admin.pump()
-                    else:
-                        for block in _read_peer(sel, key.data):
-                            due = now + delays.uniform(lo, hi)
-                            inbox.append((due, next_seq(), block, key.data))
+                    else:  # its unread bytes reached the low-water mark, or it closed
+                        read(key.data)
+                now = clock.now()
                 horizon = min(now, duration)
                 while ctx.next_time is not None and ctx.next_time <= horizon:
                     own = step_until(ctx.next_time, (ctx.next_time,))
@@ -248,15 +282,14 @@ class MinerNode:
                         frame = encode(msg_block(own))
                         for link in links:
                             link.send(frame)
-                step_until(horizon, (horizon, math.inf))
                 if now >= duration:
-                    return
+                    step_until(duration, (duration, math.inf))
+                    return {"late_frames": late_frames, "max_lateness": max_lateness}
                 wake = duration if ctx.next_time is None else min(ctx.next_time, duration)
                 timeout = max(0.0, clock.start_instant + wake / clock.time_scale - time.monotonic())
         finally:
-            for key in list(sel.get_map().values()):
-                if key.data is not None and key.data is not admin:
-                    key.data.close()
+            for conn in peers:
+                conn.close()
             sel.close()
 
     def _consensus(
@@ -305,25 +338,25 @@ class MinerNode:
         }
 
 
-def _read_peer(sel: selectors.BaseSelector, conn: BufferedConn) -> list[Block]:
-    """One peer's BLOCK frames read so far; a closed or corrupt stream costs only that peer."""
+def _read_peer(conn: LazyConn, drop: Callable[[LazyConn], None]) -> list[Block]:
+    """The BLOCK frames one peer has sent so far, read without blocking.
+
+    A closed or corrupt stream costs only that peer, which drop is told
+    of, after the blocks read before it.
+    """
     blocks: list[Block] = []
     try:
-        conn.pump()
-        while conn.inbox:
-            msg = conn.inbox.popleft()
-            if msg.type == "BLOCK":
-                blocks.append(block_from_payload(msg.payload.get("block")))
-            else:
-                log.warning("protocol violation: %s frame on a peer connection", msg.type)
+        try:
+            conn.drain()
+        finally:
+            while conn.inbox:
+                msg = conn.inbox.popleft()
+                if msg.type == "BLOCK":
+                    blocks.append(block_from_payload(msg.payload.get("block")))
+                else:
+                    log.warning("protocol violation: %s frame on a peer connection", msg.type)
     except (OSError, ProtocolError) as exc:
         if not isinstance(exc, ConnectionClosed):
             log.warning("dropping peer connection: %s", exc)
-        _drop_peer(sel, conn)
+        drop(conn)
     return blocks
-
-
-def _drop_peer(sel: selectors.BaseSelector, conn: BufferedConn) -> None:
-    sel.unregister(conn.sock)
-    conn.close()
-

@@ -7,7 +7,11 @@ and it alone sets the socket's mode: blocking, with IO_TIMEOUT bounding
 each send. It reads only once select has reported the socket readable:
 callers either wait on it for the next message (request/response
 phases), or select over connections themselves and pump each readable
-one (the admin's registration and mining phases, the miner loop).
+one (the admin's registration and mining phases, the miner's admin).
+LazyConn is the one exception, a connection that is only read, and in
+bulk: a peer's BLOCK stream, which the miner drains without blocking
+when its own step needs it. Its socket is non-blocking, and select
+reports it readable only once LOW_WATER bytes wait in it, or at EOF.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from collections import deque
 from .protocol import FrameReader, WireMessage, encode
 
 IO_TIMEOUT = 30.0  # wall seconds that any one send, or one read, may block
+# SO_RCVLOWAT of a LazyConn, in bytes: about 80 BLOCK frames, an eighth of
+# loopback's 128 KiB receive buffer, so a reader that waits for it is woken
+# well before a full buffer would cut its sender's non-blocking sends
+LOW_WATER = 16 * 1024
 
 
 class ConnectionClosed(ConnectionError):
@@ -40,8 +48,10 @@ class BufferedConn:
     and next_message hands frames out one at a time.
     """
 
+    timeout = IO_TIMEOUT  # the socket's mode, set once, when the connection is built
+
     def __init__(self, sock: socket.socket):
-        sock.settimeout(IO_TIMEOUT)
+        sock.settimeout(self.timeout)
         self.sock = sock
         self.reader = FrameReader()
         self.inbox: deque[WireMessage] = deque()
@@ -77,3 +87,32 @@ class BufferedConn:
             self.sock.close()
         except OSError:
             pass
+
+
+class LazyConn(BufferedConn):
+    """A connection its owner only reads, in bulk and when it chooses.
+
+    The socket is non-blocking, because a timeout-mode recv polls before it
+    reads, and that poll waits on the low-water mark. select reports the
+    socket readable only once LOW_WATER bytes wait in it, or at its EOF.
+    """
+
+    timeout = 0.0
+
+    def __init__(self, sock: socket.socket):
+        super().__init__(sock)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVLOWAT, LOW_WATER)
+
+    def drain(self) -> None:
+        """Read every byte the socket holds now; decoded messages land in the inbox.
+
+        Raises ConnectionClosed at EOF, after the messages read before it.
+        """
+        while True:
+            try:
+                chunk = self.sock.recv(65536)
+            except BlockingIOError:
+                return
+            if not chunk:
+                raise ConnectionClosed(f"{self.label} closed its connection")
+            self.inbox.extend(self.reader.feed(chunk))

@@ -307,7 +307,7 @@ def msg_miner_info(
 
 
 def msg_sim_start(
-    duration: float, interval: float, time_scale: float, subseed: int
+    duration: float, interval: float, time_scale: float, subseed: int, start_at: float
 ) -> WireMessage:
     return WireMessage(
         "SIM_START",
@@ -316,6 +316,7 @@ def msg_sim_start(
             "interval": interval,
             "time_scale": time_scale,
             "subseed": subseed,
+            "start_at": start_at,
         },
     )
 
@@ -372,21 +373,34 @@ def miner_info_from_payload(obj: dict) -> tuple[int, list[MinerRecord], float]:
     return obj["miner_id"], roster, _as_float(obj["total_hashpower"], "MINER_INFO")
 
 
-def sim_start_from_payload(obj: dict) -> tuple[float, float, float, int]:
-    """(duration, interval, time_scale, subseed) of a SIM_START.
+def sim_start_from_payload(
+    obj: dict, now: float, slack: float
+) -> tuple[float, float, float, int, float]:
+    """(duration, interval, time_scale, subseed, start_at) of a SIM_START.
 
-    All but subseed are positive, and duration / interval is at most the
-    blocks a run may expect, as a SimulationConfig demands.
+    duration, interval and time_scale are positive, and duration / interval
+    is at most the blocks a run may expect, as a SimulationConfig demands.
+    start_at, the admin's Unix time for sim-time 0, is finite and at most
+    slack seconds from now, the receiver's Unix time: the admin takes it
+    just before it sends the bootstrap, so one further off is not this
+    run's clock.
     """
     positive = ("duration", "interval", "time_scale")
-    _checked(obj, "SIM_START", {**dict.fromkeys(positive, _is_positive), "subseed": _is_int})
+    fields = {**dict.fromkeys(positive, _is_positive), "subseed": _is_int, "start_at": _is_number}
+    _checked(obj, "SIM_START", fields)
     duration, interval, time_scale = (_as_float(obj[name], "SIM_START") for name in positive)
     if not duration / interval <= MAX_EXPECTED_BLOCKS:
         raise ParseError(
             f"bad SIM_START: duration {duration} at interval {interval} expects more than "
             f"{MAX_EXPECTED_BLOCKS:g} blocks"
         )
-    return duration, interval, time_scale, obj["subseed"]
+    start_at = _as_float(obj["start_at"], "SIM_START")
+    if not abs(start_at - now) <= slack:
+        raise ParseError(
+            f"bad SIM_START: start_at {start_at} is {start_at - now:+.3f} s from this "
+            f"host's clock, more than {slack:g} s"
+        )
+    return duration, interval, time_scale, obj["subseed"], start_at
 
 
 def consensus_result_from_payload(obj: dict) -> tuple[int, list[Block]]:

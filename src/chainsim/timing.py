@@ -32,17 +32,19 @@ class HashpowerProfile:
 
 
 class SimulationClock:
-    """Scaled wall clock: simulation seconds elapsed since construction.
+    """Scaled wall clock: simulation seconds elapsed since its origin.
 
     time_scale is sim-seconds per wall-second, so a scale of 100 packs a
-    1500 s simulation into 15 s of real time.
+    1500 s simulation into 15 s of real time. start_instant, the origin,
+    is the time.monotonic() instant of sim-time 0; a network run's miners
+    each turn the admin's one start_at into it, so they share one clock.
     """
 
-    def __init__(self, time_scale: float = 1.0, start_instant: float | None = None):
+    def __init__(self, time_scale: float, start_instant: float):
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         self.time_scale = time_scale
-        self.start_instant = time.monotonic() if start_instant is None else start_instant
+        self.start_instant = start_instant
 
     def now(self) -> float:
         return (time.monotonic() - self.start_instant) * self.time_scale

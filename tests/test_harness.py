@@ -757,8 +757,8 @@ def test_a_miner_killed_mid_run_costs_its_run_one_retry(tmp_path, monkeypatch):
 
             real_sim_start = chainsim.miner.sim_start_from_payload
 
-            def killed_on_sim_start(payload):
-                real_sim_start(payload)
+            def killed_on_sim_start(*args):
+                real_sim_start(*args)
                 os.kill(os.getpid(), signal.SIGKILL)
 
             chainsim.miner.sim_start_from_payload = killed_on_sim_start  # this child's only

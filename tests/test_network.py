@@ -17,8 +17,9 @@ from chainsim import cli
 from chainsim.admin import AdminServer, MinerConn, RegistrationTimeout
 from chainsim.blocks import Block, make_placeholder
 from chainsim.miner import MinerNode, PeerLink
-from chainsim.netio import BufferedConn
+from chainsim.netio import BufferedConn, ConnectionClosed, LazyConn
 import chainsim.admin as admin
+import chainsim.miner
 import chainsim.netio as netio
 from chainsim.protocol import (
     MinerRecord,
@@ -88,6 +89,9 @@ class ScriptedMiner(threading.Thread):
         admin_frames: tuple[bytes, ...] = (),
         quit_after: str | None = None,
         send_last_block: bool = True,
+        peer_delay: float = 0.0,
+        peer_stream: tuple[bytes, ...] = (),
+        stream_pause: float = 0.0,
     ):
         super().__init__(daemon=True)
         self.admin_port = admin_port
@@ -103,6 +107,12 @@ class ScriptedMiner(threading.Thread):
         self.admin_frames = admin_frames  # raw bytes to the admin during mining
         self.quit_after = quit_after  # "register" or "bootstrap": close the admin connection
         self.send_last_block = send_last_block
+        self.peer_delay = peer_delay  # wall seconds after bootstrap before any peer frame
+        # frames to every peer over one connection, sent as a miner sends its own
+        # blocks, stream_pause wall seconds apart
+        self.peer_stream = peer_stream
+        self.stream_pause = stream_pause
+        self.stream_cut = False  # a peer's socket could not take a whole streamed frame
         self.miner_id: int | None = None
         self.outcome: str | None = None
         self.got_chain_request = False
@@ -127,12 +137,15 @@ class ScriptedMiner(threading.Thread):
             assert msg.type == want, f"expected {want}, got {msg.type}"
         if self.quit_after == "bootstrap":
             return
+        time.sleep(self.peer_delay)
         for peer in roster:
             if peer["miner_id"] == self.miner_id:
                 continue
             for frame in self.peer_frames:
                 with socket.create_connection((peer["ip"], peer["port"]), timeout=5) as out:
                     out.sendall(frame)
+            if self.peer_stream:
+                self._stream((peer["ip"], peer["port"]))
         for blk in self.blocks_during_mining:
             conn.send(msg_block(blk))
         for raw in self.admin_frames:
@@ -153,6 +166,26 @@ class ScriptedMiner(threading.Thread):
             elif msg.type in ("CONSENSUS_RESULT", "DISCARD"):
                 self.outcome = msg.type
                 break
+
+    def _stream(self, address: tuple[str, int]) -> None:
+        """peer_stream to one peer as PeerLink sends: without blocking, so a
+        frame the socket cannot take whole cuts the stream. The send buffer
+        is pinned at 16 KiB, so a long stream lasts only while the receiver
+        reads."""
+        with socket.socket() as out:
+            out.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+            out.settimeout(5)
+            out.connect(address)
+            out.setblocking(False)
+            for frame in self.peer_stream:
+                try:
+                    sent = out.send(frame)
+                except BlockingIOError:
+                    sent = 0
+                if sent < len(frame):
+                    self.stream_cut = True
+                    return
+                time.sleep(self.stream_pause)
 
 
 def quick_config(n: int, **kw) -> SimulationConfig:
@@ -741,15 +774,15 @@ def test_a_peer_that_closed_its_end_costs_its_link_without_a_warning(caplog):
 
 
 def test_a_block_is_not_applied_before_its_delay_has_passed():
-    # The scripted peer sends a valid depth-1 block just after bootstrap, at
-    # receipt r of well under 1 sim-s (a few wall-ms at time_scale 20). The
-    # receiver holds it until r + 30 and mines alone meanwhile: 29 of 30
-    # hashpower at interval 2, one own block per 2.07 sim-s on average. So
-    # its chain is deeper when the block comes due, which then can only be
-    # an uncle: P(no own block in 30 sim-s) = exp(-30 / 2.07) < 1e-6.
-    # Applied on receipt instead, it would be appended unless an own block
-    # came first, inside r: P < 1 - exp(-1 / 2.07) = 0.38, and far lower
-    # for the usual r.
+    # The scripted peer sends a valid depth-1 block of blocktime 0.01 just
+    # after bootstrap, which the receiver reads at its first own block, at
+    # r, 2.07 sim-s on average. The receiver holds it until its blocktime
+    # plus 30, 30.01, and mines alone meanwhile: 29 of 30 hashpower at
+    # interval 2, one own block per 2.07 sim-s on average. So its chain is
+    # deeper when the block comes due, which then can only be an uncle:
+    # P(no own block in 30 sim-s) = exp(-30 / 2.07) < 1e-6. With no delay
+    # it would be applied in the step at r, before the own block is built,
+    # and appended.
     early = Block(id="early", parent_id=GENESIS.id, depth=1, miner_id=1, blocktime=0.01)
     config = SimulationConfig(num_miners=2, duration=40.0, interval=2.0, seed=8, time_scale=20.0)
     server = AdminServer(config, port=0)
@@ -779,6 +812,135 @@ def test_a_block_is_not_applied_before_its_delay_has_passed():
     assert stats["final_chain_len"] > 1
 
 
+def chain_frames(miner_id: int, n: int, spacing: float) -> tuple[bytes, ...]:
+    """BLOCK frames of a valid chain of n blocks on the genesis, blocktimes spacing apart."""
+    frames, parent = [], GENESIS
+    for depth in range(1, n + 1):
+        parent = Block(f"{miner_id:04x}{depth:028x}", parent.id, depth, miner_id, spacing * depth)
+        frames.append(encode(msg_block(parent)))
+    return tuple(frames)
+
+
+def run_against_scripted_peer(
+    config: SimulationConfig, hashpower: float, scripted_hashpower: float, **script
+) -> tuple[dict, dict, ScriptedMiner]:
+    """One honest MinerNode against a ScriptedMiner that no dial reaches.
+
+    The scripted miner registers first, so it is miner 1.
+    """
+    server = AdminServer(config, port=0)
+    unlistened = refusing_port()
+    with unlistened, ThreadPoolExecutor(max_workers=2) as pool:
+        admin_fut = pool.submit(server.run)
+        scripted = ScriptedMiner(
+            server.port,
+            listen_port=unlistened.getsockname()[1],
+            hashpower=scripted_hashpower,
+            **script,
+        )
+        scripted.start()
+        deadline = time.monotonic() + 10.0
+        while scripted.miner_id is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        honest = pool.submit(MinerNode("127.0.0.1", server.port, 0, hashpower=hashpower).run)
+        report = admin_fut.result(timeout=60)
+        stats = honest.result(timeout=60)
+        scripted.join(timeout=30)
+    assert scripted.error is None
+    return report, stats, scripted
+
+
+def test_a_miner_steps_only_at_its_own_blocks_and_at_the_end(monkeypatch):
+    # The peer sends a frame every 0.1 wall-s (2 sim-s), between the honest
+    # miner's own blocks. None of them reaches the low-water mark, so none
+    # wakes the miner: it reads them all at its own steps, and still applies
+    # every one.
+    steps = Counter()
+    real_step = chainsim.miner.step
+
+    def counted(ctx, *args, **kw):
+        steps[ctx.miner_id] += 1
+        return real_step(ctx, *args, **kw)
+
+    monkeypatch.setattr(chainsim.miner, "step", counted)
+    config = SimulationConfig(num_miners=2, duration=40.0, interval=2.0, seed=9, time_scale=20.0)
+    report, stats, scripted = run_against_scripted_peer(
+        config, 29.0, 1.0, peer_stream=chain_frames(1, 15, 0.1), stream_pause=0.1
+    )
+    assert not report["discarded"] and not scripted.stream_cut
+    tally = stats["tally"]
+    assert tally["created"] > 5
+    assert steps == {stats["miner_id"]: steps[stats["miner_id"]]}
+    assert steps[stats["miner_id"]] <= tally["created"] + 1
+    assert tally["appended_received"] + tally["uncled"] + tally["switches"] == 15
+
+
+def test_a_quiet_miner_drains_a_long_stream_before_its_buffer_fills(caplog):
+    # The honest miner's next own block is far off (a mean interval of
+    # 5e5 sim-s), so only the low-water mark wakes it. The peer streams 2000
+    # frames, about 370 KB: far more than twice the mark, and twice what an
+    # unread link holds behind the stream's 16 KiB send buffer (about 180 KB
+    # on loopback), so a miner that did not read at the mark would cut it.
+    caplog.set_level(logging.WARNING, logger="chainsim.miner")
+    n = 2000
+    frames = chain_frames(1, n, 0.26)  # due in depth order, all before the end
+    assert sum(map(len, frames)) > 2 * 180_000 > 2 * netio.LOW_WATER
+    config = SimulationConfig(num_miners=2, duration=600.0, interval=0.5, seed=10, time_scale=150.0)
+    report, stats, scripted = run_against_scripted_peer(
+        config, 1.0, 1e6, peer_delay=0.2, peer_stream=frames, stream_pause=0.0005
+    )
+    assert not scripted.stream_cut
+    assert not report["discarded"]
+    assert stats["tally"] == {"created": 0, "appended_received": n, "uncled": 0, "switches": 0}
+    assert stats["final_chain_len"] == n
+    assert stats["late_frames"] == 0
+    assert not [r for r in caplog.records if "dropping" in r.getMessage()]
+
+
+def test_a_block_read_after_the_step_it_was_due_for_is_a_late_frame():
+    # The peer waits 1 wall-s (20 sim-s) before it sends a block of blocktime
+    # 0.01, due by 0.31. By then the honest miner (29 of 30 hashpower at
+    # interval 2) has stepped at its own blocks well after 0.31, so the step
+    # that applies the block comes after one it was due for.
+    old = Block(id="old", parent_id=GENESIS.id, depth=1, miner_id=1, blocktime=0.01)
+    config = SimulationConfig(num_miners=2, duration=40.0, interval=2.0, seed=8, time_scale=20.0)
+    report, stats, _ = run_against_scripted_peer(
+        config, 29.0, 1.0, peer_delay=1.0, peer_frames=(encode(msg_block(old)),)
+    )
+    assert not report["discarded"]
+    assert stats["tally"]["uncled"] == 1
+    assert stats["late_frames"] == 1
+    assert 0.31 < stats["max_lateness"] < 40.0
+
+
+def test_a_lazy_connection_wakes_select_at_its_low_water_mark_and_at_eof():
+    frame = encode(msg_block(Block("b1", GENESIS.id, 1, 2, 1.0)))
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        ours = socket.create_connection(server.getsockname())
+        conn = LazyConn(server.accept()[0])
+    try:
+        ours.sendall(frame)
+        assert select.select([conn], [], [], 0.2)[0] == []  # one frame wakes no one
+        conn.drain()  # but a drain reads it, without waiting for the mark
+        assert [m.type for m in conn.inbox] == ["BLOCK"]
+        conn.inbox.clear()
+        ours.sendall(frame * (netio.LOW_WATER // len(frame) + 1))
+        assert select.select([conn], [], [], 5.0)[0] == [conn]
+        conn.drain()
+        assert len(conn.inbox) >= netio.LOW_WATER // len(frame)
+        conn.inbox.clear()
+        ours.sendall(frame)
+        ours.close()
+        assert select.select([conn], [], [], 5.0)[0] == [conn]  # EOF wakes at once
+        with pytest.raises(ConnectionClosed):
+            while True:
+                conn.drain()
+        assert [m.type for m in conn.inbox][-1:] == ["BLOCK"]  # read before the EOF
+    finally:
+        ours.close()
+        conn.close()
+
+
 def refusing_port() -> socket.socket:
     """A socket bound to a free local port but not listening: dials are refused."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -805,15 +967,17 @@ class ScriptedAdmin(threading.Thread):
     """Protocol-level fake admin for one miner: sends every frame of a run at once.
 
     The bootstrap frames go out in one write as soon as the miner
-    registers; the result goes out once the miner's LAST_BLOCK arrives.
-    With no result, the admin hangs up right after the bootstrap.
+    registers, a SIM_START whose start_at is None stamped with the Unix
+    time as it goes, as the admin stamps it; the result goes out once the
+    miner's LAST_BLOCK arrives. With no result, the admin hangs up right
+    after the bootstrap.
     """
 
     def __init__(self, bootstrap: list[WireMessage], result: WireMessage | None):
         super().__init__(daemon=True)
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
-        self.frames = b"".join(encode(m) for m in bootstrap)
+        self.bootstrap = bootstrap
         self.result = result
         self.last_block: WireMessage | None = None
         self.sent_at = self.last_block_at = 0.0  # monotonic: bootstrap sent, LAST_BLOCK in
@@ -828,7 +992,7 @@ class ScriptedAdmin(threading.Thread):
         try:
             conn.next_message(10.0)  # REGISTER
             self.sent_at = time.monotonic()
-            sock.sendall(self.frames)
+            sock.sendall(b"".join(encode(stamped(m)) for m in self.bootstrap))
             if self.result is None:
                 return
             self.last_block = conn.next_message(10.0)
@@ -840,10 +1004,16 @@ class ScriptedAdmin(threading.Thread):
             conn.close()
 
 
+def stamped(msg: WireMessage) -> WireMessage:
+    if msg.type == "SIM_START" and msg.payload["start_at"] is None:
+        return WireMessage(msg.type, {**msg.payload, "start_at": time.time()})
+    return msg
+
+
 ADMIN_RUN = {
     "ack": msg_miner_info(1, [], 0.0),
     "roster": msg_miner_info(1, [MinerRecord(1, 10.0, "127.0.0.1", 9)], 10.0),
-    "start": msg_sim_start(1.0, 12.42, 100.0, 5),
+    "start": msg_sim_start(1.0, 12.42, 100.0, 5, start_at=None),  # stamped as it is sent
     "genesis": msg_genesis(GENESIS),
     "result": msg_consensus_result(1, [GENESIS]),
 }
@@ -930,6 +1100,12 @@ def test_a_dead_admin_ends_a_mining_miner_at_once(capsys):
         ("genesis", {"block": {**block_to_payload(GENESIS), "depth": "0"}}),
         ("result", {"winner_id": "1"}),
         ("result", {"blocks": {"0": None}}),
+        ("start", {"start_at": "now"}),
+        ("start", {"start_at": float("nan")}),
+        ("start", {"start_at": float("inf")}),
+        # another clock: more than CONNECT_TIMEOUT behind or ahead of the miner's
+        ("start", {"start_at": 0.0}),
+        ("start", {"start_at": 1e12}),
     ],
 )
 def test_mistyped_admin_frame_ends_the_miner_cleanly(capsys, frame, fields):

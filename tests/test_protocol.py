@@ -38,9 +38,16 @@ from chainsim.protocol import (
     msg_discard,
     msg_miner_info,
     register_from_payload,
-    sim_start_from_payload,
 )
 from wiregen import rand_block, random_message
+
+START_AT = 1.8e9  # the Unix time these tests' SIM_START payloads start at
+SLACK = 15.0  # as the miner's CONNECT_TIMEOUT
+
+
+def sim_start_from_payload(obj: dict):
+    """protocol's SIM_START parser, as a miner whose clock reads START_AT runs it."""
+    return protocol.sim_start_from_payload(obj, START_AT, SLACK)
 
 
 def test_frame_layout_matches_definition():
@@ -403,7 +410,9 @@ GOOD_ADMIN_PAYLOADS = {
     register_from_payload: {"hashpower": 12, "port": 9000},
     miner_record_from_payload: GOOD_RECORD,
     miner_info_from_payload: {"miner_id": 2, "miners": [GOOD_RECORD], "total_hashpower": 3.0},
-    sim_start_from_payload: {"duration": 10, "interval": 1.5, "time_scale": 100.0, "subseed": 7},
+    sim_start_from_payload: {
+        "duration": 10, "interval": 1.5, "time_scale": 100.0, "subseed": 7, "start_at": START_AT
+    },
     consensus_result_from_payload: {"winner_id": 2, "blocks": []},
 }
 
@@ -429,6 +438,12 @@ GOOD_ADMIN_PAYLOADS = {
         (sim_start_from_payload, "interval", 10**400),
         (sim_start_from_payload, "time_scale", float("inf")),
         (sim_start_from_payload, "subseed", False),
+        (sim_start_from_payload, "start_at", float("nan")),
+        (sim_start_from_payload, "start_at", float("-inf")),
+        (sim_start_from_payload, "start_at", 10**400),
+        (sim_start_from_payload, "start_at", "1.8e9"),
+        (sim_start_from_payload, "start_at", START_AT + SLACK + 0.5),
+        (sim_start_from_payload, "start_at", START_AT - SLACK - 0.5),
         (consensus_result_from_payload, "winner_id", None),
         (consensus_result_from_payload, "blocks", [None]),
     ],
@@ -443,6 +458,12 @@ def test_admin_payloads_reject_one_bad_field(parse, field, value):
         parse({name: v for name, v in good.items() if name != field})
 
 
+def test_a_start_at_within_the_slack_is_taken_as_sent():
+    good = GOOD_ADMIN_PAYLOADS[sim_start_from_payload]
+    for start_at in (START_AT - SLACK, START_AT + SLACK, int(START_AT)):
+        assert sim_start_from_payload({**good, "start_at": start_at})[4] == start_at
+
+
 def test_admin_payload_parsers_take_what_the_admin_sends():
     rng = random.Random(8)
     for _ in range(200):
@@ -451,6 +472,8 @@ def test_admin_payload_parsers_take_what_the_admin_sends():
             miner_id, roster, total = miner_info_from_payload(msg.payload)
             assert msg_miner_info(miner_id, roster, total) == msg
         elif msg.type == "SIM_START":
-            assert protocol.msg_sim_start(*sim_start_from_payload(msg.payload)) == msg
+            # read at the instant it names: the admin's clock and the miner's agree
+            now = msg.payload["start_at"]
+            assert protocol.msg_sim_start(*protocol.sim_start_from_payload(msg.payload, now, 0.0)) == msg
         elif msg.type == "CONSENSUS_RESULT":
             assert protocol.msg_consensus_result(*consensus_result_from_payload(msg.payload)) == msg

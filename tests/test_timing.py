@@ -94,7 +94,7 @@ def test_wall_clock_scaling():
     plain = SimulationClock(time_scale=1.0, start_instant=0.0)
     assert clock.now() > plain.now() > 0.0
     with pytest.raises(ValueError):
-        SimulationClock(time_scale=0.0)
+        SimulationClock(time_scale=0.0, start_instant=0.0)
 
 
 def test_blocktime_sequence_reproducible():

@@ -77,6 +77,7 @@ def random_message(rng: random.Random) -> WireMessage:
             rng.uniform(0.1, 60.0),
             rng.choice([1.0, 10.0, 100.0]),
             rng.getrandbits(64),
+            rng.uniform(1.6e9, 1.9e9),  # a Unix time
         ),
         lambda: msg_genesis(
             Block(id=rand_hex(rng), parent_id=None, depth=0, miner_id=0, blocktime=0.0)
