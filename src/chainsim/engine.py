@@ -1,10 +1,11 @@
 """In-process simulation on a logical clock, for deterministic runs.
 
 Same rules as the live network: every event goes through mining.step,
-and every inbox through mining.take_due. One priority queue holds each
-miner's next own blocktime, the first drawn from 0 when its context is
-built and none moved by a received block, and time jumps from one to
-the next. A step returns the own block it releases, and the engine
+and every inbox through mining.take_due. Each miner is its
+MiningContext, chain state included, so the engine keeps one list of
+them and nothing beside it. One priority queue holds each miner's next
+own blocktime, the first drawn from 0 when its context is built and
+none moved by a received block, and time jumps from one to the next. A step returns the own block it releases, and the engine
 broadcasts it: the block joins each receiver's inbox, due U(lo, hi)
 sim-seconds after its blocktime, drawn per (block, receiver) pair, so
 blocks may overtake each other; the live miner draws the same delay,
@@ -33,7 +34,7 @@ from operator import itemgetter
 
 from .blocks import Block
 from .chain import ConsensusEntry, LocalChainState, finalize_state, select_consensus_winner
-from .mining import MiningContext, MinerTally, step, take_due
+from .mining import MiningContext, step, take_due
 from .simulation import (
     SimulationConfig,
     create_genesis,
@@ -55,12 +56,10 @@ class RunResult:
     winner_id: int | None
     final_chain: list[Block] | None
     states: list[LocalChainState]
-    tallies: list[MinerTally]
 
 
 def run_events(
     ctxs: list[MiningContext],
-    states: list[LocalChainState],
     duration: float,
     delay_range: tuple[float, float],
     net_rng: random.Random,
@@ -94,7 +93,7 @@ def run_events(
         inbox = inboxes[i]
         due = map(block_of, take_due(inbox, (t, s))) if inbox else ()
         ctx = ctxs[i]
-        broadcast = step(ctx, states[i], due, t, duration)
+        broadcast = step(ctx, due, t)
         if broadcast is not None:
             # the own block came due, and its successor was drawn. One seq
             # serves every delivery: each receiver gets one, so seqs stay
@@ -107,7 +106,7 @@ def run_events(
     end = (duration, math.inf)
     for i in range(n):
         due = map(block_of, take_due(inboxes[i], end))
-        step(ctxs[i], states[i], due, duration, duration)
+        step(ctxs[i], due, duration)
 
 
 def run_logical(
@@ -122,22 +121,22 @@ def run_logical(
     genesis = create_genesis()
 
     n = config.num_miners
-    states = [LocalChainState(genesis) for _ in range(n)]
     ctxs = [
         MiningContext(
             miner_id=i + 1,
             profile=HashpowerProfile(own=powers[i], total=total),
             interval=config.interval,
             rng=random.Random(subseed_for(config.seed, i + 1)),
+            genesis=genesis,
+            duration=config.duration,
         )
         for i in range(n)
     ]
-    run_events(ctxs, states, config.duration, delay_range, random.Random(f"net:{config.seed}"))
+    run_events(ctxs, config.duration, delay_range, random.Random(f"net:{config.seed}"))
 
+    states = [c.state for c in ctxs]
     remaining = [finalize_state(s) for s in states]
-    entries = [
-        ConsensusEntry(miner_id=i + 1, last_block=states[i].tip) for i in range(n)
-    ]
+    entries = [ConsensusEntry(miner_id=i + 1, last_block=s.tip) for i, s in enumerate(states)]
     winner_id = select_consensus_winner(entries)
     discarded = remaining[winner_id - 1] > 0
     # the broadcast result IS final_chain, the one chain the run builds;
@@ -168,5 +167,4 @@ def run_logical(
         winner_id=None if discarded else winner_id,
         final_chain=final_chain,
         states=states,
-        tallies=[c.tally for c in ctxs],
     )

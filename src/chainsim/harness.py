@@ -5,16 +5,17 @@ this one, each running ``chainsim.cli.main`` with the argv that follows
 ``python -m chainsim`` in a hand run, and collects their report files.
 The children skip only the interpreter start: they are still separate
 processes that talk over TCP and write the same logs, stats files and
-exit statuses. Before its first fork the parent builds the CLI parser
-and loads the idna codec, which every child would otherwise redo. One
-poll over the admin's stdout pipe and a pidfd per child (Linux 5.3 or
-later) copies the admin's output and reaps each child the moment it
-exits. A miner that exits before the admin's second line (every miner
-registered) fails the run at once, naming its log, or the admin's if
-the admin exits within a grace second; one that dies later costs the
-run, which the admin discards. Logical mode calls the
-in-process engine. Discarded runs are retried on a fresh seed, within a
-global attempt budget of three times the requested run count.
+exit statuses. Before its first fork the parent builds the CLI parser,
+parses an admin and a miner argv with it, and loads the idna codec,
+which every child would otherwise redo. One poll over the admin's
+stdout pipe and a pidfd per child (Linux 5.3 or later) copies the
+admin's output and reaps each child the moment it exits. A miner that
+exits before the admin's second line (every miner registered) fails the
+run at once, naming its log, or the admin's if the admin exits within a
+grace second; one that dies later costs the run, which the admin
+discards. Logical mode calls the in-process engine. Discarded runs are
+retried on a fresh seed, within a global attempt budget of three times
+the requested run count.
 """
 
 from __future__ import annotations
@@ -192,7 +193,18 @@ def _run_network(
         "--report-out", report_path,
     ]
     stats_paths = [os.path.join(work, f"miner_{i}.json") for i in range(spec.num_miners)]
-    _warm()
+
+    def miner_argv(i: int, address: str) -> list[str]:
+        return [
+            "miner",
+            "--admin", address,
+            "--listen-port", "0",
+            "--hashpower", str(powers[i]),
+            "--stats-out", stats_paths[i],
+            "--delay-range", *map(str, spec.delay_range),
+        ]
+
+    _warm(admin_argv, miner_argv(0, "127.0.0.1:0"))
     files = []
     children = None
     try:
@@ -217,18 +229,10 @@ def _run_network(
                 f"for seed {run_seed}; see {work}/admin.log"
             )
         address = announced[len(ANNOUNCEMENT) :].decode().strip()
-        for i, stats_path in enumerate(stats_paths):
-            argv = [
-                "miner",
-                "--admin", address,
-                "--listen-port", "0",
-                "--hashpower", str(powers[i]),
-                "--stats-out", stats_path,
-                "--delay-range", *map(str, spec.delay_range),
-            ]
+        for i in range(spec.num_miners):
             miner_log = open(os.path.join(work, f"miner_{i}.log"), "wb")
             files.append(miner_log)
-            children.spawn(argv, miner_log.fileno(), miner_log.fileno())
+            children.spawn(miner_argv(i, address), miner_log.fileno(), miner_log.fileno())
         deadline = time.monotonic() + spec.duration / spec.time_scale + 120.0
         # until the admin's second line, a miner that exits failed at start-up,
         # which no other seed would mend; after it, the admin discards the run
@@ -285,18 +289,21 @@ def _run_network(
     return report
 
 
-def _warm() -> None:
+def _warm(*argvs: list[str]) -> None:
     """Do, in this process before it forks, what each child would redo.
 
     Every child parses its argv with the CLI's parser, which is built once
-    per process; every miner's first dial resolves a host name, which loads
-    the idna codec (getaddrinfo encodes the name with it). Both are done
-    here, so each child inherits them; after the first call this costs
-    next to nothing.
+    per process, and parsing compiles argparse's patterns into the re
+    module's cache; every miner's first dial resolves a host name, which
+    loads the idna codec (getaddrinfo encodes the name with it). All are
+    done here, on argvs shaped like the children's, so each child inherits
+    them; after the first call this costs next to nothing.
     """
     from . import cli
 
-    cli.build_parser()
+    parser = cli.build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
     codecs.lookup("idna")
 
 

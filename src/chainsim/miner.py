@@ -17,6 +17,8 @@ whole frame, loses its link for the rest of the run, never the miner's
 time. A peer whose frame is corrupt, or whose block breaks the chain
 rules, loses its connection; the miner mines on. A step that applies a
 block due before the miner's previous step counts it as a late frame.
+The miner is its MiningContext, chain state and run duration included,
+so the mining loop and consensus take it alone.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import time
 from collections.abc import Callable
 
 from .blocks import Block
-from .chain import LocalChainState, finalize_state, validate_chain
+from .chain import finalize_state, validate_chain
 from .mining import MiningContext, step, take_due
 from .netio import BufferedConn, ConnectionClosed, LazyConn, listener
 from .protocol import (
@@ -67,10 +69,10 @@ CONSENSUS_PHASE_TIMEOUT = 60.0
 class PeerLink:
     """Own blocks to one peer, over one connection dialed before mining.
 
-    The peer is dialed once, when the link is built; each frame is sent at
-    once and the send never blocks. A failed dial, or a send that fails or
-    that the socket cannot take whole, costs that peer every later frame of
-    the run. A broken pipe or a reset means the peer closed its end, as a
+    The peer is dialed once, when the link is built, with Nagle's
+    algorithm off; each frame is sent at once and the send never blocks. A
+    failed dial, or a send that fails or that the socket cannot take whole,
+    costs that peer every later frame of the run. A broken pipe or a reset means the peer closed its end, as a
     peer does once its clock has ended the run: that is logged at INFO,
     every other failure at WARNING.
     """
@@ -81,6 +83,8 @@ class PeerLink:
         try:
             self._sock = socket.create_connection((record.ip, record.port), timeout=2.0)
             self._sock.setblocking(False)
+            # else a second own frame could wait for the peer's delayed ACK of the first
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
             self.close()
             log.warning(
@@ -177,20 +181,20 @@ class MinerNode:
             clock = SimulationClock(time_scale, mono - (wall - start_at))
 
             genesis_msg = expect(admin, "GENESIS", CONNECT_TIMEOUT)
-            state = LocalChainState(block_from_payload(genesis_msg.payload.get("block")))
-
             ctx = MiningContext(
                 miner_id=my_id,
                 profile=HashpowerProfile(own=self.hashpower, total=total_hashpower),
                 interval=interval,
                 rng=random.Random(subseed),
+                genesis=block_from_payload(genesis_msg.payload.get("block")),
+                duration=duration,
             )
 
             links = [PeerLink(peer) for peer in peers]
             # delays get a stream of their own: blocktimes never depend on what is heard
             delays = random.Random(f"delay:{subseed}")
-            late = self._mine(ctx, state, clock, duration, admin, listen_sock, links, delays)
-            return {**self._consensus(ctx, state, admin, my_id, port), **late}
+            late = self._mine(ctx, clock, admin, listen_sock, links, delays)
+            return {**self._consensus(ctx, admin, port), **late}
         finally:
             listen_sock.close()
             for link in links:
@@ -201,15 +205,13 @@ class MinerNode:
     def _mine(
         self,
         ctx: MiningContext,
-        state: LocalChainState,
         clock: SimulationClock,
-        duration: float,
         admin: BufferedConn,
         listen_sock: socket.socket,
         links: list[PeerLink],
         delays: random.Random,
     ) -> dict:
-        """Mining loop: runs until the shared clock reaches the duration.
+        """Mining loop: runs until the shared clock reaches ctx.duration.
 
         Blocks due after the duration are never applied, as in the engine,
         and own blocks built once the clock has passed it are not sent.
@@ -218,6 +220,7 @@ class MinerNode:
         due before it, in sim-seconds.
         """
         lo, hi = self.delay_range
+        duration = ctx.duration
         next_seq = itertools.count().__next__
         # (due, seq, block, sender) for each block read and not yet applied
         inbox: list[tuple[float, int, Block, LazyConn]] = []
@@ -259,7 +262,7 @@ class MinerNode:
                 if conn in peers:  # not dropped already, by its EOF or a reject
                     drop(conn)
 
-            return step(ctx, state, [b for _, _, b, _ in taken], now, duration, reject)
+            return step(ctx, [b for _, _, b, _ in taken], now, reject)
 
         timeout = 0.0
         try:
@@ -292,14 +295,8 @@ class MinerNode:
                 conn.close()
             sel.close()
 
-    def _consensus(
-        self,
-        ctx: MiningContext,
-        state: LocalChainState,
-        admin: BufferedConn,
-        my_id: int,
-        port: int,
-    ) -> dict:
+    def _consensus(self, ctx: MiningContext, admin: BufferedConn, port: int) -> dict:
+        state, my_id = ctx.state, ctx.miner_id
         remaining = finalize_state(state)
         admin.send(msg_last_block(my_id, state.tip))
         discarded = False

@@ -19,8 +19,10 @@ Block is built from positional arguments on the state's tip, and step
 tells each received block's action apart by identity with chain's
 shared actions. It counts them in locals and adds them to the tally
 once, in a finally, so a step that raises counts exactly what it
-applied. A context checks once, when built, that its mean block
-interval is finite, so no draw checks it again.
+applied. A MiningContext is the miner: its chain state, the run's
+duration, its depth limit and its draw's rate (timing.block_rate, which
+vets the mean interval) are each decided once, when it is built, so no
+step or draw works one out again.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import bisect
 import math
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 from .blocks import Block, StructuralError, block_id_prefix, prefixed_block_id
 from .chain import (
@@ -41,7 +43,7 @@ from .chain import (
     apply_created_block,
     apply_received_block,
 )
-from .timing import HashpowerProfile, check_block_interval, compute_block_time
+from .timing import HashpowerProfile, block_rate, compute_block_time
 
 
 @dataclass(slots=True)
@@ -55,34 +57,36 @@ class MinerTally:
     switches: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "created": self.created,
-            "appended_received": self.appended_received,
-            "uncled": self.uncled,
-            "switches": self.switches,
-        }
+        return asdict(self)
 
 
 @dataclass
 class MiningContext:
-    """Everything one miner needs to time, build and release its own blocks."""
+    """One miner: its chain state on genesis, and all it needs to time, build
+    and release its own blocks in a run of this duration."""
 
     miner_id: int
     profile: HashpowerProfile
     interval: float
     rng: random.Random
+    genesis: InitVar[Block]
+    duration: float
     counter: int = 0  # own blocks built so far; keeps their ids unique
     tally: MinerTally = field(default_factory=MinerTally)
+    state: LocalChainState = field(init=False, repr=False)
+    depth_limit: int = field(init=False)  # a received block deeper than this is forged
+    rate: float = field(init=False)  # of the exponential draw: 1 / the mean block interval
     # blocktime of the next own block; None once the run has no more, as a
     # block due at the duration itself draws no successor
     next_time: float | None = field(init=False)
     id_prefix: object = field(init=False, repr=False)  # blake2b state over the id prefix
 
-    def __post_init__(self) -> None:
-        # checked once here, not on every draw
-        check_block_interval(self.profile, self.interval)
+    def __post_init__(self, genesis: Block) -> None:
+        self.rate = block_rate(self.profile, self.interval)
+        self.state = LocalChainState(genesis)
+        self.depth_limit = depth_limit(self.duration, self.interval)
         self.id_prefix = block_id_prefix(self.miner_id)
-        self.next_time = compute_block_time(self.profile, self.interval, 0.0, self.rng)
+        self.next_time = compute_block_time(self.rate, 0.0, self.rng)
 
 
 def draw_own_block(ctx: MiningContext, tip: Block, blocktime: float) -> Block:
@@ -129,26 +133,25 @@ def take_due(inbox: list[tuple], until: tuple) -> list[tuple]:
 
 def step(
     ctx: MiningContext,
-    state: LocalChainState,
     received: Iterable[Block],
     now: float,
-    duration: float,
     reject: Callable[[Block, ValueError], None] | None = None,
 ) -> Block | None:
-    """One mining step; returns the own block it releases, or None.
+    """One mining step of ctx's miner; returns the own block it releases, or None.
 
-    Received blocks are applied in the order given; they never change
-    ctx.next_time. Then, if ctx.next_time has been reached, the own block
-    is built on the current tip at that blocktime, appended, and the next
-    blocktime is drawn from it. Own blocks are only due while the
-    simulation clock is inside the run (a blocktime past the duration
-    never fires), and nothing is drawn at or after the duration.
+    Received blocks are applied to ctx.state in the order given; they
+    never change ctx.next_time. Then, if ctx.next_time has been reached,
+    the own block is built on the current tip at that blocktime,
+    appended, and the next blocktime is drawn from it. Own blocks are
+    only due while the simulation clock is inside the run (a blocktime
+    past ctx.duration never fires), and nothing is drawn at or after it.
     A received block that breaks the chain rules, or sits deeper than
-    depth_limit, raises, unless reject is given: then reject(block, error)
-    is told and the step goes on, with the state as if the block had
-    never arrived.
+    ctx.depth_limit, raises, unless reject is given: then
+    reject(block, error) is told and the step goes on, with the state as
+    if the block had never arrived.
     """
-    limit = depth_limit(duration, ctx.interval)
+    state = ctx.state
+    limit = ctx.depth_limit
     # counted in locals and added to the tally once, also when a block raises
     appended = uncled = switches = 0
     try:
@@ -181,12 +184,12 @@ def step(
         tally.uncled += uncled
         tally.switches += switches
     blocktime = ctx.next_time
-    if blocktime is None or blocktime > min(now, duration):
+    if blocktime is None or blocktime > min(now, ctx.duration):
         return None
     own = draw_own_block(ctx, state.tip, blocktime)
     tally.created += 1
     apply_created_block(state, own)
     ctx.next_time = None
-    if blocktime < duration:
-        ctx.next_time = compute_block_time(ctx.profile, ctx.interval, blocktime, ctx.rng)
+    if blocktime < ctx.duration:
+        ctx.next_time = compute_block_time(ctx.rate, blocktime, ctx.rng)
     return own

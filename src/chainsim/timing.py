@@ -3,7 +3,8 @@
 A miner's expected time to its next block scales inversely with its share
 of the network hashpower: the delay is exponential with mean
 interval * total / own, so the whole network produces one block per
-interval on average regardless of how the hashpower is split.
+interval on average regardless of how the hashpower is split. block_rate
+vets a miner's mean once; compute_block_time draws at its reciprocal.
 """
 
 from __future__ import annotations
@@ -63,14 +64,13 @@ def check_hashpower(value: float) -> None:
         raise ValueError("hashpower must be finite and positive")
 
 
-def check_block_interval(profile: HashpowerProfile, interval: float) -> None:
-    """A miner's mean block interval, interval * total / own, is finite and
-    so is its reciprocal, the rate of the exponential draw.
+def block_rate(profile: HashpowerProfile, interval: float) -> float:
+    """The rate of a miner's exponential block draw: 1 / its mean block
+    interval, interval * total / own, both of which must be finite.
 
-    Computed as compute_block_time computes it: a total or a quotient that
-    overflows would leave the draw a rate of 0, and a mean whose reciprocal
-    overflows a rate of inf, whose every draw is 0, so compute_block_time
-    would never find a positive delay.
+    A total or a quotient that overflows would leave the draw a rate of 0,
+    and a mean whose reciprocal overflows a rate of inf, whose every draw
+    is 0, so compute_block_time would never find a positive delay.
     """
     mean = interval * profile.total / profile.own
     where = (
@@ -81,6 +81,7 @@ def check_block_interval(profile: HashpowerProfile, interval: float) -> None:
         raise ValueError(f"{where} is not finite")
     if not (mean > 0 and 1.0 / mean < math.inf):
         raise ValueError(f"{where} is {mean}, too small to have a finite rate")
+    return 1.0 / mean
 
 
 def check_hashpowers(powers: list[float], interval: float) -> None:
@@ -89,7 +90,7 @@ def check_hashpowers(powers: list[float], interval: float) -> None:
     if not total < math.inf:
         raise ValueError(f"the hashpowers' total is {total}, not finite")
     for own in powers:
-        check_block_interval(HashpowerProfile(own=own, total=total), interval)
+        block_rate(HashpowerProfile(own=own, total=total), interval)
 
 
 def sample_hashpower(rng: random.Random) -> float:
@@ -97,20 +98,13 @@ def sample_hashpower(rng: random.Random) -> float:
     return HASHPOWER_MAX * (1.0 - rng.random())
 
 
-def compute_block_time(
-    profile: HashpowerProfile, interval: float, now: float, rng: random.Random
-) -> float:
+def compute_block_time(rate: float, now: float, rng: random.Random) -> float:
     """Absolute blocktime of the miner's next own block.
 
-    The delay is exponential with mean interval * total / own. Zero draws
-    are rejected so a blocktime is always strictly in the future.
+    The delay is exponential at rate, a block_rate, checked no further.
+    Zero draws are rejected so a blocktime is always strictly in the future.
     """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
-    if profile.own <= 0:
-        raise InvalidHashpower(f"own={profile.own}")
-    mean = interval * profile.total / profile.own
     delta = 0.0
     while delta <= 0.0:
-        delta = rng.expovariate(1.0 / mean)
+        delta = rng.expovariate(rate)
     return now + delta

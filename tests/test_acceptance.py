@@ -46,7 +46,7 @@ from chainsim.chain import (
 from chainsim.engine import run_logical
 from chainsim.harness import ExperimentSpec, run_experiment
 from chainsim.protocol import FrameReader, MESSAGE_TYPES, decode, encode
-from chainsim.timing import HashpowerProfile, compute_block_time
+from chainsim.timing import HashpowerProfile, block_rate, compute_block_time
 
 pytestmark = pytest.mark.acceptance
 
@@ -309,9 +309,10 @@ def test_criterion_9_blocktime_statistics():
         rng = random.Random(99_000)
         profile = HashpowerProfile(own=11.0, total=100.0)
         expected_mean = INTERVAL * profile.total / profile.own
+        rate = block_rate(profile, INTERVAL)
         count = 1_000_000
         draws = np.fromiter(
-            (compute_block_time(profile, INTERVAL, 0.0, rng) for _ in range(count)),
+            (compute_block_time(rate, 0.0, rng) for _ in range(count)),
             dtype=np.float64,
             count=count,
         )

@@ -87,6 +87,8 @@ def test_own_blocks_carry_the_one_call_rule_id(miner_id, depth, blocktime, count
         profile=HashpowerProfile(own=1.0, total=2.0),
         interval=12.42,
         rng=random.Random(0),
+        genesis=Block("g", None, 0, 0, 0.0),
+        duration=1500.0,
         counter=counter - 1,
     )
     tip = Block("tip", "below", depth - 1, 4, 1.0) if depth > 1 else Block("g", None, 0, 0, 0.0)

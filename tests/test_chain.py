@@ -113,16 +113,21 @@ def test_received_same_depth_becomes_uncle():
 
 
 def test_received_child_of_tip_appends_then_own_block_extends_it():
-    state = fresh_state(build_line(7))
+    line = build_line(7)
     ctx = MiningContext(
         miner_id=1,
         profile=HashpowerProfile(own=1.0, total=2.0),
         interval=5.0,
         rng=random.Random(1),
+        genesis=GENESIS,
+        duration=7.5,
     )
+    state = ctx.state
+    for blk in line[1:]:
+        apply_created_block(state, blk)
     ctx.next_time = 7.5  # due right now, the last instant of the run
     peer = mk("p8", state.tip, miner=2, t=7.5)
-    broadcast = step(ctx, state, [peer], now=7.5, duration=7.5)
+    broadcast = step(ctx, [peer], now=7.5)
     assert state.main_chain[8] is peer
     assert broadcast is state.tip and broadcast.parent_id == "p8" and broadcast.depth == 9
     assert ctx.tally.created == 1 and ctx.tally.appended_received == 1

@@ -117,6 +117,11 @@ def report_digest(report: dict) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+def tallies(result) -> list[dict]:
+    """Each miner's tally, in miner order, as the report's miner_stats hold it."""
+    return [row["tally"] for row in result.report["miner_stats"]]
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
 def test_report_bytes_match_golden_digest(case):
     assert report_digest(golden_run(case).report) == GOLDEN_REPORTS[case][-1]
@@ -189,8 +194,8 @@ def test_single_miner_owns_every_block():
         result = run_logical(config(seed, duration=1000.0, n=1), [30.0])
         assert not result.discarded
         assert result.report["miners"][0]["block_share_pct"] == pytest.approx(100.0)
-        assert result.tallies[0].uncled == 0
-        assert result.tallies[0].switches == 0
+        assert tallies(result)[0]["uncled"] == 0
+        assert tallies(result)[0]["switches"] == 0
         totals.append(result.report["total_blocks"])
     mean = sum(totals) / len(totals)
     assert 0.8 * 80.5 <= mean <= 1.2 * 80.5
@@ -208,8 +213,8 @@ def test_heavy_delay_keeps_the_block_rate_and_created_share():
     created = [0] * len(TABLE_POWERS)
     for seed in seeds:
         result = run_logical(config(seed, duration=duration), TABLE_POWERS, delay_range=(1.0, 20.0))
-        for i, tally in enumerate(result.tallies):
-            created[i] += tally.created
+        for i, tally in enumerate(tallies(result)):
+            created[i] += tally["created"]
     expected = len(seeds) * duration / 12.42
     assert abs(sum(created) - expected) <= 5 * math.sqrt(expected)
     for made, power in zip(created, TABLE_POWERS):
@@ -220,8 +225,8 @@ def test_heavy_delay_keeps_the_block_rate_and_created_share():
 def test_forks_show_up_under_heavy_delay():
     # seconds-scale delivery delay at a 12.42 s interval forces competition
     result = run_logical(config(5, duration=800.0), TABLE_POWERS, delay_range=(1.0, 8.0))
-    uncles = sum(t.uncled for t in result.tallies)
-    switches = sum(t.switches for t in result.tallies)
+    uncles = sum(t["uncled"] for t in tallies(result))
+    switches = sum(t["switches"] for t in tallies(result))
     assert uncles > 0
     assert switches > 0
 
@@ -327,8 +332,8 @@ def test_stale_rate_matches_the_first_order_formula():
 def test_zero_delay_network_never_forks():
     result = run_logical(config(13), TABLE_POWERS, delay_range=(0.0, 0.0))
     assert not result.discarded
-    assert sum(t.switches for t in result.tallies) == 0
-    assert sum(t.uncled for t in result.tallies) == 0
+    assert sum(t["switches"] for t in tallies(result)) == 0
+    assert sum(t["uncled"] for t in tallies(result)) == 0
     assert DEFAULT_DELAY_RANGE[0] > 0.0  # default keeps some contention
 
 
@@ -336,7 +341,7 @@ def test_zero_delay_network_never_forks():
 # every delivery is its own heap event and its own step
 
 
-def per_arrival_events(ctxs, states, duration, delay_range, net_rng):
+def per_arrival_events(ctxs, duration, delay_range, net_rng):
     n = len(ctxs)
     seq = itertools.count()
     heap = []  # (time, seq, miner index, block or None for an own blocktime)
@@ -352,7 +357,7 @@ def per_arrival_events(ctxs, states, duration, delay_range, net_rng):
         if t > duration:
             break
         received = () if block is None else (block,)
-        broadcast = step(ctxs[i], states[i], received, t, duration)
+        broadcast = step(ctxs[i], received, t)
         if broadcast is not None:
             for j in range(n):
                 if j != i:
@@ -367,7 +372,7 @@ def assert_matches_per_arrival_loop(monkeypatch, cfg, powers, delay_range):
         m.setattr(engine, "run_events", per_arrival_events)
         want = run_logical(cfg, powers, delay_range=delay_range)
     assert report_digest(got.report) == report_digest(want.report)
-    assert [t.as_dict() for t in got.tallies] == [t.as_dict() for t in want.tallies]
+    assert tallies(got) == tallies(want)
     for mine, theirs in zip(got.states, want.states):
         assert mine.main_chain == theirs.main_chain
         assert mine.block_store == theirs.block_store
@@ -412,7 +417,7 @@ def test_benchmark_depth_matches_the_per_arrival_loop(monkeypatch):
         monkeypatch, config(1, duration=150_000.0), TABLE_POWERS, DEFAULT_DELAY_RANGE
     )
     assert len(got.final_chain) > 11_000
-    assert sum(t.switches for t in got.tallies) > 400
+    assert sum(t["switches"] for t in tallies(got)) > 400
     assert gaps > 2 * 60  # both runs open them
 
 
@@ -420,7 +425,7 @@ def test_run_shorter_than_the_first_blocktime_matches_the_per_arrival_loop(monke
     result = assert_matches_per_arrival_loop(
         monkeypatch, config(3, duration=0.01), TABLE_POWERS, DEFAULT_DELAY_RANGE
     )
-    assert sum(t.created for t in result.tallies) == 0
+    assert sum(t["created"] for t in tallies(result)) == 0
     assert result.report["final_chain_ids"] == [create_genesis().id]
 
 
@@ -517,9 +522,9 @@ def test_tallies_equal_the_actions_steps_return(powers, duration, seed, delay_ra
     with pytest.MonkeyPatch.context() as monkeypatch:
         received, created = counted_steps(monkeypatch)
         result = run_logical(config(seed, duration=duration, n=len(powers)), powers, delay_range)
-    for miner_id, (tally, state) in enumerate(zip(result.tallies, result.states), start=1):
+    for miner_id, (tally, state) in enumerate(zip(tallies(result), result.states), start=1):
         got = received[id(state)]
-        assert tally.as_dict() == {
+        assert tally == {
             "created": created[miner_id],
             "appended_received": got["appended_received"],
             "uncled": got["uncled"],

@@ -40,7 +40,7 @@ from chainsim.protocol import (
     msg_sim_start,
 )
 from chainsim.simulation import SimulationConfig, create_genesis
-from chainsim.timing import DEFAULT_DELAY_RANGE, HashpowerProfile, compute_block_time
+from chainsim.timing import DEFAULT_DELAY_RANGE, HashpowerProfile, block_rate, compute_block_time
 
 GENESIS = create_genesis()
 
@@ -724,6 +724,18 @@ def test_every_peer_is_dialed_once_before_mining(monkeypatch):
     }
 
 
+def test_a_link_sends_each_frame_at_once_with_nagle_off():
+    # with Nagle on, a second own frame sent before the first is ACKed could
+    # wait for the peer's delayed ACK: 40 ms, 4 sim-s at time_scale 100
+    with socket.create_server(("127.0.0.1", 0)) as peer:
+        link = PeerLink(MinerRecord(2, 1.0, "127.0.0.1", peer.getsockname()[1]))
+        try:
+            assert link._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+        finally:
+            link.close()
+            peer.accept()[0].close()
+
+
 def test_a_partial_send_costs_the_link_for_the_rest_of_the_run(caplog):
     caplog.set_level(logging.WARNING, logger="chainsim.miner")
     with socket.create_server(("127.0.0.1", 0)) as peer:
@@ -1063,10 +1075,10 @@ def test_a_network_miners_blocktimes_count_from_0(capsys):
     status, err, admin = run_miner_cli(capsys, start={"duration": duration})
     assert status == 0, err
     tip = block_from_payload(admin.last_block.payload["block"])
-    rng, profile = random.Random(5), HashpowerProfile(own=10.0, total=10.0)
-    blocktimes = [compute_block_time(profile, 12.42, 0.0, rng)]
+    rng, rate = random.Random(5), block_rate(HashpowerProfile(own=10.0, total=10.0), 12.42)
+    blocktimes = [compute_block_time(rate, 0.0, rng)]
     while blocktimes[-1] <= duration:
-        blocktimes.append(compute_block_time(profile, 12.42, blocktimes[-1], rng))
+        blocktimes.append(compute_block_time(rate, blocktimes[-1], rng))
     assert tip.depth == len(blocktimes) - 1 > 5
     assert tip.blocktime == blocktimes[tip.depth - 1]
 
